@@ -195,8 +195,10 @@ def find_alpha(delta: Interval, k: Interval, c: Interval, p: Fraction) -> AlphaS
     inflation until both existence-test inequalities verify in interval
     arithmetic."""
     p = Fraction(p)
-    if delta.lo < 0 or k.lo <= 0 or c.lo < 0:
-        raise UsageError("delta, K must be positive and c nonnegative")
+    # only delta.hi enters the test: a residual enclosure [0, x] gives
+    # delta.lo = -5e-324 after outward rounding, which is fine
+    if delta.hi < 0 or k.lo <= 0 or c.lo < 0:
+        raise UsageError("delta must be nonnegative, K positive and c nonnegative")
     kf, cf, df = k.hi, c.hi, delta.hi
     pf = float(p)
     if cf == 0.0:
@@ -353,7 +355,6 @@ class ProofCertificate:
     neg_part_bound: Interval | None = None
     positive: bool | None = None
     amplitude: Interval | None = None
-    mu0_terms: int | None = None
     failure: str | None = None
     config: dict = field(default_factory=dict)
     timestamp: str = ""

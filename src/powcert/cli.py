@@ -314,13 +314,15 @@ def build_parser() -> _Parser:
     sub = ap.add_subparsers(dest="command", required=True)
 
     v = sub.add_parser("verify", help="run the full verification pipeline")
-    v.add_argument("--p", type=_parse_fraction, default=Fraction(3, 2))
-    v.add_argument("--modes", type=int, default=60, help="Galerkin mode cutoff N_u")
-    v.add_argument("--eig-dim", type=int, default=14, help="eigenvalue subspace cutoff N")
-    v.add_argument("--grid", type=int, default=16, help="rectangles per quadrant edge M")
-    v.add_argument("--psa-degree", type=int, default=10)
-    v.add_argument("--holder", type=_parse_triple, default=(4, 4, 2), metavar="q,r,s")
-    v.add_argument("--workers", type=int, default=0)
+    # configuration flags default to None, so that a flag counts as given
+    # only when passed; RunConfig holds the defaults
+    v.add_argument("--p", type=_parse_fraction, help="exponent p (default 3/2)")
+    v.add_argument("--modes", type=int, help="Galerkin mode cutoff N_u (default 60)")
+    v.add_argument("--eig-dim", type=int, help="eigenvalue subspace cutoff N (default 14)")
+    v.add_argument("--grid", type=int, help="rectangles per quadrant edge M (default 16)")
+    v.add_argument("--psa-degree", type=int, help="default 10")
+    v.add_argument("--holder", type=_parse_triple, metavar="q,r,s", help="default 4,4,2")
+    v.add_argument("--workers", type=int, help="default 0: available parallelism")
     v.add_argument("--out", default="certificate.json")
     v.add_argument("--coeffs-in", default=None)
     v.add_argument("--coeffs-out", default=None)
@@ -343,41 +345,41 @@ def build_parser() -> _Parser:
     return ap
 
 
+# config-file keys with the verify flag that overrides each
+_FLAG_KEYS = {
+    "p": "p",
+    "n_modes": "modes",
+    "eig_n": "eig_dim",
+    "grid_m": "grid",
+    "degree": "psa_degree",
+    "holder": "holder",
+    "workers": "workers",
+}
+_FILE_ONLY_KEYS = {"res_width", "gram_width", "tail_threshold", "galerkin_tol", "max_depth"}
+
+
 def _config_from_args(args) -> RunConfig:
-    base = {}
+    merged = {}
     if args.config:
         with open(args.config) as fh:
-            base = json.load(fh)
-    merged = dict(
-        p=args.p,
-        n_modes=args.modes,
-        eig_n=args.eig_dim,
-        grid_m=args.grid,
-        degree=args.psa_degree,
-        holder=args.holder,
-        workers=args.workers,
+            merged = json.load(fh)
+        if not isinstance(merged, dict):
+            raise UsageError(f"{args.config}: expected a JSON object")
+        unknown = sorted(set(merged) - set(_FLAG_KEYS) - _FILE_ONLY_KEYS)
+        if unknown:
+            raise UsageError(f"{args.config}: unknown config keys {unknown}")
+    for key, flag in _FLAG_KEYS.items():
+        if getattr(args, flag) is not None:
+            merged[key] = getattr(args, flag)
+    if "holder" in merged:
+        merged["holder"] = tuple(Fraction(str(h)) for h in merged["holder"])
+    return RunConfig(
+        **merged,
         out=args.out,
         coeffs_in=args.coeffs_in,
         coeffs_out=args.coeffs_out,
         pencil_out=args.pencil_out,
     )
-    defaults = build_parser().parse_args(["verify"])
-    for key, flag in (
-        ("p", "p"),
-        ("n_modes", "modes"),
-        ("eig_n", "eig_dim"),
-        ("grid_m", "grid"),
-        ("degree", "psa_degree"),
-        ("holder", "holder"),
-        ("workers", "workers"),
-    ):
-        if key in base and merged[key] == getattr(defaults, flag):
-            merged[key] = base[key]
-    for key in ("res_width", "gram_width", "tail_threshold", "galerkin_tol", "max_depth"):
-        if key in base:
-            merged[key] = base[key]
-    merged["holder"] = tuple(Fraction(str(h)) for h in merged["holder"])
-    return RunConfig(**merged)
 
 
 def main(argv=None) -> int:

@@ -142,9 +142,6 @@ class IArr:
         pts = np.asarray(pts)
         return (self.lo <= pts) & (pts <= self.hi)
 
-    def hull_all(self) -> Interval:
-        return Interval(float(np.min(self.lo)), float(np.max(self.hi)))
-
     def is_zero(self) -> bool:
         return bool(np.all(self.lo == 0.0) and np.all(self.hi == 0.0))
 
@@ -223,19 +220,8 @@ class IArr:
         # additions never suffer underflow error, so no absolute guard
         return IArr(_dn(slo - _up(g * alo)), _up(shi + _up(g * ahi)))
 
-    def sum_interval(self, axis=None) -> Interval:
-        s = self.sum(axis=axis)
-        return Interval(float(np.min(s.lo)), float(np.max(s.hi))) if s.lo.ndim else s.item()
-
     def __matmul__(self, other) -> "IArr":
         return iv_matmul(self, self._coerce(other))
-
-    def dot_frob(self, other) -> Interval:
-        """Frobenius inner product sum_ij A_ij B_ij as a verified interval."""
-        o = self._coerce(other)
-        prod = self * o
-        return prod.sum().item()
-
 
 def iv_matmul(A: IArr, B: IArr) -> IArr:
     """Verified matrix product via midpoint-radius with error inflation.

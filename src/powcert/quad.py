@@ -1,10 +1,13 @@
 """Verified integration over the unit square of eta^q * xi with eta > 0
 inside and eta = 0 on the boundary.
 
-The square is split into four quadrants, each mapped by a reflection onto
-the standard quadrant [0, 1/2]^2 so that eta vanishes exactly on the left
-and lower edges.  The quadrant is covered by an M x M grid of closed
-rectangles classified by adjacency to the vanishing edges:
+The square is covered by one quadrant, by the even symmetry of odd modes:
+eta and xi hold only odd sine modes and the gram tables only even cosine
+frequencies, so every integrand is even about x = 1/2 and y = 1/2 and the
+integral over the square is four times the integral over the standard
+quadrant [0, 1/2]^2, where eta vanishes exactly on the left and lower
+edges.  The quadrant is covered by an M x M grid of closed rectangles
+classified by adjacency to the vanishing edges:
 
     S11  touches both edges (Taylor expansion at the corner, factor x*y)
     S01  touches only the lower edge (expansion at the lower-edge midpoint,
@@ -148,15 +151,9 @@ class Rect:
         )
 
 
-# quadrant reflections: (reflect_x, reflect_y); the standard quadrant maps
-# x -> x or 1 - x.  For odd sine modes and even cosine frequencies the
-# transformed coefficients are unchanged; general modes pick up signs.
-_QUADRANTS = ((False, False), (True, False), (False, True), (True, True))
-
-
 @dataclass(frozen=True)
 class Subdivision:
-    """Uniform M x M grid per quadrant plus the four reflections."""
+    """Uniform M x M grid of the standard quadrant."""
 
     grid_m: int = 16
 
@@ -172,10 +169,6 @@ class Subdivision:
             for j in range(m):
                 out.append(Rect.make(i * h, (i + 1) * h, j * h, (j + 1) * h))
         return out
-
-    @property
-    def quadrants(self):
-        return _QUADRANTS
 
 
 @dataclass(frozen=True)
@@ -367,15 +360,20 @@ def _model_domains(rect: Rect):
     return _frac_interval(lx0, lx1), _frac_interval(ly0, ly1)
 
 
+def _tensor_model(sx: IArr, a_iv: IArr, sy: IArr, dom) -> PowerSeries2D:
+    """sum_ij a_ij f_i(x) g_j(y) from the per-mode factor tables sx (of the
+    f_i) and sy (of the g_j)."""
+    coeffs = iv_matmul(iv_matmul(sx, a_iv), IArr(sy.lo.T, sy.hi.T))
+    return PowerSeries2D(coeffs, dom)
+
+
 def enclose_on_rect(eta: FourierApproximation, rect: Rect, degree: int) -> PowerSeries2D:
     """2-D Taylor model of eta on the rectangle, expanded at the class point
     (corner / edge midpoint / center), in local coordinates."""
     dx, dy = _model_domains(rect)
-    modes = eta.modes
-    a_iv = IArr.exact(eta.coeffs)
-    sx = _sine_factor_matrix(modes, rect.expansion_x(), dx, degree, reduced=rect.van_x)
-    sy = _sine_factor_matrix(modes, rect.expansion_y(), dy, degree, reduced=rect.van_y)
-    coeffs = iv_matmul(iv_matmul(sx, a_iv), IArr(sy.lo.T, sy.hi.T))
+    sx = _sine_factor_matrix(eta.modes, rect.expansion_x(), dx, degree, reduced=rect.van_x)
+    sy = _sine_factor_matrix(eta.modes, rect.expansion_y(), dy, degree, reduced=rect.van_y)
+    coeffs = _tensor_model(sx, IArr.exact(eta.coeffs), sy, (dx, dy)).coeffs
     if rect.van_x:
         coeffs = _shift_up(coeffs, 0, dx)
     if rect.van_y:
@@ -383,36 +381,44 @@ def enclose_on_rect(eta: FourierApproximation, rect: Rect, degree: int) -> Power
     return PowerSeries2D(coeffs, (dx, dy))
 
 
-def _corner_table(v: Fraction, exps) -> IArr:
+def _corner_table(v: Fraction, qoff: Fraction, count: int) -> IArr:
+    """v^(e+1) / (e+1) for the exponents e = i + qoff, i < count."""
     vals = []
-    for e in exps:
+    for i in range(count):
+        e = Fraction(i) + qoff
         vals.append(_endpoint_power(v, e + 1) / Interval.from_fraction(e + 1))
     return IArr.from_intervals(vals)
 
 
+def _corner_terms(rect: Rect, qx, qy, nx: int, ny: int, reduce, table=_corner_table) -> list:
+    """Signed corner terms of a tensor antiderivative over the rectangle's
+    local box: reduce(X outer Y) for the corner tables X of x^(i+qx) at each
+    x end and Y of y^(j+qy) at each y end, negated at the two mixed corners.
+    A lower end at the expansion point contributes zero and is skipped."""
+    lx0, lx1 = rect.local_x()
+    ly0, ly1 = rect.local_y()
+    xends = ((lx1, 1),) if lx0 == 0 else ((lx1, 1), (lx0, -1))
+    yends = ((ly1, 1),) if ly0 == 0 else ((ly1, 1), (ly0, -1))
+    terms = []
+    for xe, xsign in xends:
+        xtab = table(xe, qx, nx)
+        xv = IArr(xtab.lo.reshape(-1, 1), xtab.hi.reshape(-1, 1))
+        for ye, ysign in yends:
+            ytab = table(ye, qy, ny)
+            f = reduce(xv * IArr(ytab.lo.reshape(1, -1), ytab.hi.reshape(1, -1)))
+            terms.append(f if xsign * ysign > 0 else -f)
+    return terms
+
+
 def _poly_integral(
-    coeffs: IArr, rect: Rect, qx: Fraction, qy: Fraction
+    coeffs: IArr, rect: Rect, qx: Fraction, qy: Fraction, table=_corner_table
 ) -> Interval:
     """sum_ij coeffs[i,j] * integral x^(i+qx) y^(j+qy) over the local box,
     with the coefficient entering each of the four corner terms."""
-    dgx = coeffs.shape[0]
-    dgy = coeffs.shape[1]
-    lx0, lx1 = rect.local_x()
-    ly0, ly1 = rect.local_y()
-    xexps = [Fraction(i) + qx for i in range(dgx)]
-    yexps = [Fraction(j) + qy for j in range(dgy)]
-    X2 = _corner_table(lx1, xexps)
-    Y2 = _corner_table(ly1, yexps)
-    total = Interval(0.0)
-    xparts = ((X2, 1.0),) if lx0 == 0 else ((X2, 1.0), (_corner_table(lx0, xexps), -1.0))
-    yparts = ((Y2, 1.0),) if ly0 == 0 else ((Y2, 1.0), (_corner_table(ly0, yexps), -1.0))
-    for xtab, xsign in xparts:
-        for ytab, ysign in yparts:
-            xv = IArr(xtab.lo.reshape(-1, 1), xtab.hi.reshape(-1, 1))
-            yv = IArr(ytab.lo.reshape(1, -1), ytab.hi.reshape(1, -1))
-            f = (coeffs * (xv * yv)).sum().item()
-            total = total + (f if xsign * ysign > 0 else -f)
-    return total
+    terms = _corner_terms(
+        rect, qx, qy, *coeffs.shape, lambda itab: (coeffs * itab).sum().item(), table
+    )
+    return sum(terms, Interval(0.0))
 
 
 def integrate_rect(
@@ -466,20 +472,15 @@ class QuadConfig:
 
 
 class _EtaFourier:
-    """eta given as an odd-mode sine series (the pipeline case)."""
+    """A sine series over odd modes (eta in the pipeline case, or xi) with
+    its exact coefficient matrix and the interval matrix of its Laplacian."""
 
     def __init__(self, eta: FourierApproximation):
         self.modes = eta.modes
-        self.base = np.asarray(eta.coeffs, dtype=float)
-
-    def signs(self, quadrant) -> np.ndarray:
-        rx, ry = quadrant
-        sx = np.array([1.0 if (not rx) or m % 2 == 1 else -1.0 for m in self.modes])
-        sy = np.array([1.0 if (not ry) or m % 2 == 1 else -1.0 for m in self.modes])
-        return np.outer(sx, sy)
-
-    def coeff_matrix(self, quadrant) -> IArr:
-        return IArr.exact(self.base * self.signs(quadrant))
+        self.coeffs = IArr.exact(np.asarray(eta.coeffs, dtype=float))
+        m = self.modes.astype(float)
+        fac = IArr.exact(-(m[:, None] ** 2 + m[None, :] ** 2))
+        self.lap = fac * self.coeffs * PI.sqr()
 
 
 class _EtaConstant:
@@ -496,7 +497,7 @@ class _EtaConstant:
 class _Request:
     residual_p: Fraction | None = None
     gram_freqs: tuple | None = None
-    powers: tuple = ()  # tuple of (xi_spec, q)
+    powers: tuple = ()  # tuple of (xi, q); xi is None, an Interval or an _EtaFourier
     want_ranges: bool = False
     res_width: float | None = None
     gram_width: float | None = None
@@ -538,6 +539,13 @@ class _RectOut:
 
 class _Engine:
     def __init__(self, eta, p_or_q, cfg: QuadConfig, req: _Request):
+        # cos(f pi (1 - x)) = cos(f pi x) needs f even; an odd frequency
+        # breaks the one-quadrant reduction
+        if req.gram_freqs is not None and any(f % 2 for f in req.gram_freqs):
+            raise UsageError(
+                "gram frequencies must be even: use odd mode indices only, "
+                f"got frequencies {list(req.gram_freqs)}"
+            )
         self.eta = eta
         self.cfg = cfg
         self.req = req
@@ -550,7 +558,6 @@ class _Engine:
             self.q = Fraction(p_or_q) if p_or_q is not None else None
             self.p = None
         self._col_cache = {}
-        self._lap_cache = {}
 
     # -------------------- cached 1-D machinery --------------------
 
@@ -581,49 +588,16 @@ class _Engine:
         hit = self._col_cache.get(key)
         if hit is not None:
             return hit
-        out = _corner_table(v, [Fraction(i) + qoff for i in range(count)])
+        out = _corner_table(v, qoff, count)
         self._col_cache[key] = out
         return out
 
     def poly_integral(self, coeffs: IArr, rect: Rect, qx: Fraction, qy: Fraction) -> Interval:
-        """Same as _poly_integral but with engine-cached corner tables."""
-        dgx, dgy = coeffs.shape
-        lx0, lx1 = rect.local_x()
-        ly0, ly1 = rect.local_y()
-        X2 = self.corner_vec(lx1, qx, dgx)
-        Y2 = self.corner_vec(ly1, qy, dgy)
-        xparts = ((X2, 1.0),) if lx0 == 0 else (
-            (X2, 1.0), (self.corner_vec(lx0, qx, dgx), -1.0))
-        yparts = ((Y2, 1.0),) if ly0 == 0 else (
-            (Y2, 1.0), (self.corner_vec(ly0, qy, dgy), -1.0))
-        total = Interval(0.0)
-        for xtab, xsign in xparts:
-            for ytab, ysign in yparts:
-                xv = IArr(xtab.lo.reshape(-1, 1), xtab.hi.reshape(-1, 1))
-                yv = IArr(ytab.lo.reshape(1, -1), ytab.hi.reshape(1, -1))
-                f = (coeffs * (xv * yv)).sum().item()
-                total = total + (f if xsign * ysign > 0 else -f)
-        return total
+        return _poly_integral(coeffs, rect, qx, qy, self.corner_vec)
 
     # -------------------- per-rectangle evaluation --------------------
 
-    def lap_matrix(self, quadrant) -> IArr:
-        key = quadrant
-        hit = self._lap_cache.get(key)
-        if hit is not None:
-            return hit
-        m = self.eta.modes.astype(float)
-        fac = IArr.exact(-(m[:, None] ** 2 + m[None, :] ** 2))
-        amat = self.eta.coeff_matrix(quadrant)
-        out = fac * amat * PI.sqr()
-        self._lap_cache[key] = out
-        return out
-
-    def _tensor_model(self, sx: IArr, a_iv: IArr, sy: IArr, dom) -> PowerSeries2D:
-        coeffs = iv_matmul(iv_matmul(sx, a_iv), IArr(sy.lo.T, sy.hi.T))
-        return PowerSeries2D(coeffs, dom)
-
-    def eval_rect(self, quadrant, rect: Rect, check_budget: bool = True) -> _RectOut:
+    def eval_rect(self, rect: Rect, check_budget: bool = True) -> _RectOut:
         n = self.n
         const_eta = isinstance(self.eta, _EtaConstant)
         if const_eta and rect.cls != RectClass.S00:
@@ -641,10 +615,9 @@ class _Engine:
             mon_range = Interval(1.0)
         else:
             van_x, van_y = rect.van_x, rect.van_y
-            a_iv = self.eta.coeff_matrix(quadrant)
             sx_r = self.sine_cols(0, rect.x0, rect.x1, van_x, reduced=van_x)
             sy_r = self.sine_cols(1, rect.y0, rect.y1, van_y, reduced=van_y)
-            v_red = self._tensor_model(sx_r, a_iv, sy_r, dom)
+            v_red = _tensor_model(sx_r, self.eta.coeffs, sy_r, dom)
             mon_range = Interval(1.0)
             if van_x:
                 mon_range = mon_range * dx
@@ -688,7 +661,7 @@ class _Engine:
                     ok = False
 
         if self.req.residual_p is not None:
-            res = self._residual_piece(quadrant, rect, v_red, w, van_x, van_y)
+            res = self._residual_piece(rect, v_red, w, van_x, van_y)
             out.res_sq = res
             if (
                 check_budget
@@ -699,8 +672,8 @@ class _Engine:
 
         if self.req.powers:
             out.powers = []
-            for xi_spec, qq in self.req.powers:
-                val = self._power_piece(quadrant, rect, w, xi_spec, qx_base, qy_base)
+            for xi, qq in self.req.powers:
+                val = self._power_piece(rect, w, xi, qx_base, qy_base)
                 out.powers.append(val)
                 if (
                     check_budget
@@ -714,35 +687,21 @@ class _Engine:
         return out
 
     def _gram_tables(self, w, cx, cy, rect, qx, qy) -> IArr:
-        n = self.n
-        nf = len(self.req.gram_freqs)
-        lx0, lx1 = rect.local_x()
-        ly0, ly1 = rect.local_y()
-        size = 2 * n + 1
-        X2 = self.corner_vec(lx1, qx, size)
-        Y2 = self.corner_vec(ly1, qy, size)
-        xparts = [(X2, 1.0)] if lx0 == 0 else [(X2, 1.0), (self.corner_vec(lx0, qx, size), -1.0)]
-        yparts = [(Y2, 1.0)] if ly0 == 0 else [(Y2, 1.0), (self.corner_vec(ly0, qy, size), -1.0)]
-        total = None
-        for xtab, xs in xparts:
-            for ytab, ys in yparts:
-                xv = IArr(xtab.lo.reshape(-1, 1), xtab.hi.reshape(-1, 1))
-                yv = IArr(ytab.lo.reshape(1, -1), ytab.hi.reshape(1, -1))
-                itab = xv * yv  # (2n+1, 2n+1)
-                q4 = iv_corr2d(itab, w.coeffs)  # (n+1, n+1)
-                m = iv_matmul(iv_matmul(IArr(cx.lo.T, cx.hi.T), q4), cy)  # (nf, nf)
-                m = m if xs * ys > 0 else -m
-                total = m if total is None else total + m
-        return total
+        size = 2 * self.n + 1
+        cx_t = IArr(cx.lo.T, cx.hi.T)
 
-    def _residual_piece(self, quadrant, rect, v_red, w, van_x, van_y) -> Interval:
-        n = self.n
+        def reduce(itab):  # itab: (2n+1, 2n+1) -> (nf, nf)
+            return iv_matmul(iv_matmul(cx_t, iv_corr2d(itab, w.coeffs)), cy)
+
+        terms = _corner_terms(rect, qx, qy, size, size, reduce, self.corner_vec)
+        return sum(terms[1:], terms[0])
+
+    def _residual_piece(self, rect, v_red, w, van_x, van_y) -> Interval:
         dx, dy = _model_domains(rect)
         dom = (dx, dy)
-        lap_iv = self.lap_matrix(quadrant)
         sx_f = self.sine_cols(0, rect.x0, rect.x1, van_x, reduced=False)
         sy_f = self.sine_cols(1, rect.y0, rect.y1, van_y, reduced=False)
-        v_lap = self._tensor_model(sx_f, lap_iv, sy_f, dom)
+        v_lap = _tensor_model(sx_f, self.eta.lap, sy_f, dom)
         p = self.p
         if not (van_x or van_y):
             # single model of Delta u + u^p; widths couple to the small
@@ -772,87 +731,67 @@ class _Engine:
             piece3 = self.poly_integral((w2 * r2).coeffs, rect, two_p * ex, two_p * ey)
         return piece1 + Interval(2.0) * piece2 + piece3
 
-    def _power_piece(self, quadrant, rect, w, xi_spec, qx, qy) -> Interval:
-        if xi_spec is None:
+    def _power_piece(self, rect, w, xi, qx, qy) -> Interval:
+        if xi is None:
             prod = w.coeffs
+        elif isinstance(xi, Interval):
+            prod = w.coeffs * xi
         else:
-            xi_model = xi_spec.model_on(self, quadrant, rect)
-            if xi_model is None:  # constant xi
-                prod = w.coeffs * xi_spec.value
-            else:
-                prod = iv_conv2d_full(w.coeffs, xi_model.coeffs)
+            sx = self.sine_cols(0, rect.x0, rect.x1, rect.van_x, reduced=False)
+            sy = self.sine_cols(1, rect.y0, rect.y1, rect.van_y, reduced=False)
+            xi_model = _tensor_model(sx, xi.coeffs, sy, _model_domains(rect))
+            prod = iv_conv2d_full(w.coeffs, xi_model.coeffs)
         return self.poly_integral(prod, rect, qx, qy)
 
     # -------------------- recursion/driver --------------------
 
-    def do_rect(self, quadrant, rect: Rect) -> _RectOut:
+    def do_rect(self, rect: Rect) -> _RectOut:
         try:
-            return self.eval_rect(quadrant, rect)
+            return self.eval_rect(rect)
         except (_NeedsRefine, PositivityError) as exc:
             if rect.depth >= self.cfg.max_depth:
                 if isinstance(exc, PositivityError):
                     raise
                 # keep the sound-but-wide result, flag it
-                res = self.eval_rect(quadrant, rect, check_budget=False)
+                res = self.eval_rect(rect, check_budget=False)
                 res.over_budget += 1
                 return res
             r1, r2 = rect.bisect()
-            out = self.do_rect(quadrant, r1)
-            out.merge(self.do_rect(quadrant, r2))
+            out = self.do_rect(r1)
+            out.merge(self.do_rect(r2))
             return out
 
-    def run(self) -> tuple[_RectOut, list[_RectOut]]:
-        jobs = []
-        for quadrant in self.sub.quadrants:
-            for rect in self.sub.rects():
-                jobs.append((quadrant, rect))
+    def run(self) -> _RectOut:
+        rects = self.sub.rects()
         if self.cfg.workers > 1:
             with ThreadPoolExecutor(max_workers=self.cfg.workers) as pool:
-                results = list(pool.map(lambda jr: self.do_rect(*jr), jobs))
+                results = list(pool.map(self.do_rect, rects))
         else:
-            results = [self.do_rect(q, r) for q, r in jobs]
+            results = [self.do_rect(r) for r in rects]
+        # The three other quadrants mirror this one and give the same leaf
+        # results bit for bit.  Merging the list once per quadrant, in the
+        # order a four-quadrant sweep would, reproduces that sweep's
+        # outward-rounded sums exactly (scaling by 4 instead does not keep
+        # every gram-table entry equal or narrower) and counts rectangles
+        # for the whole square.
         total = _RectOut()
-        per_quadrant = [_RectOut() for _ in range(4)]
-        m2 = self.sub.grid_m**2
-        for idx, res in enumerate(results):
-            total.merge(res)
-            per_quadrant[idx // m2].merge(res)
-        return total, per_quadrant
+        for _ in range(4):
+            for res in results:
+                total.merge(res)
+        return total
 
 
 class _NeedsRefine(Exception):
     pass
 
 
-class _XiConst:
-    def __init__(self, value):
-        self.value = value if isinstance(value, Interval) else Interval(float(value))
-
-    def model_on(self, engine, quadrant, rect):
-        return None
-
-
-class _XiFourier:
-    def __init__(self, xi: FourierApproximation):
-        self.wrap = _EtaFourier(xi)
-
-    def model_on(self, engine, quadrant, rect):
-        dx, dy = _model_domains(rect)
-        sx = engine.sine_cols(0, rect.x0, rect.x1, rect.van_x, reduced=False)
-        sy = engine.sine_cols(1, rect.y0, rect.y1, rect.van_y, reduced=False)
-        a_iv = self.wrap.coeff_matrix(quadrant)
-        return engine._tensor_model(sx, a_iv, sy, (dx, dy))
-
-
 def _wrap_xi(xi):
-    if xi is None:
-        return None
-    if isinstance(xi, (int, float, Interval)):
-        return _XiConst(xi)
-    if isinstance(xi, FourierApproximation):
-        return _XiFourier(xi)
-    if hasattr(xi, "model_on"):
+    if xi is None or isinstance(xi, Interval):
         return xi
+    if isinstance(xi, (int, float)):
+        return Interval(float(xi))
+    if isinstance(xi, FourierApproximation):
+        return _EtaFourier(xi)
     raise UsageError(f"unsupported xi specification {type(xi)!r}")
 
 
@@ -866,7 +805,6 @@ def integral_power(
     q: Fraction,
     cfg: QuadConfig | None = None,
     width_target: float | None = None,
-    return_quadrants: bool = False,
 ):
     """Verified enclosure of the integral over the unit square of eta^q xi,
     for eta positive inside and vanishing on the boundary."""
@@ -876,10 +814,7 @@ def integral_power(
         raise UsageError(f"exponent q must lie in (0, 1], got {q}")
     req = _Request(powers=((_wrap_xi(xi), q),), power_width=width_target)
     engine = _Engine(_EtaFourier(eta), q, cfg, req)
-    total, per_quad = engine.run()
-    if return_quadrants:
-        return total.powers[0], [pq.powers[0] for pq in per_quad]
-    return total.powers[0]
+    return engine.run().powers[0]
 
 
 def residual_l2(
@@ -894,7 +829,7 @@ def residual_l2(
         return Interval(0.0)  # the zero function is an exact solution
     req = _Request(residual_p=Fraction(p), res_width=width_target, want_ranges=True)
     engine = _Engine(_EtaFourier(u_hat), None, cfg, req)
-    total, _ = engine.run()
+    total = engine.run()
     sq = total.res_sq
     lo = max(sq.lo, 0.0)
     return iv_pow(Interval(lo, max(sq.hi, lo)), Fraction(1, 2))
@@ -915,10 +850,7 @@ def weighted_gram(
     p = Fraction(p)
     q = p - 1
     indices = [(int(i), int(j)) for i, j in indices]
-    freqs = sorted({abs(i - k) for i, _ in indices for k, _ in indices}
-                   | {i + k for i, _ in indices for k, _ in indices}
-                   | {abs(j - l) for _, j in indices for _, l in indices}
-                   | {j + l for _, j in indices for _, l in indices})
+    freqs = gram_indices_freqs(indices)
     req = _Request(gram_freqs=tuple(freqs), gram_width=width_target)
     if isinstance(u_hat, FourierApproximation):
         eta = _EtaFourier(u_hat)
@@ -926,7 +858,7 @@ def weighted_gram(
         c = u_hat if isinstance(u_hat, Interval) else Interval(float(u_hat))
         eta = _EtaConstant(c)
     engine = _Engine(eta, q, cfg, req)
-    total, _ = engine.run()
+    total = engine.run()
     return gram_from_tables(total.t_table, freqs, indices, p)
 
 
@@ -997,7 +929,7 @@ def pipeline_sweep(
         gram_width=gram_width,
     )
     engine = _Engine(_EtaFourier(u_hat), None, cfg, req)
-    total, _ = engine.run()
+    total = engine.run()
     sq = total.res_sq
     lo = max(sq.lo, 0.0)
     res_norm = iv_pow(Interval(lo, max(sq.hi, lo)), Fraction(1, 2))
@@ -1021,5 +953,5 @@ def u_range_bounds(u_hat: FourierApproximation, cfg: QuadConfig | None = None):
     cfg = cfg or QuadConfig()
     req = _Request(want_ranges=True)
     engine = _Engine(_EtaFourier(u_hat), None, cfg, req)
-    total, _ = engine.run()
+    total = engine.run()
     return total.rng_min, total.rng_max, total.witness_lo, total.center_lo, total.center_hi

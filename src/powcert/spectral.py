@@ -30,7 +30,7 @@ from .errors import DefinitenessError, VerificationFailure
 from .galerkin import FourierApproximation, odd_modes
 from .interval import PI, Interval
 from .ivarray import IArr, iv_matmul
-from .quad import QuadConfig, sup_weight, weighted_gram
+from .quad import QuadConfig, weighted_gram
 
 __all__ = [
     "Pencil",
@@ -73,13 +73,15 @@ class Pencil:
         return out
 
     def to_json_dict(self):
+        def pairs(lo, hi):
+            # tolist() gives Python floats, whose repr parses back to the
+            # same binary64 value; a numpy scalar's repr is "np.float64(...)"
+            return [[repr(a), repr(b)] for a, b in zip(lo.tolist(), hi.tolist())]
+
         return {
             "indices": [list(ij) for ij in self.indices],
-            "a_diag": [[repr(lo), repr(hi)] for lo, hi in zip(self.a_diag.lo, self.a_diag.hi)],
-            "b": [
-                [[repr(self.b.lo[i, j]), repr(self.b.hi[i, j])] for j in range(self.dim)]
-                for i in range(self.dim)
-            ],
+            "a_diag": pairs(self.a_diag.lo, self.a_diag.hi),
+            "b": [pairs(lo, hi) for lo, hi in zip(self.b.lo, self.b.hi)],
         }
 
 
@@ -91,12 +93,8 @@ def assemble_pencil(
     gram_width: float | None = None,
 ) -> Pencil:
     indices = symmetric_indices(eig_n)
-    pi2 = PI.sqr()
-    a_entries = [
-        Interval.from_fraction(Fraction(i * i + j * j, 4)) * pi2 for i, j in indices
-    ]
     b = weighted_gram(u_hat, p, indices, cfg, width_target=gram_width)
-    return Pencil(indices, IArr.from_intervals(a_entries), b)
+    return Pencil(indices, stiffness_intervals(indices), b)
 
 
 def _sym_intersect(m: IArr) -> IArr:
@@ -248,21 +246,3 @@ def spectral_K_from_gram(
     k = compute_K(enc, tail_threshold=tail_threshold)
     return k, enc, pencil
 
-
-def spectral_K(
-    u_hat: FourierApproximation,
-    p: Fraction,
-    eig_n: int,
-    cfg: QuadConfig | None = None,
-    gram_width: float | None = None,
-    tail_threshold: float = 2.0,
-):
-    """Full chain: pencil -> discrete enclosures -> two-sided bounds -> K.
-    Returns (K interval, EigenEnclosure, Pencil)."""
-    pencil = assemble_pencil(u_hat, p, eig_n, cfg, gram_width)
-    disc_lo, disc_hi = verified_discrete_eigs(pencil)
-    c_n = projection_constant(eig_n)
-    sw = sup_weight(u_hat, p, cfg)
-    enc = two_sided_bounds(disc_lo, disc_hi, c_n, sw)
-    k = compute_K(enc, tail_threshold=tail_threshold)
-    return k, enc, pencil

@@ -149,6 +149,17 @@ class TestFindAlpha:
         assert res.verified
         assert res.alpha < 1e-12
 
+    def test_residual_enclosure_from_zero(self):
+        # outward rounding of 0 * C2 leaves delta.lo just below 0
+        delta = delta_from_residual(Interval(0.0, 1.0), poincare_c2())
+        assert delta.lo < 0.0
+        res = find_alpha(delta, Interval(2.0), self._c(), Fraction(3, 2))
+        assert res.verified
+
+    def test_negative_delta_rejected(self):
+        with pytest.raises(UsageError):
+            find_alpha(Interval(-1.0, -0.5), Interval(2.0), self._c(), Fraction(3, 2))
+
     def test_infeasible(self):
         with pytest.raises(VerificationFailure):
             find_alpha(Interval(100.0), Interval(2.0), self._c(), Fraction(3, 2))

@@ -130,6 +130,25 @@ class TestSubcommands:
         assert cfg.n_modes == 8      # from file
         assert cfg.grid_m == 7       # flag wins
 
+    def test_explicit_flag_equal_to_default_wins(self, tmp_path):
+        cfgfile = tmp_path / "cfg.json"
+        cfgfile.write_text(json.dumps({"n_modes": 40}))
+        from powcert.cli import _config_from_args, build_parser
+
+        args = build_parser().parse_args(
+            ["verify", "--config", str(cfgfile), "--modes", "60"]
+        )
+        assert _config_from_args(args).n_modes == 60
+
+    def test_unknown_config_key_is_usage_error(self, tmp_path):
+        cfgfile = tmp_path / "cfg.json"
+        cfgfile.write_text(json.dumps({"bogus": 1}))
+        out = tmp_path / "cert.json"
+        tiny = ["--modes", "6", "--eig-dim", "4", "--grid", "2", "--psa-degree", "6", "--workers", "1"]
+        code = main(["verify", "--config", str(cfgfile), *tiny, "--out", str(out), "--quiet"])
+        assert code == EXIT_USAGE
+        assert not out.exists()
+
     def test_entry_point_subprocess(self):
         res = subprocess.run(
             [sys.executable, "-m", "powcert.cli", "psa-selftest"],

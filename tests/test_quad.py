@@ -22,6 +22,7 @@ from powcert.quad import (
     integral_power,
     integrate_monomial,
     integrate_rect,
+    pipeline_sweep,
     residual_l2,
     sup_weight,
     u_range_bounds,
@@ -203,14 +204,13 @@ class TestIntegralPower:
         scaled = a * Interval(2.0)
         assert b.overlaps(scaled)
 
-    def test_quadrant_partials_overlap(self):
-        u = fourier_from_dict(3, {(1, 1): 1.5, (3, 1): 0.05, (1, 3): 0.05})
-        _, quads = integral_power(
-            u, None, Fraction(1, 2), QuadConfig(degree=6, grid_m=3), return_quadrants=True
+    def test_sweep_counts_whole_square(self):
+        # one quadrant is swept, but the counts cover all four
+        u = fourier_from_dict(1, {(1, 1): 5.0})
+        _, _, _, stats = pipeline_sweep(
+            u, Fraction(3, 2), [(1, 1)], QuadConfig(degree=6, grid_m=2)
         )
-        for a in quads:
-            for b in quads:
-                assert a.overlaps(b)
+        assert stats == {"rects": 16, "over_budget": 0}
 
     def test_randomized_oracle_containment(self):
         rng = np.random.default_rng(7)
@@ -268,6 +268,13 @@ class TestGramAndRanges:
         assert G[0, 0].item().contains(expect)
         assert G[1, 1].item().contains(expect)
         assert G[0, 1].item().contains(0.0)
+
+    def test_mixed_parity_indices_rejected(self):
+        # phi_21 is odd about x = 1/2: the frequency |2 - 1| = 1 has no
+        # one-quadrant reduction (the true off-diagonal entry is 0)
+        u = fourier_from_dict(1, {(1, 1): 1.0})
+        with pytest.raises(UsageError):
+            weighted_gram(u, Fraction(3, 2), [(1, 1), (2, 1)], QuadConfig(degree=4, grid_m=2))
 
     def test_symmetry_overlap(self):
         u = fourier_from_dict(3, {(1, 1): 2.0, (3, 3): 0.02})

@@ -1,5 +1,6 @@
 """Spectral enclosures: oracle pencils, two-sided sandwich, K arithmetic."""
 
+import json
 import math
 from fractions import Fraction
 
@@ -18,6 +19,7 @@ from powcert.spectral import (
     assemble_pencil,
     compute_K,
     projection_constant,
+    stiffness_intervals,
     symmetric_indices,
     two_sided_bounds,
     verified_discrete_eigs,
@@ -143,6 +145,20 @@ class TestComputeK:
         base = compute_K(self._enc([0.6, 2.5], [0.65, 2.6]))
         wider = compute_K(self._enc([0.58, 2.4], [0.67, 2.7]))
         assert wider.hi >= base.hi - 1e-15
+
+
+class TestPencilJson:
+    def test_endpoints_parse_back_to_stored_values(self):
+        lo = np.array([[1.5, -0.1], [-0.1, 2.0 / 3.0]])
+        b = IArr(lo, np.nextafter(lo, np.inf))
+        pencil = Pencil([(1, 1), (1, 3)], stiffness_intervals([(1, 1), (1, 3)]), b)
+        doc = json.loads(json.dumps(pencil.to_json_dict()))
+        for k, (elo, ehi) in enumerate(doc["a_diag"]):
+            assert float(elo) == pencil.a_diag.lo[k] and float(ehi) == pencil.a_diag.hi[k]
+        for i in range(2):
+            for j in range(2):
+                elo, ehi = doc["b"][i][j]
+                assert float(elo) == b.lo[i, j] and float(ehi) == b.hi[i, j]
 
 
 class TestPipelinePencil:
