@@ -35,6 +35,7 @@ __all__ = [
     "embedding_constant",
     "sobolev_constant",
     "pointwise_bound_constants",
+    "check_holder",
     "g_coefficient",
     "delta_from_residual",
     "find_alpha",
@@ -153,16 +154,28 @@ class VerificationConstants:
         )
 
 
+def check_holder(p: Fraction, triple) -> tuple:
+    """The Holder triple (q, r, s) as Fractions, checked for g_coefficient:
+    positive exponents with 1/q + 1/r + 1/s = 1 and q(p-1) >= 1."""
+    p = Fraction(p)
+    if len(triple) != 3:
+        raise UsageError(f"Holder triple {triple}: expected three exponents q, r, s")
+    q, r, s = (Fraction(t) for t in triple)
+    if min(q, r, s) <= 0:
+        raise UsageError(f"Holder triple {triple}: exponents must be positive")
+    if 1 / q + 1 / r + 1 / s != 1:
+        raise UsageError(f"Holder triple {triple}: exponents do not sum to 1")
+    if q * (p - 1) < 1:
+        raise UsageError(f"Holder triple {triple}: q(p-1) = {q * (p - 1)} < 1")
+    return q, r, s
+
+
 def g_coefficient(p: Fraction, triple=(4, 4, 2)) -> Interval:
     """Coefficient c of the modulus g(t) = c t^(p-1): c = p C_r C_s
     C_{q(p-1)}^{p-1} for a Holder triple with 1/q + 1/r + 1/s = 1 and
     q(p-1) >= 1.  The default (4,4,2) gives (3/2) C2^(3/2) C4 at p = 3/2."""
     p = Fraction(p)
-    q, r, s = (Fraction(t) for t in triple)
-    if Fraction(1) / q + Fraction(1) / r + Fraction(1) / s != 1:
-        raise UsageError(f"Holder triple {triple}: exponents do not sum to 1")
-    if q * (p - 1) < 1:
-        raise UsageError(f"Holder triple {triple}: q(p-1) = {q * (p - 1)} < 1")
+    q, r, s = check_holder(p, triple)
     c_r = sobolev_constant(r)
     c_s = sobolev_constant(s)
     c_qp = sobolev_constant(q * (p - 1))

@@ -21,6 +21,7 @@ from .certify import (
     ProofCertificate,
     amplitude_enclosure,
     build_certificate,
+    check_holder,
     delta_from_residual,
     embedding_constant,
     exact_l2_norm,
@@ -32,14 +33,7 @@ from .certify import (
     poincare_c2,
     positivity_check,
 )
-from .errors import (
-    DefinitenessError,
-    PositivityError,
-    PowcertError,
-    SolverError,
-    UsageError,
-    VerificationFailure,
-)
+from .errors import PowcertError, UsageError
 from .galerkin import FourierApproximation, GalerkinConfig, newton_solve
 from .interval import Interval
 from .quad import QuadConfig, pipeline_sweep, sup_weight
@@ -78,6 +72,7 @@ class RunConfig:
             raise UsageError(f"p must lie in (1, 2), got {self.p}")
         if self.n_modes < 1 or self.eig_n < 1 or self.grid_m < 1:
             raise UsageError("sizes must be >= 1")
+        self.holder = check_holder(self.p, self.holder)
         rpp = Fraction(self.linf_qr[1]) * 2 * (self.p - 1)
         if rpp != 2:
             raise UsageError(
@@ -121,30 +116,29 @@ def _solve_or_load(cfg: RunConfig) -> FourierApproximation:
 
 def run_pipeline(cfg: RunConfig, log=None) -> ProofCertificate:
     """galerkin -> quad -> spectral -> certify; any stage failure yields a
-    failed certificate naming the stage (never a silent partial success)."""
+    failed certificate naming the stage (never a silent partial success).
+    A failure that names its own stage (VerificationFailure.stage) keeps it."""
     echo = cfg.echo()
 
     def say(msg):
         if log:
             print(msg, file=log, flush=True)
 
+    stage = "galerkin"
     try:
         u_hat = _solve_or_load(cfg)
-    except (SolverError, OSError, UsageError) as exc:
-        return failed_certificate(cfg.p, echo, "galerkin", str(exc))
-    say(f"galerkin: amplitude ~ {u_hat.center_value():.4f}")
-    if cfg.coeffs_out:
-        with open(cfg.coeffs_out, "w") as fh:
-            fh.write(u_hat.to_json())
+        say(f"galerkin: amplitude ~ {u_hat.center_value():.4f}")
+        if cfg.coeffs_out:
+            with open(cfg.coeffs_out, "w") as fh:
+                fh.write(u_hat.to_json())
 
-    qcfg = cfg.quad()
-    try:
+        stage = "integration"
         indices = symmetric_indices(cfg.eig_n)
         res_norm, gram, ranges, stats = pipeline_sweep(
             u_hat,
             cfg.p,
             indices,
-            qcfg,
+            cfg.quad(),
             res_width=cfg.res_width,
             gram_width=cfg.gram_width,
         )
@@ -152,14 +146,13 @@ def run_pipeline(cfg: RunConfig, log=None) -> ProofCertificate:
             f"sweep: residual={res_norm} rects={stats['rects']} "
             f"over_budget={stats['over_budget']} max_hi={ranges[1]:.6g}"
         )
-    except (PositivityError, PowcertError) as exc:
-        return failed_certificate(cfg.p, echo, "integration", str(exc))
 
-    consts = VerificationConstants.for_problem(cfg.p, cfg.eig_n, cfg.holder)
-    delta = delta_from_residual(res_norm, consts.c2)
-    say(f"delta: {delta}")
+        stage = "delta"
+        consts = VerificationConstants.for_problem(cfg.p, cfg.eig_n, cfg.holder)
+        delta = delta_from_residual(res_norm, consts.c2)
+        say(f"delta: {delta}")
 
-    try:
+        stage = "inverse-bound"
         sup_w = sup_weight(u_hat, cfg.p, ranges=ranges)
         k_bound, enc, pencil = spectral_K_from_gram(
             gram, indices, cfg.eig_n, sup_w, tail_threshold=cfg.tail_threshold
@@ -168,25 +161,26 @@ def run_pipeline(cfg: RunConfig, log=None) -> ProofCertificate:
         if cfg.pencil_out:
             with open(cfg.pencil_out, "w") as fh:
                 json.dump(pencil.to_json_dict(), fh, indent=1)
-    except (DefinitenessError, VerificationFailure, PositivityError) as exc:
-        stage = getattr(exc, "stage", None) or "inverse-bound"
-        return failed_certificate(cfg.p, echo, stage, str(exc))
 
-    try:
+        stage = "existence-test"
         c_coeff = g_coefficient(cfg.p, cfg.holder)
         alpha = find_alpha(delta, k_bound, c_coeff, cfg.p)
         say(f"alpha (r1): {alpha.alpha}")
-    except (VerificationFailure, UsageError) as exc:
-        stage = getattr(exc, "stage", None) or "existence-test"
-        return failed_certificate(cfg.p, echo, stage, str(exc))
 
-    u_l2 = exact_l2_norm(u_hat)
-    r2 = linf_bound(Interval(alpha.alpha), u_l2, res_norm, consts, cfg.linf_qr)
-    say(f"r2: {r2}")
+        stage = "linf-bound"
+        u_l2 = exact_l2_norm(u_hat)
+        r2 = linf_bound(Interval(alpha.alpha), u_l2, res_norm, consts, cfg.linf_qr)
+        say(f"r2: {r2}")
 
-    pos = positivity_check(u_hat, r2, cfg.p, ranges=ranges)
-    amp = amplitude_enclosure(u_hat, r2, ranges=ranges)
-    say(f"positivity: {pos.verdict} bound={pos.neg_part_bound} amplitude={amp}")
+        stage = "positivity"
+        pos = positivity_check(u_hat, r2, cfg.p, ranges=ranges)
+
+        stage = "amplitude"
+        amp = amplitude_enclosure(u_hat, r2, ranges=ranges)
+        say(f"positivity: {pos.verdict} bound={pos.neg_part_bound} amplitude={amp}")
+    except (PowcertError, OSError) as exc:
+        named = getattr(exc, "stage", None) or stage
+        return failed_certificate(cfg.p, echo, named, str(exc))
 
     return build_certificate(
         cfg.p, echo, res_norm, delta, k_bound, c_coeff, alpha, r2, pos, amp

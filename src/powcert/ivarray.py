@@ -5,17 +5,21 @@ operations nudge endpoints outward with np.nextafter, which dominates the
 <= 1/2 ulp round-to-nearest error of each flop in all ranges.
 
 Accumulating operations (matmul, correlation, convolution, sums) go through
-a midpoint-radius representation with a Higham-style gamma_k * |A||B|
-inflation of the dot-product rounding error plus a tiny absolute guard for
-underflow.  Zero rows/columns stay exactly zero: when every contributing
-magnitude is exactly 0.0 the float result is exact and no guard is added,
-which the Taylor-model code relies on for factoring out vanishing-edge
-monomials.
+a midpoint-radius representation (Rump, "Fast and parallel interval
+arithmetic", BIT 39, 1999) with a Higham-style gamma_k * |A||B| inflation of
+the dot-product rounding error plus a tiny absolute guard for underflow.
+Correlation and convolution take midpoint and radius of their operands
+before windowing: both are elementwise, so they commute with it, and the
+window matrices are gathered from the midpoint and radius arrays directly.
+Zero rows/columns stay exactly zero: when every contributing magnitude is
+exactly 0.0 the float result is exact and no guard is added, which the
+Taylor-model code relies on for factoring out vanishing-edge monomials.
 """
 
 from __future__ import annotations
 
 import math
+from functools import lru_cache
 
 import numpy as np
 
@@ -41,6 +45,15 @@ def _dn(a: np.ndarray) -> np.ndarray:
 
 def _up(a: np.ndarray) -> np.ndarray:
     return np.nextafter(a, _POS_INF)
+
+
+def _hull4(a, b, c, d) -> "IArr":
+    """Outward-nudged hull of four broadcast endpoint products.  Every
+    endpoint is nudged and nextafter(+-0.0) does not depend on the sign of
+    zero, so which zero the min/max picks never shows."""
+    lo = np.minimum(np.minimum(a, b), np.minimum(c, d))
+    hi = np.maximum(np.maximum(a, b), np.maximum(c, d))
+    return IArr(_dn(lo), _up(hi))
 
 
 class IArr:
@@ -176,12 +189,7 @@ class IArr:
 
     def __mul__(self, other):
         o = self._coerce(other)
-        p = np.stack(
-            np.broadcast_arrays(
-                self.lo * o.lo, self.lo * o.hi, self.hi * o.lo, self.hi * o.hi
-            )
-        )
-        return IArr(_dn(p.min(axis=0)), _up(p.max(axis=0)))
+        return _hull4(self.lo * o.lo, self.lo * o.hi, self.hi * o.lo, self.hi * o.hi)
 
     __rmul__ = __mul__
 
@@ -189,12 +197,7 @@ class IArr:
         o = self._coerce(other)
         if np.any((o.lo <= 0.0) & (o.hi >= 0.0)):
             raise IntervalDomainError("array division by interval containing zero")
-        q = np.stack(
-            np.broadcast_arrays(
-                self.lo / o.lo, self.lo / o.hi, self.hi / o.lo, self.hi / o.hi
-            )
-        )
-        return IArr(_dn(q.min(axis=0)), _up(q.max(axis=0)))
+        return _hull4(self.lo / o.lo, self.lo / o.hi, self.hi / o.lo, self.hi / o.hi)
 
     def sqr(self) -> "IArr":
         a = np.abs(self.lo)
@@ -224,16 +227,17 @@ class IArr:
         return iv_matmul(self, self._coerce(other))
 
 def iv_matmul(A: IArr, B: IArr) -> IArr:
-    """Verified matrix product via midpoint-radius with error inflation.
+    """Verified matrix product via midpoint-radius with error inflation."""
+    return _mr_matmul(*A.mid_rad(), *B.mid_rad())
 
-    For C = A @ B with A in [Am +- Ar], B in [Bm +- Br]:
+
+def _mr_matmul(Am, Ar, Bm, Br) -> IArr:
+    """Product of A in [Am +- Ar] and B in [Bm +- Br]:
         C  in  fl(Am Bm) +- [ |Am| Br + Ar |Bm| + Ar Br
                               + gamma_k |Am||Bm| + underflow guard ]
     computed in RTN and inflated by _K_INFL; entries whose every
     contributing magnitude is exactly zero stay exactly zero.
     """
-    Am, Ar = A.mid_rad()
-    Bm, Br = B.mid_rad()
     k = Am.shape[-1] if Am.ndim else 1
     if k > 4096:
         raise IntervalDomainError("inner dimension too large for the stock inflation factor")
@@ -253,32 +257,53 @@ def iv_matmul(A: IArr, B: IArr) -> IArr:
     return IArr(np.where(zero, 0.0, _dn(Cm - Cr)), np.where(zero, 0.0, _up(Cm + Cr)))
 
 
-def iv_corr2d(T: IArr, K: IArr) -> IArr:
-    """Cross-correlation: out[a, b] = sum_ij K[i, j] T[a + i, b + j].
+@lru_cache(maxsize=64)
+def _window_index(P: int, Q: int, p: int, q: int) -> np.ndarray:
+    """Flat indices into a C-ordered (P, Q) array of its (P-p+1)(Q-q+1)
+    windows of shape (p, q), one window per row, row-major in both.  A
+    Taylor-model degree uses two or three shapes; the arrays are shared
+    between callers, hence read-only."""
+    starts = (np.arange(P - p + 1)[:, None] * Q + np.arange(Q - q + 1)).reshape(-1, 1)
+    taps = (np.arange(p)[:, None] * Q + np.arange(q)).reshape(1, -1)
+    idx = starts + taps
+    idx.flags.writeable = False
+    return idx
 
-    Implemented as a windowed matrix-vector product through iv_matmul.
-    """
-    p, q = K.shape
-    P, Q = T.shape
+
+def iv_corr2d(T: IArr, K: IArr) -> IArr:
+    """Cross-correlation: out[a, b] = sum_ij K[i, j] T[a + i, b + j]."""
+    return _mr_corr2d(*T.mid_rad(), *K.mid_rad())
+
+
+def _mr_corr2d(Tm, Tr, Km, Kr) -> IArr:
+    """Cross-correlation of T in [Tm +- Tr] with K in [Km +- Kr] as a
+    windowed matrix-vector product, the window rows gathered from Tm and Tr."""
+    p, q = Km.shape
+    P, Q = Tm.shape
+    idx = _window_index(P, Q, p, q)
+    out = _mr_matmul(
+        Tm.ravel()[idx], Tr.ravel()[idx], Km.reshape(p * q, 1), Kr.reshape(p * q, 1)
+    )
     A, B = P - p + 1, Q - q + 1
-    wm = np.lib.stride_tricks.sliding_window_view(T.lo, (p, q)).reshape(A * B, p * q)
-    wh = np.lib.stride_tricks.sliding_window_view(T.hi, (p, q)).reshape(A * B, p * q)
-    W = IArr(wm, wh)
-    kv = IArr(K.lo.reshape(p * q, 1), K.hi.reshape(p * q, 1))
-    out = iv_matmul(W, kv)
     return IArr(out.lo.reshape(A, B), out.hi.reshape(A, B))
 
 
 def iv_conv2d_full(U: IArr, V: IArr) -> IArr:
-    """Full 2-D convolution: out[s, t] = sum_ij U[i, j] V[s - i, t - j]."""
+    """Full 2-D convolution: out[s, t] = sum_ij U[i, j] V[s - i, t - j].
+
+    The correlation of zero-padded V with flipped U; the padding is exact
+    zero in midpoint and radius alike, so it is added after mid_rad."""
     m, n = U.shape
     v, w = V.shape
-    Tlo = np.zeros((v + 2 * (m - 1), w + 2 * (n - 1)))
-    Thi = Tlo.copy()
-    Tlo[m - 1 : m - 1 + v, n - 1 : n - 1 + w] = V.lo
-    Thi[m - 1 : m - 1 + v, n - 1 : n - 1 + w] = V.hi
-    Kf = IArr(U.lo[::-1, ::-1].copy(), U.hi[::-1, ::-1].copy())
-    return iv_corr2d(IArr(Tlo, Thi), Kf)
+    Vm, Vr = V.mid_rad()
+    Tm = np.zeros((v + 2 * (m - 1), w + 2 * (n - 1)))
+    Tr = np.zeros_like(Tm)
+    Tm[m - 1 : m - 1 + v, n - 1 : n - 1 + w] = Vm
+    Tr[m - 1 : m - 1 + v, n - 1 : n - 1 + w] = Vr
+    Um, Ur = U.mid_rad()
+    # copies: a reversed view reshapes to a negatively strided vector, which
+    # numpy multiplies outside BLAS, in another summation order
+    return _mr_corr2d(Tm, Tr, Um[::-1, ::-1].copy(), Ur[::-1, ::-1].copy())
 
 
 def iv_conv1d_full(u: IArr, v: IArr) -> IArr:

@@ -53,14 +53,29 @@ def _horner_scalar(coeffs: IArr, x: Interval) -> Interval:
     return acc
 
 
-def _horner_rows(rows: IArr, x: Interval) -> IArr:
+# nextafter targets that nudge row 0 (lower endpoints) down, row 1 up
+_OUTWARD = np.array([[-math.inf], [math.inf]])
+
+
+def _horner_rows(lo: np.ndarray, hi: np.ndarray, x: Interval):
     """Horner over the leading axis with vector coefficients (the nested form:
-    series in x whose coefficients are coefficient-vectors in y)."""
-    m = rows.shape[0] - 1
-    acc = rows[m]
-    for i in range(m - 1, -1, -1):
-        acc = acc * x + rows[i]
-    return acc
+    series in x whose coefficients are coefficient-vectors in y), on raw
+    endpoint arrays of shape (m + 1, k); returns the (lo, hi) of the result.
+
+    Each step acc = acc * x + row rounds exactly as IArr * Interval followed
+    by IArr + IArr: the four endpoint products in the same order, their
+    min/max nudged outward, then the nudged sum."""
+    rows = np.stack((lo, hi), axis=1)  # rows[i] = (lo[i], hi[i])
+    xs = np.array([[[x.lo], [x.hi]]])  # broadcasts acc[a] * x[b] to (2, 2, k)
+    acc = rows[-1].copy()
+    for row in rows[-2::-1]:
+        prods = (acc[:, None, :] * xs).reshape(4, -1)
+        np.minimum.reduce(prods, axis=0, out=acc[0])
+        np.maximum.reduce(prods, axis=0, out=acc[1])
+        np.nextafter(acc, _OUTWARD, out=acc)
+        acc += row
+        np.nextafter(acc, _OUTWARD, out=acc)
+    return acc[0], acc[1]
 
 
 @dataclass(frozen=True)
@@ -205,35 +220,26 @@ class PowerSeries2D:
         if n < 1:
             raise UsageError("target degree must be >= 1")
         dx, dy = self.domain
-        work = self.coeffs
+        lo, hi = self.coeffs.lo, self.coeffs.hi
         if mx > n:
-            out = IArr(work.lo[: n + 1].copy(), work.hi[: n + 1].copy())
-            tail = work[mx]
-            for i in range(mx - 1, n - 1, -1):
-                tail = tail * dx + work[i]
-            out[n] = tail
-            work = out
+            tail = _horner_rows(lo[n:], hi[n:], dx)
+            lo, hi = lo[: n + 1].copy(), hi[: n + 1].copy()
+            lo[n], hi[n] = tail
         if my > n:
-            out = IArr(work.lo[:, : n + 1].copy(), work.hi[:, : n + 1].copy())
-            tail = work[:, my]
-            for j in range(my - 1, n - 1, -1):
-                tail = tail * dy + work[:, j]
-            out[:, n] = tail
-            work = out
-        return PowerSeries2D(work, self.domain)
+            tail = _horner_rows(lo[:, n:].T, hi[:, n:].T, dy)
+            lo, hi = lo[:, : n + 1].copy(), hi[:, : n + 1].copy()
+            lo[:, n], hi[:, n] = tail
+        return PowerSeries2D(IArr(lo, hi), self.domain)
 
     def range(self) -> Interval:
         dx, dy = self.domain
-        row_ranges = _horner_rows(
-            IArr(self.coeffs.lo.T.copy(), self.coeffs.hi.T.copy()), dy
-        )  # range over y of each x-coefficient series
-        return _horner_scalar(row_ranges, dx)
+        # range over y of each x-coefficient series
+        row_ranges = _horner_rows(self.coeffs.lo.T, self.coeffs.hi.T, dy)
+        return _horner_scalar(IArr(*row_ranges), dx)
 
     def eval_at(self, x: Interval, y: Interval) -> Interval:
-        rows = _horner_rows(
-            IArr(self.coeffs.lo.T.copy(), self.coeffs.hi.T.copy()), y
-        )
-        return _horner_scalar(rows, x)
+        rows = _horner_rows(self.coeffs.lo.T, self.coeffs.hi.T, y)
+        return _horner_scalar(IArr(*rows), x)
 
 
 # ----------------------------------------------------------------------

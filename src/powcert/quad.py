@@ -39,7 +39,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import PositivityError, UsageError
+from .errors import IntervalDomainError, PositivityError, UsageError
 from .galerkin import FourierApproximation
 from .interval import PI, Interval, iv_cos, iv_pow, iv_sin
 from .ivarray import IArr, iv_conv2d_full, iv_corr2d, iv_matmul
@@ -561,8 +561,10 @@ class _Engine:
 
     # -------------------- cached 1-D machinery --------------------
 
-    def sine_cols(self, axis, a: Fraction, b: Fraction, van: bool, reduced: bool):
-        key = ("sin", axis, a, b, van, reduced)
+    # the x and y tables of one interval are the same table: keys name the
+    # interval, not the axis
+    def sine_cols(self, a: Fraction, b: Fraction, van: bool, reduced: bool):
+        key = ("sin", a, b, van, reduced)
         hit = self._col_cache.get(key)
         if hit is not None:
             return hit
@@ -572,8 +574,8 @@ class _Engine:
         self._col_cache[key] = out
         return out
 
-    def cos_cols(self, axis, a: Fraction, b: Fraction, van: bool):
-        key = ("cos", axis, a, b, van)
+    def cos_cols(self, a: Fraction, b: Fraction, van: bool):
+        key = ("cos", a, b, van)
         hit = self._col_cache.get(key)
         if hit is not None:
             return hit
@@ -615,8 +617,8 @@ class _Engine:
             mon_range = Interval(1.0)
         else:
             van_x, van_y = rect.van_x, rect.van_y
-            sx_r = self.sine_cols(0, rect.x0, rect.x1, van_x, reduced=van_x)
-            sy_r = self.sine_cols(1, rect.y0, rect.y1, van_y, reduced=van_y)
+            sx_r = self.sine_cols(rect.x0, rect.x1, van_x, reduced=van_x)
+            sy_r = self.sine_cols(rect.y0, rect.y1, van_y, reduced=van_y)
             v_red = _tensor_model(sx_r, self.eta.coeffs, sy_r, dom)
             mon_range = Interval(1.0)
             if van_x:
@@ -652,9 +654,14 @@ class _Engine:
         ok = True
 
         if self.req.gram_freqs is not None:
-            cx = self.cos_cols(0, rect.x0, rect.x1, van_x)
-            cy = self.cos_cols(1, rect.y0, rect.y1, van_y)
+            cx = self.cos_cols(rect.x0, rect.x1, van_x)
+            cy = self.cos_cols(rect.y0, rect.y1, van_y)
             t_rect = self._gram_tables(w, cx, cy, rect, qx_base, qy_base)
+            # NaN fails every comparison, so the budget test below would
+            # pass it; the scalar outputs are Intervals, which reject
+            # non-finite endpoints when they are made
+            if not (np.isfinite(t_rect.lo).all() and np.isfinite(t_rect.hi).all()):
+                raise IntervalDomainError("non-finite gram table")
             out.t_table = t_rect
             if check_budget and self.req.gram_width is not None:
                 if t_rect.max_width() > self.req.gram_width * area:
@@ -699,8 +706,8 @@ class _Engine:
     def _residual_piece(self, rect, v_red, w, van_x, van_y) -> Interval:
         dx, dy = _model_domains(rect)
         dom = (dx, dy)
-        sx_f = self.sine_cols(0, rect.x0, rect.x1, van_x, reduced=False)
-        sy_f = self.sine_cols(1, rect.y0, rect.y1, van_y, reduced=False)
+        sx_f = self.sine_cols(rect.x0, rect.x1, van_x, reduced=False)
+        sy_f = self.sine_cols(rect.y0, rect.y1, van_y, reduced=False)
         v_lap = _tensor_model(sx_f, self.eta.lap, sy_f, dom)
         p = self.p
         if not (van_x or van_y):
@@ -737,8 +744,8 @@ class _Engine:
         elif isinstance(xi, Interval):
             prod = w.coeffs * xi
         else:
-            sx = self.sine_cols(0, rect.x0, rect.x1, rect.van_x, reduced=False)
-            sy = self.sine_cols(1, rect.y0, rect.y1, rect.van_y, reduced=False)
+            sx = self.sine_cols(rect.x0, rect.x1, rect.van_x, reduced=False)
+            sy = self.sine_cols(rect.y0, rect.y1, rect.van_y, reduced=False)
             xi_model = _tensor_model(sx, xi.coeffs, sy, _model_domains(rect))
             prod = iv_conv2d_full(w.coeffs, xi_model.coeffs)
         return self.poly_integral(prod, rect, qx, qy)
@@ -748,6 +755,8 @@ class _Engine:
     def do_rect(self, rect: Rect) -> _RectOut:
         try:
             return self.eval_rect(rect)
+        except IntervalDomainError as exc:
+            raise IntervalDomainError(f"{exc} on {rect.describe()}") from exc
         except (_NeedsRefine, PositivityError) as exc:
             if rect.depth >= self.cfg.max_depth:
                 if isinstance(exc, PositivityError):

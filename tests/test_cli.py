@@ -9,6 +9,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from powcert import cli, quad
 from powcert.certify import ProofCertificate
 from powcert.cli import (
     EXIT_OK,
@@ -20,7 +21,7 @@ from powcert.cli import (
     run_pipeline,
     run_verify,
 )
-from powcert.errors import UsageError
+from powcert.errors import IntervalDomainError, UsageError
 
 
 def tiny_config(**kw):
@@ -46,6 +47,16 @@ class TestRunConfig:
     def test_qr_validation(self):
         with pytest.raises(UsageError):
             RunConfig(p=Fraction(5, 4), linf_qr=(4, 2))  # r p' != 2
+
+    @pytest.mark.parametrize("triple", [(4, 4, 3), (4, 4, 4), (0, 4, 2), (2, 2, 0)])
+    def test_holder_validation(self, triple):
+        with pytest.raises(UsageError):
+            RunConfig(holder=triple)
+
+    def test_holder_below_one_for_p(self):
+        # q(p-1) = 2 * 1/4 < 1 at p = 5/4
+        with pytest.raises(UsageError, match=r"q\(p-1\)"):
+            RunConfig(p=Fraction(5, 4), holder=(2, 4, 4), linf_qr=(4, 4))
 
     def test_echo_round(self):
         cfg = tiny_config()
@@ -149,6 +160,16 @@ class TestSubcommands:
         assert code == EXIT_USAGE
         assert not out.exists()
 
+    def test_bad_holder_exits_before_solving(self, tmp_path, monkeypatch):
+        def no_solve(*args, **kw):
+            raise AssertionError("newton_solve ran")
+
+        monkeypatch.setattr(cli, "newton_solve", no_solve)
+        out = tmp_path / "cert.json"
+        code = main(["verify", "--holder", "4,4,3", "--out", str(out), "--quiet"])
+        assert code == EXIT_USAGE
+        assert not out.exists()
+
     def test_entry_point_subprocess(self):
         res = subprocess.run(
             [sys.executable, "-m", "powcert.cli", "psa-selftest"],
@@ -156,3 +177,45 @@ class TestSubcommands:
             text=True,
         )
         assert res.returncode == EXIT_OK
+
+
+# the smallest configuration found that certifies at degree 6 (about 1 s)
+SMALL_VALID = dict(
+    n_modes=10, eig_n=6, grid_m=6, degree=6, workers=1, res_width=2000.0, gram_width=None
+)
+
+
+class TestStageFailures:
+    @pytest.mark.parametrize(
+        "name, stage",
+        [
+            ("linf_bound", "linf-bound"),
+            ("positivity_check", "positivity"),
+            ("amplitude_enclosure", "amplitude"),
+            ("delta_from_residual", "delta"),
+        ],
+    )
+    def test_late_stage_error_names_stage(self, tmp_path, monkeypatch, name, stage):
+        def broken(*args, **kw):
+            raise IntervalDomainError(f"injected failure in {name}")
+
+        monkeypatch.setattr(cli, name, broken)
+        out = tmp_path / "cert.json"
+        code, cert = run_verify(RunConfig(**SMALL_VALID, out=str(out)))
+        assert code == EXIT_STAGE
+        data = json.loads(out.read_text())["certificate"]
+        assert data["status"] == f"failed: {stage}"
+        assert "injected failure" in cert.failure
+
+    def test_non_finite_factor_table_fails_integration(self, monkeypatch):
+        real = quad._cosine_factor_matrix
+
+        def poisoned(*args, **kw):
+            out = real(*args, **kw)
+            out.lo[0, 0] = math.nan
+            return out
+
+        monkeypatch.setattr(quad, "_cosine_factor_matrix", poisoned)
+        cert = run_pipeline(tiny_config())
+        assert cert.status == "failed: integration"
+        assert "non-finite gram table on" in cert.failure

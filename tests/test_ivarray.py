@@ -2,16 +2,112 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from powcert.interval import Interval
 from powcert.ivarray import (
     IArr,
+    _window_index,
     iv_conv1d_full,
     iv_conv2d_full,
     iv_corr2d,
     iv_matmul,
     iv_outer,
 )
+
+
+# ----------------------------------------------------------------------
+# reference kernels: the earlier forms of the products, kept to check
+# that the current ones give the same bits
+# ----------------------------------------------------------------------
+
+def ref_mul(self, other):
+    """IArr * other by stacking the four endpoint products."""
+    o = IArr._coerce(other)
+    p = np.stack(
+        np.broadcast_arrays(
+            self.lo * o.lo, self.lo * o.hi, self.hi * o.lo, self.hi * o.hi
+        )
+    )
+    return IArr(np.nextafter(p.min(axis=0), -np.inf), np.nextafter(p.max(axis=0), np.inf))
+
+
+def ref_truediv(self, other):
+    o = IArr._coerce(other)
+    q = np.stack(
+        np.broadcast_arrays(
+            self.lo / o.lo, self.lo / o.hi, self.hi / o.lo, self.hi / o.hi
+        )
+    )
+    return IArr(np.nextafter(q.min(axis=0), -np.inf), np.nextafter(q.max(axis=0), np.inf))
+
+
+def ref_corr2d(T, K):
+    """Correlation through lo/hi window matrices and iv_matmul."""
+    p, q = K.shape
+    P, Q = T.shape
+    A, B = P - p + 1, Q - q + 1
+    wm = np.lib.stride_tricks.sliding_window_view(T.lo, (p, q)).reshape(A * B, p * q)
+    wh = np.lib.stride_tricks.sliding_window_view(T.hi, (p, q)).reshape(A * B, p * q)
+    kv = IArr(K.lo.reshape(p * q, 1), K.hi.reshape(p * q, 1))
+    out = iv_matmul(IArr(wm, wh), kv)
+    return IArr(out.lo.reshape(A, B), out.hi.reshape(A, B))
+
+
+def ref_conv2d_full(U, V):
+    """Full convolution by zero-padding the lo/hi arrays of V."""
+    m, n = U.shape
+    v, w = V.shape
+    Tlo = np.zeros((v + 2 * (m - 1), w + 2 * (n - 1)))
+    Thi = Tlo.copy()
+    Tlo[m - 1 : m - 1 + v, n - 1 : n - 1 + w] = V.lo
+    Thi[m - 1 : m - 1 + v, n - 1 : n - 1 + w] = V.hi
+    Kf = IArr(U.lo[::-1, ::-1].copy(), U.hi[::-1, ::-1].copy())
+    return ref_corr2d(IArr(Tlo, Thi), Kf)
+
+
+def same_bits(a: IArr, b: IArr) -> bool:
+    return (
+        a.shape == b.shape
+        and np.array_equal(a.lo, b.lo)
+        and np.array_equal(a.hi, b.hi)
+        and np.array_equal(np.signbit(a.lo), np.signbit(b.lo))
+        and np.array_equal(np.signbit(a.hi), np.signbit(b.hi))
+    )
+
+
+# midpoints include both zeros and subnormals; radii include 0, the
+# smallest subnormals and ordinary widths
+MIDS = st.one_of(
+    st.sampled_from([0.0, -0.0, 1.0, -1.0]),
+    st.floats(-4.0, 4.0, allow_nan=False, allow_infinity=False),
+)
+RADS = st.one_of(
+    st.sampled_from([0.0, 5e-324, 1e-320, 2.0**-1022]),
+    st.floats(0.0, 1e-3, allow_nan=False, allow_infinity=False),
+)
+
+
+@st.composite
+def iarrs(draw, shape):
+    """Interval arrays [m - r, m + r] with some rows and columns exactly
+    zero (as the vanishing-edge factoring leaves them)."""
+    m = draw(hnp.arrays(np.float64, shape, elements=MIDS))
+    r = draw(hnp.arrays(np.float64, shape, elements=RADS))
+    lo, hi = m - r, m + r
+    for axis in range(len(shape)):
+        zero = draw(hnp.arrays(np.bool_, shape[axis], elements=st.booleans()))
+        idx = (slice(None),) * axis + (zero,)
+        lo[idx] = hi[idx] = draw(st.sampled_from([0.0, -0.0]))
+    return IArr(lo, hi)
+
+
+def model_shapes():
+    """Taylor-model shapes: degree n coefficient matrices at degrees 6 and
+    10, and small odd ones."""
+    return st.one_of(st.sampled_from([6, 10]), st.integers(1, 4))
 
 
 def random_iarr(rng, shape, scale=1.0, width=0.1):
@@ -141,3 +237,53 @@ class TestConvCorr:
         b = IArr.exact(np.array([3.0, 4.0]))
         o = iv_outer(a, b)
         assert np.all(np.abs(o.mid() - np.array([[3.0, 4.0], [6.0, 8.0]])) < 1e-14)
+
+
+class TestSameBitsAsReference:
+    @settings(max_examples=60, deadline=None)
+    @given(st.data(), st.integers(1, 12), st.integers(1, 12))
+    def test_mul_and_div(self, data, a, b):
+        A = data.draw(iarrs((a, b)))
+        B = data.draw(iarrs((a, b)))
+        assert same_bits(A * B, ref_mul(A, B))
+        col = data.draw(iarrs((a, 1)))
+        assert same_bits(A * col, ref_mul(A, col))
+        x = Interval(*sorted(data.draw(st.tuples(MIDS, MIDS))))
+        assert same_bits(A * x, ref_mul(A, x))
+        lo = data.draw(st.floats(0.5, 2.0))
+        den = IArr(np.full((a, b), lo), np.full((a, b), 2 * lo))
+        assert same_bits(A / den, ref_truediv(A, den))
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.data(), model_shapes())
+    def test_conv2d_full(self, data, n):
+        U = data.draw(iarrs((n + 1, n + 1)))
+        V = data.draw(iarrs((n + 1, n + 1)))
+        assert same_bits(iv_conv2d_full(U, V), ref_conv2d_full(U, V))
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.data(), model_shapes())
+    def test_corr2d_gram_shape(self, data, n):
+        # the gram tables correlate a (2n+1)^2 corner table with a model
+        T = data.draw(iarrs((2 * n + 1, 2 * n + 1)))
+        K = data.draw(iarrs((n + 1, n + 1)))
+        assert same_bits(iv_corr2d(T, K), ref_corr2d(T, K))
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.data(), st.integers(3, 9), st.integers(3, 9), st.integers(2, 5), st.integers(2, 5))
+    def test_corr2d_rectangular(self, data, P, Q, p, q):
+        # windows and outputs at least 2 x 2, as in every Taylor-model
+        # product: with a unit dimension the reference's reshape returns a
+        # Fortran-ordered view, which numpy multiplies as a transposed
+        # matrix, in another summation order
+        p, q = min(p, P - 1), min(q, Q - 1)
+        T = data.draw(iarrs((P, Q)))
+        K = data.draw(iarrs((p, q)))
+        assert same_bits(iv_corr2d(T, K), ref_corr2d(T, K))
+
+    def test_window_index_cached_read_only(self):
+        idx = _window_index(5, 6, 2, 3)
+        assert idx is _window_index(5, 6, 2, 3)
+        assert idx.shape == (4 * 4, 2 * 3)
+        with pytest.raises(ValueError):
+            idx[0, 0] = 1

@@ -4,9 +4,23 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from test_ivarray import (
+    MIDS,
+    iarrs,
+    model_shapes,
+    ref_conv2d_full,
+    ref_corr2d,
+    ref_mul,
+    same_bits,
+)
 
+from powcert import psa, quad
 from powcert.errors import PositivityError, UsageError
+from powcert.galerkin import GalerkinConfig, newton_solve
 from powcert.interval import Interval, iv_pow
+from powcert.ivarray import IArr
 from powcert.psa import (
     ElemFn,
     PowerSeries1D,
@@ -19,6 +33,7 @@ from powcert.psa import (
     ps_sub,
     reduce_degree,
 )
+from powcert.spectral import symmetric_indices
 
 ULP = 2.0**-52
 D01 = Interval(0.0, 0.1)
@@ -277,3 +292,103 @@ class TestTwoDimensional:
             y = rng.uniform(0, 0.5)
             val = float(np.polynomial.polynomial.polyval2d(x, y, cc))
             assert V.eval_at(Interval(x), Interval(y)).contains(val)
+
+
+# ----------------------------------------------------------------------
+# reference kernels: the earlier IArr-operator forms of Horner, reduce and
+# range, kept to check that the current ones give the same bits
+# ----------------------------------------------------------------------
+
+def ref_horner_rows(rows: IArr, x: Interval) -> IArr:
+    m = rows.shape[0] - 1
+    acc = rows[m]
+    for i in range(m - 1, -1, -1):
+        acc = acc * x + rows[i]
+    return acc
+
+
+def ref_reduce(self, n):
+    mx = self.coeffs.shape[0] - 1
+    my = self.coeffs.shape[1] - 1
+    if n >= max(mx, my):
+        return self
+    dx, dy = self.domain
+    work = self.coeffs
+    if mx > n:
+        out = IArr(work.lo[: n + 1].copy(), work.hi[: n + 1].copy())
+        tail = work[mx]
+        for i in range(mx - 1, n - 1, -1):
+            tail = tail * dx + work[i]
+        out[n] = tail
+        work = out
+    if my > n:
+        out = IArr(work.lo[:, : n + 1].copy(), work.hi[:, : n + 1].copy())
+        tail = work[:, my]
+        for j in range(my - 1, n - 1, -1):
+            tail = tail * dy + work[:, j]
+        out[:, n] = tail
+        work = out
+    return PowerSeries2D(work, self.domain)
+
+
+def ref_range(self):
+    dx, dy = self.domain
+    rows = ref_horner_rows(IArr(self.coeffs.lo.T.copy(), self.coeffs.hi.T.copy()), dy)
+    return psa._horner_scalar(rows, dx)
+
+
+# domains: a vanishing-edge box [0, w] (either zero), a centred box, or any
+DOMAINS = st.one_of(
+    st.builds(lambda w, z: Interval(z, w), st.floats(2.0**-12, 0.5), st.sampled_from([0.0, -0.0])),
+    st.builds(lambda h: Interval(-h, h), st.floats(2.0**-12, 0.5)),
+    st.builds(lambda a, b: Interval(min(a, b), max(a, b)), MIDS, MIDS),
+)
+
+
+class TestSameBitsAsReference:
+    @settings(max_examples=40, deadline=None)
+    @given(st.data(), model_shapes(), DOMAINS, DOMAINS)
+    def test_reduce_product_shape(self, data, n, dx, dy):
+        # a product before reduction: (2n+1)^2 coefficients down to degree n
+        c = data.draw(iarrs((2 * n + 1, 2 * n + 1)))
+        model = PowerSeries2D(c, (dx, dy))
+        got, ref = model.reduce(n), ref_reduce(model, n)
+        assert same_bits(got.coeffs, ref.coeffs)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.data(), st.integers(2, 8), st.integers(2, 8), DOMAINS, DOMAINS)
+    def test_reduce_rectangular(self, data, mx, my, dx, dy):
+        c = data.draw(iarrs((mx + 1, my + 1)))
+        n = data.draw(st.integers(1, max(mx, my)))
+        model = PowerSeries2D(c, (dx, dy))
+        assert same_bits(model.reduce(n).coeffs, ref_reduce(model, n).coeffs)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.data(), model_shapes(), DOMAINS, DOMAINS)
+    def test_range_and_rows(self, data, n, dx, dy):
+        c = data.draw(iarrs((n + 1, n + 1)))
+        model = PowerSeries2D(c, (dx, dy))
+        got = model.range()
+        ref = ref_range(model)
+        assert (got.lo, got.hi) == (ref.lo, ref.hi)
+        rows = psa._horner_rows(c.lo, c.hi, dx)
+        assert same_bits(IArr(*rows), ref_horner_rows(c, dx))
+
+    def test_pipeline_sweep_with_reference_kernels(self, monkeypatch):
+        u = newton_solve(GalerkinConfig(n_modes=6, p=Fraction(3, 2), tol=1e-10))
+        idx = symmetric_indices(4)
+        cfg = quad.QuadConfig(degree=6, grid_m=2, workers=1)
+
+        def sweep():
+            res, gram, ranges, stats = quad.pipeline_sweep(u, Fraction(3, 2), idx, cfg)
+            return (res.lo, res.hi), gram.lo.tobytes(), gram.hi.tobytes(), ranges, stats
+
+        new = sweep()
+        monkeypatch.setattr(IArr, "__mul__", ref_mul)
+        monkeypatch.setattr(IArr, "__rmul__", ref_mul)
+        monkeypatch.setattr(quad, "iv_corr2d", ref_corr2d)
+        monkeypatch.setattr(quad, "iv_conv2d_full", ref_conv2d_full)
+        monkeypatch.setattr(psa, "iv_conv2d_full", ref_conv2d_full)
+        monkeypatch.setattr(PowerSeries2D, "reduce", ref_reduce)
+        monkeypatch.setattr(PowerSeries2D, "range", ref_range)
+        assert sweep() == new

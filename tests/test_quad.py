@@ -7,7 +7,8 @@ import mpmath
 import numpy as np
 import pytest
 
-from powcert.errors import PositivityError, UsageError
+from powcert import quad
+from powcert.errors import IntervalDomainError, PositivityError, UsageError
 from powcert.galerkin import FourierApproximation, odd_modes
 from powcert.interval import Interval, iv_pow
 from powcert.ivarray import IArr
@@ -347,3 +348,40 @@ class TestSpecExamples:
                 total += 1
                 improved += d6.width <= m16.width
         assert improved >= 0.9 * total
+
+
+class TestSweepEngine:
+    def test_factor_tables_shared_between_axes(self, monkeypatch):
+        # the x and y tables of one interval are one table: at grid_m = 2
+        # the sweep needs three sine tables ([0, 1/4] reduced and full,
+        # [1/4, 1/2] full) and two cosine tables, not one set per axis
+        builds = {"sin": 0, "cos": 0}
+        real_sin, real_cos = quad._sine_factor_matrix, quad._cosine_factor_matrix
+
+        def count_sin(*args, **kw):
+            builds["sin"] += 1
+            return real_sin(*args, **kw)
+
+        def count_cos(*args, **kw):
+            builds["cos"] += 1
+            return real_cos(*args, **kw)
+
+        monkeypatch.setattr(quad, "_sine_factor_matrix", count_sin)
+        monkeypatch.setattr(quad, "_cosine_factor_matrix", count_cos)
+        u = fourier_from_dict(3, {(1, 1): 5.0, (3, 1): 0.1})
+        pipeline_sweep(u, Fraction(3, 2), [(1, 1), (1, 3)], QuadConfig(degree=6, grid_m=2))
+        assert builds == {"sin": 3, "cos": 2}
+
+    @pytest.mark.parametrize("table", ["_sine_factor_matrix", "_cosine_factor_matrix"])
+    def test_non_finite_factor_table_names_rectangle(self, monkeypatch, table):
+        real = getattr(quad, table)
+
+        def poisoned(*args, **kw):
+            out = real(*args, **kw)
+            out.hi[-1, 0] = math.nan
+            return out
+
+        monkeypatch.setattr(quad, table, poisoned)
+        u = fourier_from_dict(3, {(1, 1): 5.0, (3, 1): 0.1})
+        with pytest.raises(IntervalDomainError, match=r"non-finite .* on S11 \[0,1/4\]x\[0,1/4\]"):
+            pipeline_sweep(u, Fraction(3, 2), [(1, 1), (1, 3)], QuadConfig(degree=6, grid_m=2))
