@@ -33,7 +33,7 @@ from .certify import (
     poincare_c2,
     positivity_check,
 )
-from .errors import PowcertError, UsageError
+from .errors import PowcertError, UnsupportedError, UsageError
 from .galerkin import FourierApproximation, GalerkinConfig, newton_solve
 from .interval import Interval
 from .quad import QuadConfig, pipeline_sweep, sup_weight
@@ -73,6 +73,14 @@ class RunConfig:
         if self.n_modes < 1 or self.eig_n < 1 or self.grid_m < 1:
             raise UsageError("sizes must be >= 1")
         self.holder = check_holder(self.p, self.holder)
+        try:
+            # the constants of the delta and existence-test stages, which
+            # would otherwise reject an out-of-scope triple after the sweep
+            VerificationConstants.for_problem(self.p, self.eig_n, self.holder)
+            g_coefficient(self.p, self.holder)
+        except UnsupportedError as exc:
+            triple = ",".join(map(str, self.holder))
+            raise UsageError(f"Holder triple {triple}: {exc}") from exc
         rpp = Fraction(self.linf_qr[1]) * 2 * (self.p - 1)
         if rpp != 2:
             raise UsageError(

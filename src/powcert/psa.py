@@ -340,11 +340,14 @@ def ps_compose(f: ElemFn, u):
     rz = z.range().mag
     u0iv = Interval(u0)
 
+    # derivative enclosures over the hull, kept for the chosen remainder
+    hull_derivs = [None]
     m_best, best = 1, math.inf
     inv_fact = 1.0
     for m in range(1, n + 1):
         inv_fact /= m
-        est = f.deriv(m, hull).mag * inv_fact * rz**m
+        hull_derivs.append(f.deriv(m, hull))
+        est = hull_derivs[m].mag * inv_fact * rz**m
         if est <= best:
             m_best, best = m, est
 
@@ -353,7 +356,7 @@ def ps_compose(f: ElemFn, u):
     for i in range(1, m_best):
         inv_fact /= i
         taylor.append(f.deriv(i, u0iv) * Interval.from_fraction(inv_fact))
-    c_rem = f.deriv(m_best, hull) * Interval.from_fraction(inv_fact / m_best)
+    c_rem = hull_derivs[m_best] * Interval.from_fraction(inv_fact / m_best)
     # powers of z scaled term by term (not Horner): each z^i is formed by
     # Type-II multiplication first, then scaled once by its interval
     # coefficient, which keeps the worked-example tightness

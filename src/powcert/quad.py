@@ -25,14 +25,15 @@ not hold for intervals.
 
 Rectangles whose positivity check fails, or whose enclosure is wider than
 its share of the caller's width budget, are bisected along their longer
-edge (tie: x) down to a depth limit.  Contributions are summed in a fixed
-order regardless of the worker count, so results are reproducible.
+edge (tie: x) down to a depth limit.  With more than one worker the base
+rectangles are handed out to forked worker processes; contributions are
+summed in base-rectangle order regardless of the worker count, so results
+are reproducible.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from enum import Enum
 from fractions import Fraction
@@ -232,76 +233,67 @@ def _sine_factor_matrix(
     """Coefficient matrix (degree+1, n_modes) of Taylor models in the local
     variable t for sin(m pi (x0 + t)), or sin(m pi t)/t when reduced (then
     x0 must be 0 and dom = [0, w])."""
+    if not reduced:
+        return _trig_factor_matrix(modes, x0, dom, degree, phase=0)
+    if x0 != 0:
+        raise UsageError("reduced sine factor requires expansion at 0")
     n = degree
-    k_modes = len(modes)
-    out = IArr.zeros((n + 1, k_modes))
+    out = IArr.zeros((n + 1, len(modes)))
     inv_fact = _inv_fact_fractions(n + 3)
     omegas = [Interval(float(m)) * PI for m in modes]
-    if reduced:
-        if x0 != 0:
-            raise UsageError("reduced sine factor requires expansion at 0")
-        # sin(w t)/t = sum_{even k} (-1)^(k/2) w^(k+1) t^k / (k+1)!
-        for col, w in enumerate(omegas):
-            wp = w  # w^(k+1) running power
-            for k in range(0, n + 1):
-                if k % 2 == 0:
-                    sign = 1.0 if (k // 2) % 2 == 0 else -1.0
-                    out[k, col] = wp * Interval.from_fraction(inv_fact[k + 1] * int(sign))
-                wp = wp * w
-            # Lagrange remainder of the sine series divided by t, resorbed
-            # into the degree-n coefficient
-            if n % 2 == 0:
-                order = n + 3  # sine orders <= n+2 are all present/zero
-                extra = dom.sqr()
-            else:
-                order = n + 2
-                extra = dom
-            wmag = w.mag
-            r = wmag**order / math.factorial(order) * (1.0 + 1e-12)
-            r = math.nextafter(r, math.inf)
-            rem = Interval(-r, r) * extra
-            cur = out[n, col].item()
-            out[n, col] = cur + rem
-        return out
-    # full factor: Taylor of sin(theta + w t) around t = 0
-    for col, (m, w) in enumerate(zip(modes, omegas)):
+    # sin(w t)/t = sum_{even k} (-1)^(k/2) w^(k+1) t^k / (k+1)!
+    for col, w in enumerate(omegas):
+        wp = w  # w^(k+1) running power
+        for k in range(0, n + 1):
+            if k % 2 == 0:
+                sign = 1.0 if (k // 2) % 2 == 0 else -1.0
+                out[k, col] = wp * Interval.from_fraction(inv_fact[k + 1] * int(sign))
+            wp = wp * w
+        # Lagrange remainder of the sine series divided by t, resorbed
+        # into the degree-n coefficient
+        if n % 2 == 0:
+            order = n + 3  # sine orders <= n+2 are all present/zero
+            extra = dom.sqr()
+        else:
+            order = n + 2
+            extra = dom
+        wmag = w.mag
+        r = wmag**order / math.factorial(order) * (1.0 + 1e-12)
+        r = math.nextafter(r, math.inf)
+        rem = Interval(-r, r) * extra
+        cur = out[n, col].item()
+        out[n, col] = cur + rem
+    return out
+
+
+def _cosine_factor_matrix(freqs, x0: Fraction, dom: Interval, degree: int) -> IArr:
+    """Taylor models of cos(f pi (x0 + t)) for every frequency (f may be 0)."""
+    return _trig_factor_matrix(freqs, x0, dom, degree, phase=1)
+
+
+def _trig_factor_matrix(freqs, x0: Fraction, dom: Interval, degree: int, phase: int) -> IArr:
+    """Coefficient matrix (degree+1, len(freqs)) of Taylor models in t of
+    sin(f pi (x0 + t) + phase pi/2): phase 0 gives sines, phase 1 cosines.
+    The k-th derivative of sin(theta + phase pi/2) is entry k + phase of the
+    cycle (sin, cos, -sin, -cos) at theta; the Lagrange remainder of order
+    degree+1 is resorbed into the top coefficient."""
+    n = degree
+    out = IArr.zeros((n + 1, len(freqs)))
+    inv_fact = _inv_fact_fractions(n + 3)
+    for col, f in enumerate(freqs):
+        if f == 0:  # sin 0 = 0 and cos 0 = 1, exactly
+            out[0, col] = Interval(float(phase))
+            continue
+        w = Interval(float(f)) * PI
         theta = w * Interval.from_fraction(x0)
         s = iv_sin(theta)
         c = iv_cos(theta)
         cyc = (s, c, -s, -c)
         wp = Interval(1.0)
         for k in range(0, n + 1):
-            out[k, col] = cyc[k % 4] * wp * Interval.from_fraction(inv_fact[k])
+            out[k, col] = cyc[(k + phase) % 4] * wp * Interval.from_fraction(inv_fact[k])
             wp = wp * w
-        # remainder at order n+1 resorbed into index n
-        wmag = w.mag
-        r = wmag ** (n + 1) / math.factorial(n + 1) * (1.0 + 1e-12)
-        r = math.nextafter(r, math.inf)
-        cur = out[n, col].item()
-        out[n, col] = cur + Interval(-r, r) * dom
-    return out
-
-
-def _cosine_factor_matrix(freqs, x0: Fraction, dom: Interval, degree: int) -> IArr:
-    """Taylor models of cos(f pi (x0 + t)) for every frequency (f may be 0)."""
-    n = degree
-    out = IArr.zeros((n + 1, len(freqs)))
-    inv_fact = _inv_fact_fractions(n + 3)
-    for col, f in enumerate(freqs):
-        if f == 0:
-            out[0, col] = Interval(1.0)
-            continue
-        w = Interval(float(f)) * PI
-        theta = w * Interval.from_fraction(x0)
-        s = iv_sin(theta)
-        c = iv_cos(theta)
-        cyc = (c, -s, -c, s)  # derivatives of cos
-        wp = Interval(1.0)
-        for k in range(0, n + 1):
-            out[k, col] = cyc[k % 4] * wp * Interval.from_fraction(inv_fact[k])
-            wp = wp * w
-        wmag = w.mag
-        r = wmag ** (n + 1) / math.factorial(n + 1) * (1.0 + 1e-12)
+        r = w.mag ** (n + 1) / math.factorial(n + 1) * (1.0 + 1e-12)
         r = math.nextafter(r, math.inf)
         cur = out[n, col].item()
         out[n, col] = cur + Interval(-r, r) * dom
@@ -599,7 +591,9 @@ class _Engine:
 
     # -------------------- per-rectangle evaluation --------------------
 
-    def eval_rect(self, rect: Rect, check_budget: bool = True) -> _RectOut:
+    def eval_rect(self, rect: Rect) -> tuple[_RectOut, bool]:
+        """The rectangle's contributions, and whether every one of them fits
+        its share of the width budgets."""
         n = self.n
         const_eta = isinstance(self.eta, _EtaConstant)
         if const_eta and rect.cls != RectClass.S00:
@@ -663,18 +657,13 @@ class _Engine:
             if not (np.isfinite(t_rect.lo).all() and np.isfinite(t_rect.hi).all()):
                 raise IntervalDomainError("non-finite gram table")
             out.t_table = t_rect
-            if check_budget and self.req.gram_width is not None:
-                if t_rect.max_width() > self.req.gram_width * area:
-                    ok = False
+            if self.req.gram_width is not None and t_rect.max_width() > self.req.gram_width * area:
+                ok = False
 
         if self.req.residual_p is not None:
             res = self._residual_piece(rect, v_red, w, van_x, van_y)
             out.res_sq = res
-            if (
-                check_budget
-                and self.req.res_width is not None
-                and res.width > self.req.res_width * area
-            ):
+            if self.req.res_width is not None and res.width > self.req.res_width * area:
                 ok = False
 
         if self.req.powers:
@@ -682,16 +671,10 @@ class _Engine:
             for xi, qq in self.req.powers:
                 val = self._power_piece(rect, w, xi, qx_base, qy_base)
                 out.powers.append(val)
-                if (
-                    check_budget
-                    and self.req.power_width is not None
-                    and val.width > self.req.power_width * area
-                ):
+                if self.req.power_width is not None and val.width > self.req.power_width * area:
                     ok = False
 
-        if not ok:
-            raise _NeedsRefine()
-        return out
+        return out, ok
 
     def _gram_tables(self, w, cx, cy, rect, qx, qy) -> IArr:
         size = 2 * self.n + 1
@@ -753,30 +736,43 @@ class _Engine:
     # -------------------- recursion/driver --------------------
 
     def do_rect(self, rect: Rect) -> _RectOut:
+        at_limit = rect.depth >= self.cfg.max_depth
         try:
-            return self.eval_rect(rect)
+            out, ok = self.eval_rect(rect)
         except IntervalDomainError as exc:
             raise IntervalDomainError(f"{exc} on {rect.describe()}") from exc
-        except (_NeedsRefine, PositivityError) as exc:
-            if rect.depth >= self.cfg.max_depth:
-                if isinstance(exc, PositivityError):
-                    raise
+        except PositivityError:
+            if at_limit:
+                raise
+        else:
+            if ok:
+                return out
+            if at_limit:
                 # keep the sound-but-wide result, flag it
-                res = self.eval_rect(rect, check_budget=False)
-                res.over_budget += 1
-                return res
-            r1, r2 = rect.bisect()
-            out = self.do_rect(r1)
-            out.merge(self.do_rect(r2))
-            return out
+                out.over_budget += 1
+                return out
+        r1, r2 = rect.bisect()
+        out = self.do_rect(r1)
+        out.merge(self.do_rect(r2))
+        return out
 
     def run(self) -> _RectOut:
         rects = self.sub.rects()
-        if self.cfg.workers > 1:
-            with ThreadPoolExecutor(max_workers=self.cfg.workers) as pool:
-                results = list(pool.map(self.do_rect, rects))
-        else:
+        workers = min(self.cfg.workers, len(rects))
+        ctx = _fork_context() if workers > 1 else None
+        if ctx is None:
             results = [self.do_rect(r) for r in rects]
+        else:
+            from concurrent.futures import ProcessPoolExecutor
+
+            # map hands out one rectangle at a time and yields the results in
+            # rectangle order, so the first failing rectangle in that order
+            # raises, as in the serial sweep, and cancels those not started.
+            # The executor's shutdown lets its workers exit; Pool.terminate
+            # kills them, and a worker killed while it sends a result leaves
+            # the result queue locked, which hangs the pool.
+            with ProcessPoolExecutor(workers, ctx, _init_worker, (self,)) as pool:
+                results = list(pool.map(_worker_do_rect, rects))
         # The three other quadrants mirror this one and give the same leaf
         # results bit for bit.  Merging the list once per quadrant, in the
         # order a four-quadrant sweep would, reproduces that sweep's
@@ -790,8 +786,29 @@ class _Engine:
         return total
 
 
-class _NeedsRefine(Exception):
-    pass
+def _fork_context():
+    """The fork start method, or None on a platform without one (the sweep
+    then runs serially).  multiprocessing is imported here, so that a serial
+    sweep does not pay for importing it."""
+    import multiprocessing
+
+    if "fork" not in multiprocessing.get_all_start_methods():
+        return None
+    return multiprocessing.get_context("fork")
+
+
+# The engine of the sweep in progress, in a forked worker process.  It is set
+# by the pool initializer; under fork it is inherited, not pickled.
+_worker_engine = None
+
+
+def _init_worker(engine: _Engine):
+    global _worker_engine
+    _worker_engine = engine
+
+
+def _worker_do_rect(rect: Rect) -> _RectOut:
+    return _worker_engine.do_rect(rect)
 
 
 def _wrap_xi(xi):

@@ -170,6 +170,19 @@ class TestSubcommands:
         assert code == EXIT_USAGE
         assert not out.exists()
 
+    def test_out_of_scope_holder_exits_before_solving(self, tmp_path, monkeypatch):
+        # (3,3,3) passes the Holder checks, but C_3 has no closed form here
+        def no_solve(*args, **kw):
+            raise AssertionError("newton_solve ran")
+
+        monkeypatch.setattr(cli, "newton_solve", no_solve)
+        out = tmp_path / "cert.json"
+        code = main(["verify", "--holder", "3,3,3", "--out", str(out), "--quiet"])
+        assert code == EXIT_USAGE
+        assert not out.exists()
+        with pytest.raises(UsageError, match="C_3 is out of scope"):
+            RunConfig(holder=(3, 3, 3))
+
     def test_entry_point_subprocess(self):
         res = subprocess.run(
             [sys.executable, "-m", "powcert.cli", "psa-selftest"],
@@ -219,3 +232,6 @@ class TestStageFailures:
         cert = run_pipeline(tiny_config())
         assert cert.status == "failed: integration"
         assert "non-finite gram table on" in cert.failure
+        # raised in a forked worker, the error names the same rectangle
+        forked = run_pipeline(tiny_config(workers=2))
+        assert (forked.status, forked.failure) == (cert.status, cert.failure)

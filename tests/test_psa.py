@@ -1,5 +1,6 @@
 """Taylor-model arithmetic: worked golden cases and containment properties."""
 
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -337,6 +338,41 @@ def ref_range(self):
     return psa._horner_scalar(rows, dx)
 
 
+def ref_ps_compose(f, u):
+    """ps_compose as it was, evaluating the chosen remainder derivative over
+    the hull a second time."""
+    rng = u.range()
+    u0 = u.const_coeff().mid
+    hull = Interval.hull_of(Interval(u0), rng)
+    f.check_domain(hull)
+    n = u.degree
+    z = u.sub_const(u0)
+    rz = z.range().mag
+    u0iv = Interval(u0)
+    m_best, best = 1, math.inf
+    inv_fact = 1.0
+    for m in range(1, n + 1):
+        inv_fact /= m
+        est = f.deriv(m, hull).mag * inv_fact * rz**m
+        if est <= best:
+            m_best, best = m, est
+    inv_fact = Fraction(1)
+    taylor = [f.deriv(0, u0iv)]
+    for i in range(1, m_best):
+        inv_fact /= i
+        taylor.append(f.deriv(i, u0iv) * Interval.from_fraction(inv_fact))
+    c_rem = f.deriv(m_best, hull) * Interval.from_fraction(inv_fact / m_best)
+    result = u.const_like(taylor[0])
+    zp = z
+    if m_best >= 2:
+        result = result + zp.scale(taylor[1])
+        for i in range(2, m_best):
+            zp = zp * z
+            result = result + zp.scale(taylor[i])
+        zp = zp * z
+    return result + zp.scale(c_rem)
+
+
 # domains: a vanishing-edge box [0, w] (either zero), a centred box, or any
 DOMAINS = st.one_of(
     st.builds(lambda w, z: Interval(z, w), st.floats(2.0**-12, 0.5), st.sampled_from([0.0, -0.0])),
@@ -374,6 +410,28 @@ class TestSameBitsAsReference:
         rows = psa._horner_rows(c.lo, c.hi, dx)
         assert same_bits(IArr(*rows), ref_horner_rows(c, dx))
 
+    @pytest.mark.parametrize("n", [2, 6, 10])
+    def test_compose_one_pow_fewer(self, monkeypatch, n):
+        # the remainder reuses the order search's enclosure over the hull
+        rng = np.random.default_rng(n)
+        c = IArr.exact(rng.uniform(-0.2, 0.2, (n + 1, n + 1)))
+        c[0, 0] = Interval(2.0)
+        u = PowerSeries2D(c, (Interval(0.0, 0.125), Interval(-0.0625, 0.0625)))
+        calls = []
+        real_pow = psa.iv_pow
+
+        def counting_pow(*args):
+            calls.append(args)
+            return real_pow(*args)
+
+        monkeypatch.setattr(psa, "iv_pow", counting_pow)
+        f = ElemFn.pow_q(Fraction(1, 2))
+        got = ps_compose(f, u)
+        n_new = len(calls)
+        ref = ref_ps_compose(f, u)
+        assert n_new == len(calls) - n_new - 1
+        assert same_bits(got.coeffs, ref.coeffs)
+
     def test_pipeline_sweep_with_reference_kernels(self, monkeypatch):
         u = newton_solve(GalerkinConfig(n_modes=6, p=Fraction(3, 2), tol=1e-10))
         idx = symmetric_indices(4)
@@ -391,4 +449,5 @@ class TestSameBitsAsReference:
         monkeypatch.setattr(psa, "iv_conv2d_full", ref_conv2d_full)
         monkeypatch.setattr(PowerSeries2D, "reduce", ref_reduce)
         monkeypatch.setattr(PowerSeries2D, "range", ref_range)
+        monkeypatch.setattr(quad, "ps_compose", ref_ps_compose)
         assert sweep() == new

@@ -1,11 +1,16 @@
 """Verified quadrature: monomial order, rectangle models, oracle containment."""
 
 import math
+import multiprocessing
+import subprocess
+import sys
+import textwrap
 from fractions import Fraction
 
 import mpmath
 import numpy as np
 import pytest
+from test_ivarray import same_bits
 
 from powcert import quad
 from powcert.errors import IntervalDomainError, PositivityError, UsageError
@@ -383,5 +388,204 @@ class TestSweepEngine:
 
         monkeypatch.setattr(quad, table, poisoned)
         u = fourier_from_dict(3, {(1, 1): 5.0, (3, 1): 0.1})
-        with pytest.raises(IntervalDomainError, match=r"non-finite .* on S11 \[0,1/4\]x\[0,1/4\]"):
-            pipeline_sweep(u, Fraction(3, 2), [(1, 1), (1, 3)], QuadConfig(degree=6, grid_m=2))
+        # every rectangle fails; forked workers report the first in
+        # rectangle order, as the serial sweep does
+        for workers in (1, 2):
+            cfg = QuadConfig(degree=6, grid_m=2, workers=workers)
+            with pytest.raises(IntervalDomainError, match=r"non-finite .* on S11 \[0,1/4\]x\[0,1/4\]"):
+                pipeline_sweep(u, Fraction(3, 2), [(1, 1), (1, 3)], cfg)
+
+    def test_over_budget_leaf_evaluated_once(self, eval_log):
+        # at max_depth = 0 every base rectangle is over an unreachable
+        # budget: it is evaluated once and kept, flagged
+        u = fourier_from_dict(3, {(1, 1): 5.0, (3, 1): 0.1})
+        cfg = QuadConfig(degree=6, grid_m=3, max_depth=0, workers=1)
+        tight = sweep_digest(u, cfg, res_width=1e-300)
+        assert len(eval_log) == 9 and len(set(eval_log)) == 9
+        free = sweep_digest(u, cfg)
+        assert tight[:-1] == free[:-1]
+        assert tight[-1] == {"rects": 36, "over_budget": 36}
+
+
+@pytest.fixture
+def eval_log(monkeypatch):
+    """The rectangles _Engine.eval_rect is called on, in this process."""
+    evals = []
+    real = quad._Engine.eval_rect
+
+    def logging_eval(self, rect):
+        evals.append(rect)
+        return real(self, rect)
+
+    monkeypatch.setattr(quad._Engine, "eval_rect", logging_eval)
+    return evals
+
+
+def sweep_digest(u, cfg, **budgets):
+    """Residual, gram lo/hi bytes, ranges and stats of one pipeline sweep."""
+    res, gram, ranges, stats = pipeline_sweep(u, Fraction(3, 2), [(1, 1), (1, 3), (3, 1)], cfg, **budgets)
+    return (res.lo, res.hi), gram.lo.tobytes(), gram.hi.tobytes(), ranges, stats
+
+
+class TestWorkerProcesses:
+    """Forked workers give the bits of the serial sweep, and their errors
+    reach the caller as the serial sweep raises them."""
+
+    def test_pipeline_sweep_same_bits(self):
+        u = fourier_from_dict(5, {(1, 1): 5.0, (3, 1): 0.2, (1, 5): -0.1})
+        digests = [
+            sweep_digest(u, QuadConfig(degree=6, grid_m=3, workers=w), res_width=200.0, gram_width=1e-4)
+            for w in (1, 2, 3)
+        ]
+        assert digests[0][-1]["rects"] > 36  # the budgets bisect
+        assert digests[0] == digests[1] == digests[2]
+
+    def test_entry_points_same_bits(self):
+        u = fourier_from_dict(3, {(1, 1): 2.0, (3, 1): 0.05})
+
+        def results(workers):
+            cfg = QuadConfig(degree=5, grid_m=3, workers=workers)
+            vals = [
+                integral_power(u, None, Fraction(1, 2), cfg),
+                integral_power(u, u, Fraction(1, 2), cfg, width_target=1e-6),
+                residual_l2(u, Fraction(3, 2), cfg),
+            ]
+            gram = weighted_gram(u, Fraction(3, 2), [(1, 1), (1, 3)], cfg)
+            const = weighted_gram(Interval(4.0), Fraction(3, 2), [(1, 1), (1, 3)], cfg)
+            return (
+                [(v.lo, v.hi) for v in vals],
+                [(g.lo.tobytes(), g.hi.tobytes()) for g in (gram, const)],
+                u_range_bounds(u, cfg),
+            )
+
+        assert results(1) == results(2)
+
+    def test_positivity_error_at_max_depth(self):
+        # u < 0 near (1/6, 1/2): the first failing rectangle in order raises
+        u = fourier_from_dict(3, {(1, 1): 1.0, (3, 3): 0.8})
+        errors = []
+        for workers in (1, 2):
+            cfg = QuadConfig(degree=6, grid_m=4, max_depth=0, workers=workers)
+            with pytest.raises(PositivityError) as exc:
+                u_range_bounds(u, cfg)
+            errors.append(exc.value)
+        serial, forked = errors
+        assert serial.rect is not None and serial.rect != Rect.make(0, Fraction(1, 8), 0, Fraction(1, 8))
+        assert str(forked) == str(serial)
+        assert forked.rect == serial.rect
+        assert (forked.rng.lo, forked.rng.hi) == (serial.rng.lo, serial.rng.hi)
+
+    def test_serial_without_fork(self, monkeypatch, eval_log):
+        # eval_rect calls made in a forked worker are not logged here
+        u = fourier_from_dict(3, {(1, 1): 5.0, (3, 1): 0.1})
+        cfg = QuadConfig(degree=6, grid_m=2, workers=2)
+        forked = sweep_digest(u, cfg)
+        assert eval_log == []
+        monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
+        assert sweep_digest(u, cfg) == forked
+        assert len(eval_log) == 4
+
+    def test_usage_error_crosses_process(self, monkeypatch):
+        def refuse(*args, **kw):
+            raise UsageError("refused composition")
+
+        monkeypatch.setattr(quad, "ps_compose", refuse)
+        u = fourier_from_dict(1, {(1, 1): 1.0})
+        with pytest.raises(UsageError, match="^refused composition$"):
+            integral_power(u, None, Fraction(1, 2), QuadConfig(degree=4, grid_m=2, workers=2))
+
+
+    def test_failing_sweeps_end(self):
+        # the first error ends the sweep while the other worker may still be
+        # sending a result: a pool that killed its workers then could hang
+        code = textwrap.dedent(
+            """
+            from fractions import Fraction
+            import numpy as np
+            from powcert import quad
+            from powcert.errors import UsageError
+            from powcert.galerkin import FourierApproximation
+
+            def refuse(*args, **kw):
+                raise UsageError("refused composition")
+
+            quad.ps_compose = refuse
+            u = FourierApproximation(1, np.array([[1.0]]))
+            cfg = quad.QuadConfig(degree=4, grid_m=2, workers=2)
+            for _ in range(200):
+                try:
+                    quad.integral_power(u, None, Fraction(1, 2), cfg)
+                except UsageError:
+                    pass
+            print("ok")
+            """
+        )
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=60)
+        assert (proc.returncode, proc.stdout) == (0, "ok\n"), proc.stderr
+
+
+# ----------------------------------------------------------------------
+# reference kernels: the earlier separate sine and cosine loops, kept to
+# check that the shared Taylor-with-remainder helper gives the same bits
+# ----------------------------------------------------------------------
+
+def ref_sine_full(modes, x0, dom, degree):
+    n = degree
+    out = IArr.zeros((n + 1, len(modes)))
+    inv_fact = quad._inv_fact_fractions(n + 3)
+    for col, m in enumerate(modes):
+        w = Interval(float(m)) * quad.PI
+        theta = w * Interval.from_fraction(x0)
+        s = quad.iv_sin(theta)
+        c = quad.iv_cos(theta)
+        cyc = (s, c, -s, -c)
+        wp = Interval(1.0)
+        for k in range(0, n + 1):
+            out[k, col] = cyc[k % 4] * wp * Interval.from_fraction(inv_fact[k])
+            wp = wp * w
+        r = w.mag ** (n + 1) / math.factorial(n + 1) * (1.0 + 1e-12)
+        r = math.nextafter(r, math.inf)
+        cur = out[n, col].item()
+        out[n, col] = cur + Interval(-r, r) * dom
+    return out
+
+
+def ref_cosine(freqs, x0, dom, degree):
+    n = degree
+    out = IArr.zeros((n + 1, len(freqs)))
+    inv_fact = quad._inv_fact_fractions(n + 3)
+    for col, f in enumerate(freqs):
+        if f == 0:
+            out[0, col] = Interval(1.0)
+            continue
+        w = Interval(float(f)) * quad.PI
+        theta = w * Interval.from_fraction(x0)
+        s = quad.iv_sin(theta)
+        c = quad.iv_cos(theta)
+        cyc = (c, -s, -c, s)
+        wp = Interval(1.0)
+        for k in range(0, n + 1):
+            out[k, col] = cyc[k % 4] * wp * Interval.from_fraction(inv_fact[k])
+            wp = wp * w
+        r = w.mag ** (n + 1) / math.factorial(n + 1) * (1.0 + 1e-12)
+        r = math.nextafter(r, math.inf)
+        cur = out[n, col].item()
+        out[n, col] = cur + Interval(-r, r) * dom
+    return out
+
+
+class TestTrigTablesSameBits:
+    @pytest.mark.parametrize("degree", [2, 5, 6, 10, 12])
+    def test_against_reference_loops(self, degree):
+        modes = odd_modes(59)
+        freqs = list(range(0, 60, 2))
+        for m in (1, 3, 16):
+            h = Fraction(1, 2 * m)
+            for i in range(m):
+                a, b = i * h, (i + 1) * h
+                for x0 in (a, (a + b) / 2):
+                    dom = quad._frac_interval(a - x0, b - x0)
+                    got = quad._sine_factor_matrix(modes, x0, dom, degree, reduced=False)
+                    assert same_bits(got, ref_sine_full(modes, x0, dom, degree)), (degree, a, b, x0)
+                    got = quad._cosine_factor_matrix(freqs, x0, dom, degree)
+                    assert same_bits(got, ref_cosine(freqs, x0, dom, degree)), (degree, a, b, x0)
