@@ -256,6 +256,14 @@ def exact_l2_norm(u_hat: FourierApproximation) -> Interval:
     return iv_pow(Interval(max(s.lo, 0.0), s.hi), Fraction(1, 2))
 
 
+def linf_exponents(p: Fraction) -> tuple:
+    """The (q, r) of linf_bound that the pipeline uses at p: r p' = 2 makes
+    ||u_hat||_{L^{rp'}} the exact L2 norm, and 2/q + 1/r = 1 then fixes
+    q = 2/(2-p); (4, 2) at p = 3/2."""
+    p = Fraction(p)
+    return Fraction(2) / (2 - p), 1 / (p - 1)
+
+
 def linf_bound(
     eps: Interval,
     u_norm_rp: Interval,

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from dataclasses import dataclass
@@ -30,8 +31,10 @@ from .certify import (
     g_coefficient,
     lambda1_interval,
     linf_bound,
+    linf_exponents,
     poincare_c2,
     positivity_check,
+    sobolev_constant,
 )
 from .errors import PowcertError, UnsupportedError, UsageError
 from .galerkin import FourierApproximation, GalerkinConfig, newton_solve
@@ -54,7 +57,7 @@ class RunConfig:
     grid_m: int = 16            # rectangles per quadrant edge
     degree: int = 10            # PSA degree for the pipeline models
     holder: tuple = (4, 4, 2)
-    linf_qr: tuple = (4, 2)
+    linf_qr: tuple | None = None  # (q, r) of the L-infinity bound; p fixes it
     workers: int = 0            # 0 = available parallelism
     max_depth: int = 12
     res_width: float = 0.02     # width budget for the residual-norm square
@@ -70,8 +73,20 @@ class RunConfig:
         self.p = Fraction(self.p)
         if not (1 < self.p < 2):
             raise UsageError(f"p must lie in (1, 2), got {self.p}")
+        for name in ("n_modes", "eig_n", "grid_m", "degree", "max_depth", "workers"):
+            if not isinstance(getattr(self, name), int):
+                raise UsageError(f"{name} must be an integer, got {getattr(self, name)!r}")
         if self.n_modes < 1 or self.eig_n < 1 or self.grid_m < 1:
             raise UsageError("sizes must be >= 1")
+        if self.workers == 0:
+            self.workers = os.cpu_count() or 1
+        self.quad()  # the sweep's own checks: degree, max_depth and workers
+        for name in ("res_width", "gram_width", "tail_threshold", "galerkin_tol"):
+            value = getattr(self, name)
+            if value is None and name.endswith("_width"):
+                continue  # no width budget
+            if not (isinstance(value, (int, float)) and 0 < value < math.inf):
+                raise UsageError(f"{name} must be finite and > 0, got {value!r}")
         self.holder = check_holder(self.p, self.holder)
         try:
             # the constants of the delta and existence-test stages, which
@@ -81,14 +96,18 @@ class RunConfig:
         except UnsupportedError as exc:
             triple = ",".join(map(str, self.holder))
             raise UsageError(f"Holder triple {triple}: {exc}") from exc
-        rpp = Fraction(self.linf_qr[1]) * 2 * (self.p - 1)
-        if rpp != 2:
+        qr = linf_exponents(self.p)
+        if self.linf_qr is not None and tuple(map(Fraction, self.linf_qr)) != qr:
+            given = ",".join(map(str, self.linf_qr))
             raise UsageError(
-                f"(q,r)={self.linf_qr} needs the L^{rpp} norm of u_hat, which is "
-                "only available exactly for r p' = 2"
+                f"(q,r) = ({given}): p = {self.p} fixes (q,r) = ({qr[0]},{qr[1]}), "
+                "the pair with r p' = 2 (the exact L2 norm of u_hat) and 2/q + 1/r = 1"
             )
-        if self.workers == 0:
-            self.workers = os.cpu_count() or 1
+        self.linf_qr = qr
+        try:
+            sobolev_constant(qr[0])  # the linf-bound stage's C_q
+        except UnsupportedError as exc:
+            raise UsageError(f"p = {self.p}: {exc}") from exc
 
     def echo(self) -> dict:
         return {
@@ -357,7 +376,9 @@ _FLAG_KEYS = {
     "holder": "holder",
     "workers": "workers",
 }
-_FILE_ONLY_KEYS = {"res_width", "gram_width", "tail_threshold", "galerkin_tol", "max_depth"}
+_FILE_ONLY_KEYS = {
+    "res_width", "gram_width", "tail_threshold", "galerkin_tol", "max_depth", "linf_qr"
+}
 
 
 def _config_from_args(args) -> RunConfig:
@@ -373,8 +394,15 @@ def _config_from_args(args) -> RunConfig:
     for key, flag in _FLAG_KEYS.items():
         if getattr(args, flag) is not None:
             merged[key] = getattr(args, flag)
-    if "holder" in merged:
-        merged["holder"] = tuple(Fraction(str(h)) for h in merged["holder"])
+    # exponent lists as a certificate's config echoes them: ["4", "2"]
+    for key in ("holder", "linf_qr"):
+        if key in merged:
+            if not isinstance(merged[key], (list, tuple)):
+                raise UsageError(f"{key}: expected a list, got {merged[key]!r}")
+            try:
+                merged[key] = tuple(Fraction(str(v)) for v in merged[key])
+            except (TypeError, ValueError, ZeroDivisionError) as exc:
+                raise UsageError(f"{key}: not a list of rational numbers: {exc}") from exc
     return RunConfig(
         **merged,
         out=args.out,

@@ -258,6 +258,9 @@ class ElemFn:
             q = Fraction(q)
         self.tag = tag
         self.q = q
+        # t^q derivative constants by order i, built on first use:
+        # (q(q-1)...(q-i+1) as an Interval, None when it is 0; q - i)
+        self._pow_terms = []
 
     @classmethod
     def pow_q(cls, q) -> "ElemFn":
@@ -291,16 +294,23 @@ class ElemFn:
                     f"model range {hull} not strictly positive for log", rng=hull
                 )
 
+    def _pow_term(self, i: int):
+        terms = self._pow_terms
+        while len(terms) <= i:
+            j = len(terms)
+            fac = Fraction(1)
+            for k in range(j):
+                fac *= self.q - k
+            terms.append((Interval.from_fraction(fac) if fac else None, self.q - j))
+        return terms[i]
+
     def deriv(self, i: int, t: Interval) -> Interval:
         """Enclosure of f^(i) over t."""
         if self.tag == "pow_q":
-            q = self.q
-            fac = Fraction(1)
-            for j in range(i):
-                fac *= q - j
-            if fac == 0:
+            fac, e = self._pow_term(i)
+            if fac is None:
                 return Interval(0.0)
-            return Interval.from_fraction(fac) * iv_pow(t, q - i)
+            return fac * iv_pow(t, e)
         if self.tag == "log":
             if i == 0:
                 return iv_log(t)

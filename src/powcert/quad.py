@@ -458,9 +458,11 @@ class QuadConfig:
 
     def __post_init__(self):
         if self.degree < 2:
-            raise UsageError("PSA degree must be >= 2")
-        if self.max_depth < 0 or self.workers < 1:
-            raise UsageError("bad refinement/worker configuration")
+            raise UsageError(f"PSA degree must be >= 2, got {self.degree}")
+        if self.max_depth < 0:
+            raise UsageError(f"max_depth must be >= 0, got {self.max_depth}")
+        if self.workers < 1:
+            raise UsageError(f"workers must be >= 1, got {self.workers}")
 
 
 class _EtaFourier:
@@ -549,6 +551,8 @@ class _Engine:
         else:
             self.q = Fraction(p_or_q) if p_or_q is not None else None
             self.p = None
+        # one t^q for every rectangle, so its derivative constants are built once
+        self.pow_q = ElemFn.pow_q(self.q) if self.q is not None else None
         self._col_cache = {}
 
     # -------------------- cached 1-D machinery --------------------
@@ -640,7 +644,7 @@ class _Engine:
 
         w = None
         if self.q is not None:
-            w = ps_compose(ElemFn.pow_q(self.q), v_red)
+            w = ps_compose(self.pow_q, v_red)
 
         qx_base = self.q if van_x else Fraction(0)
         qy_base = self.q if van_y else Fraction(0)

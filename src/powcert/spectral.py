@@ -24,7 +24,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
-from scipy import linalg as sla
 
 from .errors import DefinitenessError, VerificationFailure
 from .galerkin import FourierApproximation, odd_modes
@@ -107,6 +106,25 @@ def _sym_intersect(m: IArr) -> IArr:
     return IArr(lo, hi)
 
 
+def _midpoint_basis(Am: np.ndarray, Bm: np.ndarray) -> np.ndarray:
+    """Floating eigenvectors V of the midpoint pencil (Am, Bm), normalized
+    so that V^T Bm V ~ I, by Cholesky reduction Bm = L L^T to the standard
+    problem L^-1 Am L^-T.  V is only a candidate: the caller encloses
+    V^T A V and V^T B V and certifies ||M - I|| < 1 whatever V is."""
+    try:
+        if not np.all(np.isfinite(Bm)):
+            raise np.linalg.LinAlgError("non-finite entry in the midpoint of B")
+        Li = np.linalg.inv(np.linalg.cholesky(Bm))
+        C = Li @ Am @ Li.T
+        _, Y = np.linalg.eigh(0.5 * (C + C.T))
+        V = Li.T @ Y
+        if not np.all(np.isfinite(V)):
+            raise np.linalg.LinAlgError("non-finite eigenvector entry")
+    except np.linalg.LinAlgError as exc:
+        raise DefinitenessError(f"midpoint eigendecomposition failed: {exc}") from exc
+    return V
+
+
 def verified_discrete_eigs(pencil: Pencil):
     """Rigorous enclosures (lo, hi arrays) of all dim eigenvalues of the
     discrete pencil, ascending."""
@@ -114,10 +132,7 @@ def verified_discrete_eigs(pencil: Pencil):
     Am = np.diag(pencil.a_diag.mid())
     Bm = pencil.b.mid()
     Bm = 0.5 * (Bm + Bm.T)
-    try:
-        _, V = sla.eigh(Am, Bm)
-    except (sla.LinAlgError, ValueError) as exc:
-        raise DefinitenessError(f"midpoint eigendecomposition failed: {exc}")
+    V = _midpoint_basis(Am, Bm)
     Viv = IArr.exact(V)
     VivT = IArr.exact(V.T.copy())
     S = _sym_intersect(iv_matmul(iv_matmul(VivT, pencil.a_full()), Viv))

@@ -2,6 +2,7 @@
 
 import json
 import math
+import os
 import subprocess
 import sys
 from fractions import Fraction
@@ -57,6 +58,15 @@ class TestRunConfig:
         # q(p-1) = 2 * 1/4 < 1 at p = 5/4
         with pytest.raises(UsageError, match=r"q\(p-1\)"):
             RunConfig(p=Fraction(5, 4), holder=(2, 4, 4), linf_qr=(4, 4))
+
+    def test_p_fixes_linf_qr(self):
+        assert RunConfig().linf_qr == (4, 2)
+        assert RunConfig(linf_qr=("4", 2)).linf_qr == (4, 2)
+        with pytest.raises(UsageError, match="fixes"):
+            RunConfig(linf_qr=(3, 2))
+        # the pair p = 5/4 fixes needs C_8/3, which is out of scope
+        with pytest.raises(UsageError, match="C_8/3 is out of scope"):
+            RunConfig(p=Fraction(5, 4))
 
     def test_echo_round(self):
         cfg = tiny_config()
@@ -183,6 +193,81 @@ class TestSubcommands:
         with pytest.raises(UsageError, match="C_3 is out of scope"):
             RunConfig(holder=(3, 3, 3))
 
+    @pytest.mark.parametrize(
+        "flags, config",
+        [
+            (["--psa-degree", "1"], None),
+            (["--workers", "-1"], None),
+            ([], {"max_depth": -1}),
+            ([], {"res_width": 0}),
+            ([], {"res_width": -2000.0}),
+            ([], {"res_width": math.inf}),
+            ([], {"res_width": "2000"}),
+            ([], {"gram_width": math.nan}),
+            ([], {"gram_width": 0.0}),
+            ([], {"tail_threshold": 0}),
+            ([], {"tail_threshold": math.inf}),
+            ([], {"tail_threshold": None}),
+            ([], {"galerkin_tol": 0.0}),
+            ([], {"galerkin_tol": math.nan}),
+            ([], {"linf_qr": ["4", "two"]}),
+            ([], {"linf_qr": ["4"]}),
+            ([], {"linf_qr": ["3", "2"]}),
+            ([], {"linf_qr": "42"}),
+            ([], {"holder": "442"}),
+            (["--p", "5/4"], None),
+            ([], {"grid_m": "8"}),
+            ([], {"degree": 6.5}),
+        ],
+    )
+    def test_bad_sweep_config_exits_before_solving(self, tmp_path, monkeypatch, flags, config):
+        def no_solve(*args, **kw):
+            raise AssertionError("newton_solve ran")
+
+        monkeypatch.setattr(cli, "newton_solve", no_solve)
+        argv = ["verify", *flags]
+        if config is not None:
+            cfgfile = tmp_path / "cfg.json"
+            cfgfile.write_text(json.dumps(config))  # writes NaN and Infinity tokens
+            argv += ["--config", str(cfgfile)]
+        out = tmp_path / "cert.json"
+        code = main([*argv, "--out", str(out), "--quiet"])
+        assert code == EXIT_USAGE
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "kw, match",
+        [
+            (dict(degree=1), "degree"),
+            (dict(max_depth=-1), "max_depth"),
+            (dict(workers=-1), "workers"),
+            (dict(res_width=math.nan), "res_width"),
+            (dict(gram_width=-1e-5), "gram_width"),
+            (dict(tail_threshold=-math.inf), "tail_threshold"),
+            (dict(galerkin_tol=math.inf), "galerkin_tol"),
+        ],
+    )
+    def test_bad_sweep_config_names_field(self, kw, match):
+        with pytest.raises(UsageError, match=match):
+            tiny_config(**kw)
+
+    def test_zero_workers_means_one_per_cpu(self):
+        assert tiny_config(workers=0).workers == (os.cpu_count() or 1)
+
+    def test_certificate_config_replays(self, tmp_path, capsys):
+        out = tmp_path / "cert.json"
+        run_verify(tiny_config(out=str(out)))
+        echo = json.loads(out.read_text())["certificate"]["config"]
+        assert "linf_qr" in echo
+        cfgfile = tmp_path / "cfg.json"
+        cfgfile.write_text(json.dumps(echo))
+        out2 = tmp_path / "cert2.json"
+        code = main(
+            ["verify", "--config", str(cfgfile), "--workers", "1", "--out", str(out2), "--quiet"]
+        )
+        assert code == EXIT_STAGE  # the tiny run fails the spectral tail, as above
+        assert json.loads(out2.read_text())["certificate"]["config"] == echo
+
     def test_entry_point_subprocess(self):
         res = subprocess.run(
             [sys.executable, "-m", "powcert.cli", "psa-selftest"],
@@ -219,6 +304,19 @@ class TestStageFailures:
         data = json.loads(out.read_text())["certificate"]
         assert data["status"] == f"failed: {stage}"
         assert "injected failure" in cert.failure
+
+    def test_definiteness_error_fails_inverse_bound(self, monkeypatch):
+        real = cli.pipeline_sweep
+
+        def poisoned(*args, **kw):
+            res, gram, ranges, stats = real(*args, **kw)
+            gram.lo[0, 1] = gram.hi[0, 1] = math.nan
+            return res, gram, ranges, stats
+
+        monkeypatch.setattr(cli, "pipeline_sweep", poisoned)
+        cert = run_pipeline(tiny_config())
+        assert cert.status == "failed: inverse-bound"
+        assert "midpoint eigendecomposition failed" in cert.failure
 
     def test_non_finite_factor_table_fails_integration(self, monkeypatch):
         real = quad._cosine_factor_matrix

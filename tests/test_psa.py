@@ -338,6 +338,23 @@ def ref_range(self):
     return psa._horner_scalar(rows, dx)
 
 
+_deriv = ElemFn.deriv
+
+
+def ref_deriv(f, i, t):
+    """ElemFn.deriv as it was, rebuilding the falling factorial of t^q and
+    its exponent on every call."""
+    if f.tag != "pow_q":
+        return _deriv(f, i, t)
+    q = f.q
+    fac = Fraction(1)
+    for j in range(i):
+        fac *= q - j
+    if fac == 0:
+        return Interval(0.0)
+    return Interval.from_fraction(fac) * iv_pow(t, q - i)
+
+
 def ref_ps_compose(f, u):
     """ps_compose as it was, evaluating the chosen remainder derivative over
     the hull a second time."""
@@ -432,6 +449,21 @@ class TestSameBitsAsReference:
         assert n_new == len(calls) - n_new - 1
         assert same_bits(got.coeffs, ref.coeffs)
 
+    # q = 2: orders from 3 on have a zero falling factorial
+    @pytest.mark.parametrize("q", [Fraction(1, 2), Fraction(1, 3), Fraction(3, 4), Fraction(2)])
+    def test_pow_deriv_constants(self, q):
+        # one ElemFn across all calls, so the cached constants are reused;
+        # orders descending first, so the cache is filled in one go
+        f = ElemFn.pow_q(q)
+        rng = np.random.default_rng(int(q.denominator))
+        for trial in range(20):
+            lo = float(rng.uniform(1e-3, 3.0))
+            t = Interval(lo, lo + float(rng.uniform(0.0, 0.5)))
+            orders = range(12, -1, -1) if trial == 0 else range(13)
+            for i in orders:
+                got, ref = f.deriv(i, t), ref_deriv(f, i, t)
+                assert (got.lo, got.hi) == (ref.lo, ref.hi), (q, i, t)
+
     def test_pipeline_sweep_with_reference_kernels(self, monkeypatch):
         u = newton_solve(GalerkinConfig(n_modes=6, p=Fraction(3, 2), tol=1e-10))
         idx = symmetric_indices(4)
@@ -450,4 +482,5 @@ class TestSameBitsAsReference:
         monkeypatch.setattr(PowerSeries2D, "reduce", ref_reduce)
         monkeypatch.setattr(PowerSeries2D, "range", ref_range)
         monkeypatch.setattr(quad, "ps_compose", ref_ps_compose)
+        monkeypatch.setattr(ElemFn, "deriv", ref_deriv)
         assert sweep() == new

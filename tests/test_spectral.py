@@ -2,13 +2,18 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import mpmath
 import numpy as np
 import pytest
 
-from powcert.errors import VerificationFailure
+import powcert
+from powcert import spectral
+from powcert.errors import DefinitenessError, VerificationFailure
 from powcert.galerkin import GalerkinConfig, newton_solve
 from powcert.interval import Interval
 from powcert.ivarray import IArr
@@ -61,15 +66,21 @@ class TestDiscreteEigs:
         assert lo[1] <= 8.0 <= hi[1]
         assert hi[0] - lo[0] < 1e-10
 
-    def test_random_pencils_contain_oracle(self):
+    def test_random_pencils_contain_oracle(self, monkeypatch):
+        # the numpy basis, and scipy's (imported here only) in its place
+        from scipy import linalg as sla
+
         rng = np.random.default_rng(0)
-        for trial in range(25):
+        for trial in range(50):
             dim = int(rng.integers(2, 7))
             pencil, a, b = random_pencil(rng, dim)
-            lo, hi = verified_discrete_eigs(pencil)
             ora = oracle_eigs(a, b)
-            for k in range(dim):
-                assert lo[k] <= ora[k] <= hi[k], (trial, k)
+            for basis in (spectral._midpoint_basis, lambda am, bm: sla.eigh(am, bm)[1]):
+                with monkeypatch.context() as m:
+                    m.setattr(spectral, "_midpoint_basis", basis)
+                    lo, hi = verified_discrete_eigs(pencil)
+                for k in range(dim):
+                    assert lo[k] <= ora[k] <= hi[k], (trial, k, basis)
 
     def test_widening_b_widens_enclosures(self):
         rng = np.random.default_rng(1)
@@ -81,6 +92,45 @@ class TestDiscreteEigs:
         lo2, hi2 = verified_discrete_eigs(pencil2)
         assert np.all(lo2 <= lo1 + 1e-15)
         assert np.all(hi2 >= hi1 - 1e-15)
+
+
+class TestMidpointBasis:
+    """V is a floating candidate: a midpoint pencil without a basis, and a
+    basis that cannot certify B, both end in DefinitenessError."""
+
+    def _pencil(self, b_lo, b_hi=None):
+        b_lo = np.asarray(b_lo, dtype=float)
+        b = IArr(b_lo, b_lo if b_hi is None else b_hi)
+        return Pencil([(1, 1), (1, 3)], IArr.exact(np.array([2.0, 8.0])), b)
+
+    def test_indefinite_midpoint(self):
+        with pytest.raises(DefinitenessError, match="midpoint eigendecomposition failed"):
+            verified_discrete_eigs(self._pencil([[1.0, 2.0], [2.0, 1.0]]))
+
+    def test_nan_in_b(self):
+        with pytest.raises(DefinitenessError, match="midpoint eigendecomposition failed"):
+            verified_discrete_eigs(self._pencil([[1.0, math.nan], [math.nan, 1.0]]))
+
+    def test_wide_b_cannot_certify(self):
+        # the midpoint is I, but |M - I| has row sums 1.2
+        eye = np.eye(2)
+        with pytest.raises(DefinitenessError, match="cannot certify B positive definite"):
+            verified_discrete_eigs(self._pencil(eye - 0.6, eye + 0.6))
+
+    def test_runtime_imports_no_scipy(self):
+        code = (
+            "import sys\n"
+            "import powcert.cli\n"
+            "assert powcert.cli.main(['constants']) == 0\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+        )
+        src = os.path.dirname(os.path.dirname(powcert.__file__))
+        env = dict(os.environ, PYTHONPATH=src)
+        res = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60
+        )
+        assert res.returncode == 0, res.stderr
+        assert res.stdout.splitlines()[-1] == "[]"
 
 
 class TestTwoSided:
