@@ -25,7 +25,6 @@ from .errors import UnsupportedError, UsageError, VerificationFailure
 from .galerkin import FourierApproximation
 from .interval import PI, SQRT2, Interval, gamma_half, iv_pow
 from .ivarray import IArr
-from .quad import QuadConfig, u_range_bounds
 
 __all__ = [
     "VerificationConstants",
@@ -307,18 +306,11 @@ class PositivityResult:
     witness_margin: float       # best rect lower bound of u_hat minus r2
 
 
-def positivity_check(
-    u_hat: FourierApproximation,
-    r2: Interval,
-    p: Fraction,
-    cfg: QuadConfig | None = None,
-    ranges: tuple | None = None,
-) -> PositivityResult:
+def positivity_check(r2: Interval, p: Fraction, ranges: tuple) -> PositivityResult:
     """Negative-part bound [|min u_hat| + r2]^(p-1) against 2 pi^2, plus an
-    interior witness rectangle where u_hat - r2 is verifiably positive."""
+    interior witness rectangle where u_hat - r2 is verifiably positive;
+    ranges are the sweep's range bounds of u_hat (quad.pipeline_sweep)."""
     p = Fraction(p)
-    if ranges is None:
-        ranges = u_range_bounds(u_hat, cfg)
     rng_min, _, witness_lo, _, _ = ranges
     lam1 = lambda1_interval()
     # min over the closure is <= 0 (boundary) and >= rng_min
@@ -331,16 +323,9 @@ def positivity_check(
     return PositivityResult(verdict, bound, lam1, witness_margin)
 
 
-def amplitude_enclosure(
-    u_hat: FourierApproximation,
-    r2: Interval,
-    cfg: QuadConfig | None = None,
-    ranges: tuple | None = None,
-) -> Interval:
+def amplitude_enclosure(r2: Interval, ranges: tuple) -> Interval:
     """Amplitude band of the verified solution: the peak of u_hat bracketed
-    by rectangle ranges, widened by the L-infinity radius."""
-    if ranges is None:
-        ranges = u_range_bounds(u_hat, cfg)
+    by the sweep's rectangle ranges, widened by the L-infinity radius."""
     _, rng_max, _, center_lo, _ = ranges
     lo = math.nextafter(center_lo - r2.hi, -math.inf)
     hi = math.nextafter(rng_max + r2.hi, math.inf)

@@ -180,7 +180,7 @@ def run_pipeline(cfg: RunConfig, log=None) -> ProofCertificate:
         say(f"delta: {delta}")
 
         stage = "inverse-bound"
-        sup_w = sup_weight(u_hat, cfg.p, ranges=ranges)
+        sup_w = sup_weight(cfg.p, ranges)
         k_bound, enc, pencil = spectral_K_from_gram(
             gram, indices, cfg.eig_n, sup_w, tail_threshold=cfg.tail_threshold
         )
@@ -200,10 +200,10 @@ def run_pipeline(cfg: RunConfig, log=None) -> ProofCertificate:
         say(f"r2: {r2}")
 
         stage = "positivity"
-        pos = positivity_check(u_hat, r2, cfg.p, ranges=ranges)
+        pos = positivity_check(r2, cfg.p, ranges)
 
         stage = "amplitude"
-        amp = amplitude_enclosure(u_hat, r2, ranges=ranges)
+        amp = amplitude_enclosure(r2, ranges)
         say(f"positivity: {pos.verdict} bound={pos.neg_part_bound} amplitude={amp}")
     except (PowcertError, OSError) as exc:
         named = getattr(exc, "stage", None) or stage
@@ -272,13 +272,15 @@ def psa_selftest(out=None) -> int:
 
 
 def cmd_constants(args, out=None) -> int:
+    if args.eig_dim < 1:
+        raise UsageError(f"--eig-dim must be >= 1, got {args.eig_dim}")
     out = out or sys.stdout
     print(f"C2      = {poincare_c2()}", file=out)
     print(f"C4      = {embedding_constant(Fraction(4))}", file=out)
     print(f"C_N(N={args.eig_dim}) = {projection_constant(args.eig_dim)}", file=out)
     print(f"lambda1 = {lambda1_interval()}", file=out)
     if args.p is not None:
-        p = Fraction(args.p)
+        p = args.p
         if p > 2:
             print(f"C_{p}    = {embedding_constant(p)}", file=out)
         else:
@@ -287,11 +289,13 @@ def cmd_constants(args, out=None) -> int:
 
 
 def cmd_plot_data(args, out_stream=sys.stderr) -> int:
+    if args.grid < 1:
+        raise UsageError(f"--grid must be >= 1, got {args.grid}")
     if args.coeffs_in:
         with open(args.coeffs_in) as fh:
             u = FourierApproximation.from_json(fh.read())
     else:
-        u = newton_solve(GalerkinConfig(n_modes=args.modes, p=Fraction(args.p)))
+        u = newton_solve(GalerkinConfig(n_modes=args.modes, p=args.p))
     g = args.grid
     xs = np.linspace(0.0, 1.0, g + 1)
     vals = u.eval_grid(xs, xs)
@@ -327,7 +331,7 @@ def _parse_triple(text: str):
     parts = [t.strip() for t in text.split(",")]
     if len(parts) != 3:
         raise argparse.ArgumentTypeError("expected q,r,s")
-    return tuple(Fraction(t) for t in parts)
+    return tuple(_parse_fraction(t) for t in parts)
 
 
 def build_parser() -> _Parser:
@@ -360,7 +364,7 @@ def build_parser() -> _Parser:
     pd = sub.add_parser("plot-data", help="sample u_hat on a grid to CSV")
     pd.add_argument("--grid", type=int, default=64)
     pd.add_argument("--modes", type=int, default=20)
-    pd.add_argument("--p", default="3/2")
+    pd.add_argument("--p", type=_parse_fraction, default=Fraction(3, 2))
     pd.add_argument("--coeffs-in", default=None)
     pd.add_argument("--out", default=None)
     return ap

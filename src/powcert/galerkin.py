@@ -29,7 +29,6 @@ __all__ = [
     "SolveInfo",
     "newton_solve",
     "odd_modes",
-    "stiffness_diag",
 ]
 
 
@@ -108,12 +107,6 @@ class FourierApproximation:
                 raise UsageError(f"mode ({i},{j}) is not an odd mode <= {n_max}")
             coeffs[index[i], index[j]] = float(a)
         return cls(n_max, coeffs)
-
-
-def stiffness_diag(indices) -> list[Fraction]:
-    """(grad phi_ij, grad phi_kl) = delta * (i^2 + j^2) pi^2 / 4; returns the
-    exact rational multipliers of pi^2 for the requested diagonal entries."""
-    return [Fraction(int(i) ** 2 + int(j) ** 2, 4) for i, j in indices]
 
 
 @dataclass

@@ -28,19 +28,13 @@ import numpy as np
 
 from .errors import PositivityError, UsageError
 from .interval import Interval, iv_cos, iv_exp, iv_log, iv_pow, iv_sin
-from .ivarray import IArr, iv_conv1d_full, iv_conv2d_full, iv_outer
+from .ivarray import IArr, iv_conv1d_full, iv_conv2d_full
 
 __all__ = [
     "PowerSeries1D",
     "PowerSeries2D",
     "ElemFn",
-    "ps_add",
-    "ps_sub",
-    "ps_mul",
-    "ps_range",
     "ps_compose",
-    "reduce_degree",
-    "ps2_tensor",
 ]
 
 
@@ -379,34 +373,3 @@ def ps_compose(f: ElemFn, u):
             result = result + zp.scale(taylor[i])
         zp = zp * z
     return result + zp.scale(c_rem)
-
-
-# ----------------------------------------------------------------------
-# named operation surfaces
-# ----------------------------------------------------------------------
-
-def ps_add(a, b):
-    return a + b
-
-
-def ps_sub(a, b):
-    return a - b
-
-
-def ps_mul(a, b):
-    return a * b
-
-
-def ps_range(u) -> Interval:
-    return u.range()
-
-
-def reduce_degree(u, n: int):
-    return u.reduce(n)
-
-
-def ps2_tensor(a: PowerSeries1D, b: PowerSeries1D) -> PowerSeries2D:
-    """Outer product of an x-series and a y-series."""
-    if a.degree != b.degree:
-        raise UsageError("tensor requires equal degrees")
-    return PowerSeries2D(iv_outer(a.coeffs, b.coeffs), (a.domain, b.domain))

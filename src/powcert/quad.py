@@ -29,12 +29,20 @@ edge (tie: x) down to a depth limit.  With more than one worker the base
 rectangles are handed out to forked worker processes; contributions are
 summed in base-rectangle order regardless of the worker count, so results
 are reproducible.
+
+One sweep engine evaluates every rectangle, and two functions run it:
+
+    pipeline_sweep  the certificate's sweep: the residual norm, the weighted
+                    gram matrix of the eigenvalue pencil and the range bounds
+                    of u_hat, from one composition per rectangle
+    integral_power  the integral of eta^q xi over the square, for xi = 1, a
+                    constant or a sine series
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 
@@ -43,7 +51,7 @@ import numpy as np
 from .errors import IntervalDomainError, PositivityError, UsageError
 from .galerkin import FourierApproximation
 from .interval import PI, Interval, iv_cos, iv_pow, iv_sin
-from .ivarray import IArr, iv_conv2d_full, iv_corr2d, iv_matmul
+from .ivarray import IArr, iv_conv2d_full, iv_corr2d, iv_matmul, iv_outer
 from .psa import ElemFn, PowerSeries2D, ps_compose
 
 __all__ = [
@@ -53,13 +61,10 @@ __all__ = [
     "MonomialTerm",
     "QuadConfig",
     "integrate_monomial",
-    "enclose_on_rect",
-    "integrate_rect",
     "integral_power",
-    "residual_l2",
-    "weighted_gram",
+    "pipeline_sweep",
+    "gram_from_tables",
     "sup_weight",
-    "u_range_bounds",
 ]
 
 _HALF = Fraction(1, 2)
@@ -304,46 +309,8 @@ def _frac_interval(lo: Fraction, hi: Fraction) -> Interval:
     return Interval(Interval.from_fraction(lo).lo, Interval.from_fraction(hi).hi)
 
 
-def _shift_up(coeffs: IArr, axis: int, dom: Interval) -> IArr:
-    """Multiply a coefficient matrix by the axis variable, resorbing the
-    overflowing top coefficient into degree n (rows/cols 0 become exact 0)."""
-    n = coeffs.shape[0] - 1
-    out = IArr.zeros(coeffs.shape)
-    if axis == 0:
-        out.lo[1:, :] = coeffs.lo[:-1, :]
-        out.hi[1:, :] = coeffs.hi[:-1, :]
-        top = coeffs[n] * dom
-        merged = out[n] + top
-        out.lo[n], out.hi[n] = merged.lo, merged.hi
-    else:
-        out.lo[:, 1:] = coeffs.lo[:, :-1]
-        out.hi[:, 1:] = coeffs.hi[:, :-1]
-        top = coeffs[:, n] * dom
-        merged = out[:, n] + top
-        out.lo[:, n], out.hi[:, n] = merged.lo, merged.hi
-    return out
-
-
-def _shift_down(coeffs: IArr, axis: int) -> IArr:
-    """Divide by the axis variable: requires the face being dropped to be
-    exactly zero (structural zeros from the enclosure construction)."""
-    face = coeffs[0, :] if axis == 0 else coeffs[:, 0]
-    if not face.is_zero():
-        raise UsageError(
-            "cannot factor the vanishing monomial: leading coefficients not exactly zero"
-        )
-    out = IArr.zeros(coeffs.shape)
-    if axis == 0:
-        out.lo[:-1, :] = coeffs.lo[1:, :]
-        out.hi[:-1, :] = coeffs.hi[1:, :]
-    else:
-        out.lo[:, :-1] = coeffs.lo[:, 1:]
-        out.hi[:, :-1] = coeffs.hi[:, 1:]
-    return out
-
-
 # ----------------------------------------------------------------------
-# public model construction and single-rectangle integration
+# models and corner integration on one rectangle
 # ----------------------------------------------------------------------
 
 def _model_domains(rect: Rect):
@@ -359,20 +326,6 @@ def _tensor_model(sx: IArr, a_iv: IArr, sy: IArr, dom) -> PowerSeries2D:
     return PowerSeries2D(coeffs, dom)
 
 
-def enclose_on_rect(eta: FourierApproximation, rect: Rect, degree: int) -> PowerSeries2D:
-    """2-D Taylor model of eta on the rectangle, expanded at the class point
-    (corner / edge midpoint / center), in local coordinates."""
-    dx, dy = _model_domains(rect)
-    sx = _sine_factor_matrix(eta.modes, rect.expansion_x(), dx, degree, reduced=rect.van_x)
-    sy = _sine_factor_matrix(eta.modes, rect.expansion_y(), dy, degree, reduced=rect.van_y)
-    coeffs = _tensor_model(sx, IArr.exact(eta.coeffs), sy, (dx, dy)).coeffs
-    if rect.van_x:
-        coeffs = _shift_up(coeffs, 0, dx)
-    if rect.van_y:
-        coeffs = _shift_up(coeffs, 1, dy)
-    return PowerSeries2D(coeffs, (dx, dy))
-
-
 def _corner_table(v: Fraction, qoff: Fraction, count: int) -> IArr:
     """v^(e+1) / (e+1) for the exponents e = i + qoff, i < count."""
     vals = []
@@ -380,69 +333,6 @@ def _corner_table(v: Fraction, qoff: Fraction, count: int) -> IArr:
         e = Fraction(i) + qoff
         vals.append(_endpoint_power(v, e + 1) / Interval.from_fraction(e + 1))
     return IArr.from_intervals(vals)
-
-
-def _corner_terms(rect: Rect, qx, qy, nx: int, ny: int, reduce, table=_corner_table) -> list:
-    """Signed corner terms of a tensor antiderivative over the rectangle's
-    local box: reduce(X outer Y) for the corner tables X of x^(i+qx) at each
-    x end and Y of y^(j+qy) at each y end, negated at the two mixed corners.
-    A lower end at the expansion point contributes zero and is skipped."""
-    lx0, lx1 = rect.local_x()
-    ly0, ly1 = rect.local_y()
-    xends = ((lx1, 1),) if lx0 == 0 else ((lx1, 1), (lx0, -1))
-    yends = ((ly1, 1),) if ly0 == 0 else ((ly1, 1), (ly0, -1))
-    terms = []
-    for xe, xsign in xends:
-        xtab = table(xe, qx, nx)
-        xv = IArr(xtab.lo.reshape(-1, 1), xtab.hi.reshape(-1, 1))
-        for ye, ysign in yends:
-            ytab = table(ye, qy, ny)
-            f = reduce(xv * IArr(ytab.lo.reshape(1, -1), ytab.hi.reshape(1, -1)))
-            terms.append(f if xsign * ysign > 0 else -f)
-    return terms
-
-
-def _poly_integral(
-    coeffs: IArr, rect: Rect, qx: Fraction, qy: Fraction, table=_corner_table
-) -> Interval:
-    """sum_ij coeffs[i,j] * integral x^(i+qx) y^(j+qy) over the local box,
-    with the coefficient entering each of the four corner terms."""
-    terms = _corner_terms(
-        rect, qx, qy, *coeffs.shape, lambda itab: (coeffs * itab).sum().item(), table
-    )
-    return sum(terms, Interval(0.0))
-
-
-def integrate_rect(
-    eta_model: PowerSeries2D,
-    xi_model: PowerSeries2D | None,
-    q: Fraction,
-    rect: Rect,
-) -> Interval:
-    """Enclose the integral of eta^q * xi over the rectangle, factoring the
-    class monomial out of the eta model first."""
-    q = Fraction(q)
-    coeffs = eta_model.coeffs
-    if rect.van_x:
-        coeffs = _shift_down(coeffs, 0)
-    if rect.van_y:
-        coeffs = _shift_down(coeffs, 1)
-    reduced = PowerSeries2D(coeffs, eta_model.domain)
-    rng = reduced.range()
-    if rng.lo <= 0.0:
-        raise PositivityError(
-            f"reduced model not verifiably positive on {rect.describe()}",
-            rng=rng,
-            rect=rect,
-        )
-    w = ps_compose(ElemFn.pow_q(q), reduced)
-    if xi_model is None:
-        prod = w.coeffs
-    else:
-        prod = iv_conv2d_full(w.coeffs, xi_model.coeffs)
-    qx = q if rect.van_x else Fraction(0)
-    qy = q if rect.van_y else Fraction(0)
-    return _poly_integral(prod, rect, qx, qy)
 
 
 # ----------------------------------------------------------------------
@@ -477,22 +367,11 @@ class _EtaFourier:
         self.lap = fac * self.coeffs * PI.sqr()
 
 
-class _EtaConstant:
-    """Test-harness eta == c > 0 everywhere (bypasses the boundary zeros:
-    every rectangle is treated as interior, no monomial factoring)."""
-
-    def __init__(self, c: Interval):
-        if c.lo <= 0:
-            raise UsageError("constant eta must be positive")
-        self.c = c
-
-
 @dataclass
 class _Request:
     residual_p: Fraction | None = None
     gram_freqs: tuple | None = None
-    powers: tuple = ()  # tuple of (xi, q); xi is None, an Interval or an _EtaFourier
-    want_ranges: bool = False
+    powers: tuple = ()  # one xi per integral: None (xi = 1), an Interval or an _EtaFourier
     res_width: float | None = None
     gram_width: float | None = None
     power_width: float | None = None
@@ -532,7 +411,7 @@ class _RectOut:
 
 
 class _Engine:
-    def __init__(self, eta, p_or_q, cfg: QuadConfig, req: _Request):
+    def __init__(self, eta: _EtaFourier, q: Fraction, cfg: QuadConfig, req: _Request):
         # cos(f pi (1 - x)) = cos(f pi x) needs f even; an odd frequency
         # breaks the one-quadrant reduction
         if req.gram_freqs is not None and any(f % 2 for f in req.gram_freqs):
@@ -545,14 +424,9 @@ class _Engine:
         self.req = req
         self.sub = Subdivision(cfg.grid_m)
         self.n = cfg.degree
-        if req.residual_p is not None:
-            self.p = Fraction(req.residual_p)
-            self.q = self.p - 1
-        else:
-            self.q = Fraction(p_or_q) if p_or_q is not None else None
-            self.p = None
+        self.q = q
         # one t^q for every rectangle, so its derivative constants are built once
-        self.pow_q = ElemFn.pow_q(self.q) if self.q is not None else None
+        self.pow_q = ElemFn.pow_q(self.q)
         self._col_cache = {}
 
     # -------------------- cached 1-D machinery --------------------
@@ -590,39 +464,47 @@ class _Engine:
         self._col_cache[key] = out
         return out
 
+    def corner_terms(self, rect: Rect, qx, qy, nx: int, ny: int, reduce) -> list:
+        """Signed corner terms of a tensor antiderivative over the rectangle's
+        local box: reduce(X outer Y) for the corner tables X of x^(i+qx) at each
+        x end and Y of y^(j+qy) at each y end, negated at the two mixed corners.
+        A lower end at the expansion point contributes zero and is skipped."""
+        lx0, lx1 = rect.local_x()
+        ly0, ly1 = rect.local_y()
+        xends = ((lx1, 1),) if lx0 == 0 else ((lx1, 1), (lx0, -1))
+        yends = ((ly1, 1),) if ly0 == 0 else ((ly1, 1), (ly0, -1))
+        terms = []
+        for xe, xsign in xends:
+            xtab = self.corner_vec(xe, qx, nx)
+            for ye, ysign in yends:
+                f = reduce(iv_outer(xtab, self.corner_vec(ye, qy, ny)))
+                terms.append(f if xsign * ysign > 0 else -f)
+        return terms
+
     def poly_integral(self, coeffs: IArr, rect: Rect, qx: Fraction, qy: Fraction) -> Interval:
-        return _poly_integral(coeffs, rect, qx, qy, self.corner_vec)
+        """sum_ij coeffs[i,j] * integral x^(i+qx) y^(j+qy) over the local box,
+        with the coefficient entering each of the four corner terms."""
+        terms = self.corner_terms(
+            rect, qx, qy, *coeffs.shape, lambda itab: (coeffs * itab).sum().item()
+        )
+        return sum(terms, Interval(0.0))
 
     # -------------------- per-rectangle evaluation --------------------
+
+    def reduced_model(self, rect: Rect) -> PowerSeries2D:
+        """Taylor model, in the rectangle's local coordinates, of eta divided
+        by the monomial of its class: x*y on S11, y on S01, x on S10, 1 on S00."""
+        sx = self.sine_cols(rect.x0, rect.x1, rect.van_x, reduced=rect.van_x)
+        sy = self.sine_cols(rect.y0, rect.y1, rect.van_y, reduced=rect.van_y)
+        return _tensor_model(sx, self.eta.coeffs, sy, _model_domains(rect))
 
     def eval_rect(self, rect: Rect) -> tuple[_RectOut, bool]:
         """The rectangle's contributions, and whether every one of them fits
         its share of the width budgets."""
-        n = self.n
-        const_eta = isinstance(self.eta, _EtaConstant)
-        if const_eta and rect.cls != RectClass.S00:
-            # the constant harness bypasses the boundary zeros: treat every
-            # rectangle as interior so local coordinates stay consistent
-            rect = replace(rect, cls=RectClass.S00)
         out = _RectOut(rect_count=1)
-        dx, dy = _model_domains(rect)
-        dom = (dx, dy)
         area = rect.area
-
-        if const_eta:
-            van_x = van_y = False
-            v_red = PowerSeries2D.constant(self.eta.c, n, dom)
-            mon_range = Interval(1.0)
-        else:
-            van_x, van_y = rect.van_x, rect.van_y
-            sx_r = self.sine_cols(rect.x0, rect.x1, van_x, reduced=van_x)
-            sy_r = self.sine_cols(rect.y0, rect.y1, van_y, reduced=van_y)
-            v_red = _tensor_model(sx_r, self.eta.coeffs, sy_r, dom)
-            mon_range = Interval(1.0)
-            if van_x:
-                mon_range = mon_range * dx
-            if van_y:
-                mon_range = mon_range * dy
+        van_x, van_y = rect.van_x, rect.van_y
+        v_red = self.reduced_model(rect)
 
         red_range = v_red.range()
         if red_range.lo <= 0.0:
@@ -632,20 +514,23 @@ class _Engine:
                 rect=rect,
             )
 
-        if self.req.want_ranges or self.req.residual_p is not None:
-            u_range = mon_range * red_range if (van_x or van_y) else red_range
-            out.rng_min = u_range.lo
-            out.rng_max = u_range.hi
-            out.witness_lo = u_range.lo
-            if not (van_x or van_y):
-                c0 = v_red.const_coeff()
-                out.center_lo = c0.lo
-                out.center_hi = c0.hi
+        u_range = red_range
+        if van_x or van_y:
+            dx, dy = v_red.domain
+            mon_range = Interval(1.0)
+            if van_x:
+                mon_range = mon_range * dx
+            if van_y:
+                mon_range = mon_range * dy
+            u_range = mon_range * red_range
+        else:
+            c0 = v_red.const_coeff()
+            out.center_lo = c0.lo
+            out.center_hi = c0.hi
+        out.rng_min = out.witness_lo = u_range.lo
+        out.rng_max = u_range.hi
 
-        w = None
-        if self.q is not None:
-            w = ps_compose(self.pow_q, v_red)
-
+        w = ps_compose(self.pow_q, v_red)
         qx_base = self.q if van_x else Fraction(0)
         qy_base = self.q if van_y else Fraction(0)
 
@@ -672,7 +557,7 @@ class _Engine:
 
         if self.req.powers:
             out.powers = []
-            for xi, qq in self.req.powers:
+            for xi in self.req.powers:
                 val = self._power_piece(rect, w, xi, qx_base, qy_base)
                 out.powers.append(val)
                 if self.req.power_width is not None and val.width > self.req.power_width * area:
@@ -687,7 +572,7 @@ class _Engine:
         def reduce(itab):  # itab: (2n+1, 2n+1) -> (nf, nf)
             return iv_matmul(iv_matmul(cx_t, iv_corr2d(itab, w.coeffs)), cy)
 
-        terms = _corner_terms(rect, qx, qy, size, size, reduce, self.corner_vec)
+        terms = self.corner_terms(rect, qx, qy, size, size, reduce)
         return sum(terms[1:], terms[0])
 
     def _residual_piece(self, rect, v_red, w, van_x, van_y) -> Interval:
@@ -696,7 +581,7 @@ class _Engine:
         sx_f = self.sine_cols(rect.x0, rect.x1, van_x, reduced=False)
         sy_f = self.sine_cols(rect.y0, rect.y1, van_y, reduced=False)
         v_lap = _tensor_model(sx_f, self.eta.lap, sy_f, dom)
-        p = self.p
+        p = self.req.residual_p
         if not (van_x or van_y):
             # single model of Delta u + u^p; widths couple to the small
             # residual instead of the huge separate pieces
@@ -842,54 +727,9 @@ def integral_power(
     q = Fraction(q)
     if not (0 < q <= 1):
         raise UsageError(f"exponent q must lie in (0, 1], got {q}")
-    req = _Request(powers=((_wrap_xi(xi), q),), power_width=width_target)
+    req = _Request(powers=(_wrap_xi(xi),), power_width=width_target)
     engine = _Engine(_EtaFourier(eta), q, cfg, req)
     return engine.run().powers[0]
-
-
-def residual_l2(
-    u_hat: FourierApproximation,
-    p: Fraction,
-    cfg: QuadConfig | None = None,
-    width_target: float | None = None,
-) -> Interval:
-    """Enclosure of || Delta u_hat + |u_hat|^(p-1) u_hat ||_L2."""
-    cfg = cfg or QuadConfig()
-    if not np.any(u_hat.coeffs):
-        return Interval(0.0)  # the zero function is an exact solution
-    req = _Request(residual_p=Fraction(p), res_width=width_target, want_ranges=True)
-    engine = _Engine(_EtaFourier(u_hat), None, cfg, req)
-    total = engine.run()
-    sq = total.res_sq
-    lo = max(sq.lo, 0.0)
-    return iv_pow(Interval(lo, max(sq.hi, lo)), Fraction(1, 2))
-
-
-def weighted_gram(
-    u_hat,
-    p: Fraction,
-    indices,
-    cfg: QuadConfig | None = None,
-    width_target: float | None = None,
-):
-    """Interval matrix of (p |u_hat|^(p-1) phi_ij, phi_kl) over the index list.
-
-    u_hat may be a FourierApproximation or an Interval/float constant (the
-    test-harness bypass where the weight is constant over the square)."""
-    cfg = cfg or QuadConfig()
-    p = Fraction(p)
-    q = p - 1
-    indices = [(int(i), int(j)) for i, j in indices]
-    freqs = gram_indices_freqs(indices)
-    req = _Request(gram_freqs=tuple(freqs), gram_width=width_target)
-    if isinstance(u_hat, FourierApproximation):
-        eta = _EtaFourier(u_hat)
-    else:
-        c = u_hat if isinstance(u_hat, Interval) else Interval(float(u_hat))
-        eta = _EtaConstant(c)
-    engine = _Engine(eta, q, cfg, req)
-    total = engine.run()
-    return gram_from_tables(total.t_table, freqs, indices, p)
 
 
 def gram_indices_freqs(indices):
@@ -920,15 +760,9 @@ def gram_from_tables(t: IArr, freqs, indices, p: Fraction) -> IArr:
     return out
 
 
-def sup_weight(
-    u_hat: FourierApproximation,
-    p: Fraction,
-    cfg: QuadConfig | None = None,
-    ranges: tuple | None = None,
-) -> Interval:
-    """Enclosure of || p |u_hat|^(p-1) ||_inf via range bounds of u_hat."""
-    if ranges is None:
-        ranges = u_range_bounds(u_hat, cfg)
+def sup_weight(p: Fraction, ranges: tuple) -> Interval:
+    """Enclosure of || p |u_hat|^(p-1) ||_inf from the sweep's range bounds
+    of u_hat."""
     lo, hi, _, center_lo, _ = ranges
     p = Fraction(p)
     m = Interval(max(center_lo, 0.0), max(hi, abs(lo)))
@@ -943,22 +777,28 @@ def pipeline_sweep(
     res_width: float | None = None,
     gram_width: float | None = None,
 ):
-    """One shared sweep for the certificate pipeline: residual-norm square,
-    the cosine gram tables for the eigenvalue pencil, and range bounds.  The
-    expensive per-rectangle compositions are computed once and reused.
+    """One shared sweep for the certificate pipeline: the residual norm
+    || Delta u_hat + u_hat^p ||_L2, the weighted gram matrix
+    (p u_hat^(p-1) phi_ij, phi_kl) over the index list, and range bounds of
+    u_hat.  The expensive per-rectangle compositions are computed once and
+    reused.
 
-    Returns (res_norm, gram_matrix, ranges, stats)."""
+    Returns (res_norm, gram_matrix, ranges, stats).  ranges is (min_lo,
+    max_hi, witness_lo, center_lo, center_hi) over the square: the
+    rectangle-range extremes, the best single-rectangle guaranteed lower
+    bound (a positivity witness), and the best interior constant-coefficient
+    enclosure (a verified point value near the peak).  stats counts the
+    leaf rectangles of the whole square and those kept over budget."""
     cfg = cfg or QuadConfig()
     p = Fraction(p)
     freqs = gram_indices_freqs(indices)
     req = _Request(
         residual_p=p,
         gram_freqs=tuple(freqs),
-        want_ranges=True,
         res_width=res_width,
         gram_width=gram_width,
     )
-    engine = _Engine(_EtaFourier(u_hat), None, cfg, req)
+    engine = _Engine(_EtaFourier(u_hat), p - 1, cfg, req)
     total = engine.run()
     sq = total.res_sq
     lo = max(sq.lo, 0.0)
@@ -973,15 +813,3 @@ def pipeline_sweep(
     )
     stats = {"rects": total.rect_count, "over_budget": total.over_budget}
     return res_norm, gram, ranges, stats
-
-
-def u_range_bounds(u_hat: FourierApproximation, cfg: QuadConfig | None = None):
-    """(min_lo, max_hi, witness_lo, center_lo, center_hi) over the square:
-    rectangle-range extremes, the best single-rectangle guaranteed lower
-    bound (positivity witness), and the best interior constant-coefficient
-    enclosure (a verified point value near the peak)."""
-    cfg = cfg or QuadConfig()
-    req = _Request(want_ranges=True)
-    engine = _Engine(_EtaFourier(u_hat), None, cfg, req)
-    total = engine.run()
-    return total.rng_min, total.rng_max, total.witness_lo, total.center_lo, total.center_hi

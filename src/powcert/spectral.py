@@ -26,18 +26,18 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import DefinitenessError, VerificationFailure
-from .galerkin import FourierApproximation, odd_modes
+from .galerkin import odd_modes
 from .interval import PI, Interval
 from .ivarray import IArr, iv_matmul
-from .quad import QuadConfig, weighted_gram
 
 __all__ = [
     "Pencil",
     "EigenEnclosure",
-    "assemble_pencil",
     "verified_discrete_eigs",
     "two_sided_bounds",
     "compute_K",
+    "stiffness_intervals",
+    "spectral_K_from_gram",
     "symmetric_indices",
     "projection_constant",
 ]
@@ -82,18 +82,6 @@ class Pencil:
             "a_diag": pairs(self.a_diag.lo, self.a_diag.hi),
             "b": [pairs(lo, hi) for lo, hi in zip(self.b.lo, self.b.hi)],
         }
-
-
-def assemble_pencil(
-    u_hat: FourierApproximation,
-    p: Fraction,
-    eig_n: int,
-    cfg: QuadConfig | None = None,
-    gram_width: float | None = None,
-) -> Pencil:
-    indices = symmetric_indices(eig_n)
-    b = weighted_gram(u_hat, p, indices, cfg, width_target=gram_width)
-    return Pencil(indices, stiffness_intervals(indices), b)
 
 
 def _sym_intersect(m: IArr) -> IArr:

@@ -234,30 +234,26 @@ class TestPositivityAmplitude:
         return (min_lo, max_hi, witness, c_lo, c_hi)
 
     def test_positive_case(self):
-        u = FourierApproximation(1, np.array([[10.0]]))
         ranges = self._ranges(-0.001, 10.0, 9.0, 9.9, 10.1)
-        res = positivity_check(u, Interval(1.0), Fraction(3, 2), ranges=ranges)
+        res = positivity_check(Interval(1.0), Fraction(3, 2), ranges)
         assert res.verdict
         assert res.neg_part_bound.hi < lambda1_interval().lo
 
     def test_zero_r2_and_positive_model(self):
-        u = FourierApproximation(1, np.array([[10.0]]))
         ranges = self._ranges(0.0, 10.0, 5.0, 9.9, 10.1)
-        res = positivity_check(u, Interval(0.0), Fraction(3, 2), ranges=ranges)
+        res = positivity_check(Interval(0.0), Fraction(3, 2), ranges)
         assert res.verdict
         assert res.neg_part_bound.contains(0.0)
 
     def test_negative_path(self):
-        u = FourierApproximation(1, np.array([[10.0]]))
         # artificially huge r2: bound exceeds lambda1 and witness fails
         ranges = self._ranges(-0.5, 10.0, 9.0, 9.9, 10.1)
-        res = positivity_check(u, Interval(500.0), Fraction(3, 2), ranges=ranges)
+        res = positivity_check(Interval(500.0), Fraction(3, 2), ranges)
         assert not res.verdict
 
     def test_amplitude(self):
-        u = FourierApproximation(1, np.array([[7.0]]))
         ranges = self._ranges(0.0, 7.2, 6.0, 6.9, 7.1)
-        amp = amplitude_enclosure(u, Interval(0.5), ranges=ranges)
+        amp = amplitude_enclosure(Interval(0.5), ranges)
         assert amp.contains(7.0)
         assert amp.lo <= 6.9 - 0.5 + 1e-12 and amp.hi >= 7.2 + 0.5 - 1e-12
 

@@ -40,6 +40,10 @@ def tiny_config(**kw):
     return RunConfig(**base)
 
 
+def refuse_solve(*args, **kw):
+    raise AssertionError("newton_solve ran")
+
+
 class TestRunConfig:
     def test_p_validation(self):
         with pytest.raises(UsageError):
@@ -138,6 +142,34 @@ class TestSubcommands:
         assert main(["verify", "--p", "abc"]) == EXIT_USAGE
         assert main([]) == EXIT_USAGE
         assert main(["frobnicate"]) == EXIT_USAGE
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["verify", "--holder", "4,1/0,2"],
+            ["plot-data", "--p", "abc"],
+            ["plot-data", "--p", "1/0"],
+        ],
+    )
+    def test_malformed_rational_is_usage_error(self, tmp_path, monkeypatch, capsys, argv):
+        monkeypatch.setattr(cli, "newton_solve", refuse_solve)
+        out = tmp_path / "out"
+        assert main([*argv, "--out", str(out)]) == EXIT_USAGE
+        assert "not a rational number" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_negative_plot_grid_is_usage_error(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(cli, "newton_solve", refuse_solve)
+        out = tmp_path / "plot.csv"
+        assert main(["plot-data", "--grid", "-3", "--out", str(out)]) == EXIT_USAGE
+        assert "--grid" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_negative_eig_dim_is_usage_error(self, capsys):
+        assert main(["constants", "--eig-dim", "-1"]) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""  # nothing computed or printed
+        assert "--eig-dim" in captured.err
 
     def test_config_file_precedence(self, tmp_path):
         cfgfile = tmp_path / "cfg.json"

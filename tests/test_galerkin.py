@@ -13,8 +13,9 @@ from powcert.galerkin import (
     GalerkinConfig,
     newton_solve,
     odd_modes,
-    stiffness_diag,
 )
+from powcert.interval import PI
+from powcert.spectral import stiffness_intervals
 
 
 class TestBasics:
@@ -46,9 +47,11 @@ class TestBasics:
         assert abs(u.l2_norm() - 2.5) < 1e-14
 
     def test_stiffness_values(self):
-        vals = stiffness_diag([(1, 1), (3, 5)])
-        assert vals[0] == Fraction(1, 2)
-        assert vals[1] == Fraction(34, 4)
+        # (grad phi_ij, grad phi_ij) = (i^2 + j^2) pi^2 / 4
+        vals = stiffness_intervals([(1, 1), (3, 5)]) / PI.sqr()
+        assert vals[0].item().contains(float(Fraction(1, 2)))
+        assert vals[1].item().contains(float(Fraction(34, 4)))
+        assert np.all(vals.hi - vals.lo < 1e-14 * np.abs(vals.hi))
 
     def test_json_roundtrip(self):
         rng = np.random.default_rng(0)

@@ -24,15 +24,12 @@ from powcert.quad import (
     Rect,
     RectClass,
     Subdivision,
-    enclose_on_rect,
+    gram_from_tables,
+    gram_indices_freqs,
     integral_power,
     integrate_monomial,
-    integrate_rect,
     pipeline_sweep,
-    residual_l2,
     sup_weight,
-    u_range_bounds,
-    weighted_gram,
 )
 
 mpmath.mp.dps = 30
@@ -53,6 +50,25 @@ def fourier_from_dict(n_max, coeffs_dict):
     for (i, j), a in coeffs_dict.items():
         c[modes.index(i), modes.index(j)] = a
     return FourierApproximation(n_max, c)
+
+
+def one_rect_engine(u, degree, q=Fraction(1, 2), **cfg):
+    """The sweep engine of integral_power(u, None, q), to run on a single
+    rectangle through do_rect or reduced_model."""
+    req = quad._Request(powers=(None,))
+    return quad._Engine(quad._EtaFourier(u), q, QuadConfig(degree=degree, **cfg), req)
+
+
+def with_reduced_model(engine, model):
+    """The engine with a given reduced model on every rectangle, in place of
+    the one it builds from eta."""
+    engine.reduced_model = lambda rect: model
+    return engine
+
+
+def sweep_outputs(u, indices=((1, 1),), cfg=None, **budgets):
+    """(res_norm, gram, ranges, stats) of the pipeline sweep at p = 3/2."""
+    return pipeline_sweep(u, Fraction(3, 2), list(indices), cfg, **budgets)
 
 
 class TestRectangles:
@@ -118,70 +134,77 @@ class TestMonomial:
 
 
 class TestEncloseOnRect:
+    """The engine's reduced model of eta on one rectangle: eta divided by
+    the class monomial, expanded at the class point (corner / edge midpoint /
+    center), in local coordinates."""
+
     def test_center_value(self):
         u = fourier_from_dict(1, {(1, 1): 1.0})
         rc = Rect.make(Fraction(1, 4), Fraction(3, 4), Fraction(1, 4), Fraction(3, 4))
-        m = enclose_on_rect(u, rc, 6)
+        m = one_rect_engine(u, 6).reduced_model(rc)
         assert m.const_coeff().contains(1.0)
 
     def test_corner_cross_derivative(self):
+        # the x*y coefficient of eta at the corner is the constant of eta / (x y)
         u = fourier_from_dict(1, {(1, 1): 1.0})
         rs = Rect.make(0, 1, 0, 1)
-        m = enclose_on_rect(u, rs, 8)
-        assert m.coeffs[1, 1].item().contains(math.pi**2)
+        m = one_rect_engine(u, 8).reduced_model(rs)
+        assert m.coeffs[0, 0].item().contains(math.pi**2)
 
     def test_sampled_containment(self):
         rng = np.random.default_rng(0)
         u = fourier_from_dict(3, {(1, 1): 2.0, (1, 3): -0.3, (3, 3): 0.1})
+        engine = one_rect_engine(u, 8)
         for rect in (
             Rect.make(0, Fraction(1, 8), 0, Fraction(1, 8)),
             Rect.make(Fraction(1, 8), Fraction(1, 4), 0, Fraction(1, 8)),
             Rect.make(Fraction(1, 4), Fraction(3, 8), Fraction(1, 4), Fraction(3, 8)),
         ):
-            model = enclose_on_rect(u, rect, 8)
+            model = engine.reduced_model(rect)
             cx = rect.expansion_x()
             cy = rect.expansion_y()
             for _ in range(40):
                 x = rng.uniform(float(rect.x0), float(rect.x1))
                 y = rng.uniform(float(rect.y0), float(rect.y1))
                 val = u.eval(x, y)
-                got = model.eval_at(
-                    Interval(x - float(cx)), Interval(y - float(cy))
-                )
+                tx, ty = Interval(x - float(cx)), Interval(y - float(cy))
+                got = model.eval_at(tx, ty)
+                if rect.van_x:
+                    got = got * tx
+                if rect.van_y:
+                    got = got * ty
                 assert got.lo - 1e-12 <= val <= got.hi + 1e-12
 
 
 class TestIntegrateRect:
+    """One rectangle through the engine's eval_rect, from a given reduced
+    model: t^q composition, product with xi, corner integration."""
+
     def test_xy_analytic(self):
-        cf = IArr.zeros((5, 5))
-        cf[1, 1] = Interval(1.0)
-        eta = PowerSeries2D(cf, (Interval(0, 1), Interval(0, 1)))
-        rect = Rect.make(0, 1, 0, 1)
-        v = integrate_rect(eta, None, Fraction(1, 2), rect)
+        # eta = x y on [0, 1]^2: reduced model 1, integral of (x y)^(1/2) = 4/9
+        u = fourier_from_dict(1, {(1, 1): 1.0})
+        dom = (Interval(0, 1), Interval(0, 1))
+        engine = with_reduced_model(
+            one_rect_engine(u, 4), PowerSeries2D.constant(Interval(1.0), 4, dom)
+        )
+        v = engine.do_rect(Rect.make(0, 1, 0, 1)).powers[0]
         assert v.contains(4.0 / 9.0)
 
     def test_zero_xi(self):
-        cf = IArr.zeros((5, 5))
-        cf[1, 1] = Interval(1.0)
-        eta = PowerSeries2D(cf, (Interval(0, 1), Interval(0, 1)))
-        xi = PowerSeries2D.constant(Interval(0.0), 4, (Interval(0, 1), Interval(0, 1)))
-        v = integrate_rect(eta, xi, Fraction(1, 2), Rect.make(0, 1, 0, 1))
+        u = fourier_from_dict(1, {(1, 1): 1.0})
+        zero = fourier_from_dict(1, {(1, 1): 0.0})
+        v = integral_power(u, zero, Fraction(1, 2), QuadConfig(degree=4, grid_m=2))
         assert v.contains(0.0) and v.width < 1e-12
 
     def test_positivity_signal_carries_rect(self):
+        u = fourier_from_dict(1, {(1, 1): 1.0})
         cf = IArr.zeros((4, 4))
-        cf[1, 1] = Interval(-1.0)  # negative reduced model
-        eta = PowerSeries2D(cf, (Interval(0, 1), Interval(0, 1)))
+        cf[0, 0] = Interval(-1.0)  # negative reduced model
+        model = PowerSeries2D(cf, (Interval(0, 1), Interval(0, 1)))
+        engine = with_reduced_model(one_rect_engine(u, 3, max_depth=0), model)
         with pytest.raises(PositivityError) as exc:
-            integrate_rect(eta, None, Fraction(1, 2), Rect.make(0, 1, 0, 1))
+            engine.do_rect(Rect.make(0, 1, 0, 1))
         assert exc.value.rect is not None
-
-    def test_shift_down_requires_zeros(self):
-        cf = IArr.zeros((4, 4))
-        cf[0, 0] = Interval(1.0)
-        eta = PowerSeries2D(cf, (Interval(0, 1), Interval(0, 1)))
-        with pytest.raises(UsageError):
-            integrate_rect(eta, None, Fraction(1, 2), Rect.make(0, 1, 0, 1))
 
 
 class TestIntegralPower:
@@ -248,7 +271,7 @@ class TestResidual:
     def test_single_mode_oracle(self):
         a = 5.0
         u = fourier_from_dict(1, {(1, 1): a})
-        res = residual_l2(u, Fraction(3, 2), QuadConfig(degree=6, grid_m=4))
+        res = sweep_outputs(u, cfg=QuadConfig(degree=6, grid_m=4))[0]
 
         def integrand(x, y):
             phi = mpmath.sin(mpmath.pi * x) * mpmath.sin(mpmath.pi * y)
@@ -259,17 +282,27 @@ class TestResidual:
         assert res.contains(oracle)
         assert res.width < 0.1
 
-    def test_zero_function(self):
+    def test_zero_function_is_not_positive(self):
+        # the sweep has no zero-function shortcut: a zero u_hat fails the
+        # positivity check like any u_hat not verifiably positive inside
         u = fourier_from_dict(1, {(1, 1): 0.0})
-        res = residual_l2(u, Fraction(3, 2))
-        assert res.contains(0.0) and res.hi == 0.0
+        with pytest.raises(PositivityError):
+            sweep_outputs(u, cfg=QuadConfig(degree=4, grid_m=2, max_depth=2))
+
+
+def constant_weight_gram(c: Interval, p: Fraction, indices) -> IArr:
+    """The gram matrix of the constant weight p c^(p-1): its cosine table is
+    T[0, 0] = c^(p-1), the integral of c^(p-1) over the square, and 0 at
+    every other (even) frequency pair."""
+    freqs = gram_indices_freqs(indices)
+    t = IArr.zeros((len(freqs), len(freqs)))
+    t[0, 0] = iv_pow(c, p - 1)
+    return gram_from_tables(t, freqs, indices, p)
 
 
 class TestGramAndRanges:
     def test_constant_weight_diagonal(self):
-        G = weighted_gram(
-            Interval(4.0), Fraction(3, 2), [(1, 1), (1, 3)], QuadConfig(degree=4, grid_m=2)
-        )
+        G = constant_weight_gram(Interval(4.0), Fraction(3, 2), [(1, 1), (1, 3)])
         expect = 1.5 * 2.0 / 4.0
         assert G[0, 0].item().contains(expect)
         assert G[1, 1].item().contains(expect)
@@ -280,19 +313,19 @@ class TestGramAndRanges:
         # one-quadrant reduction (the true off-diagonal entry is 0)
         u = fourier_from_dict(1, {(1, 1): 1.0})
         with pytest.raises(UsageError):
-            weighted_gram(u, Fraction(3, 2), [(1, 1), (2, 1)], QuadConfig(degree=4, grid_m=2))
+            sweep_outputs(u, [(1, 1), (2, 1)], QuadConfig(degree=4, grid_m=2))
 
     def test_symmetry_overlap(self):
         u = fourier_from_dict(3, {(1, 1): 2.0, (3, 3): 0.02})
-        G = weighted_gram(u, Fraction(3, 2), [(1, 1), (1, 3), (3, 1)], QuadConfig(degree=5, grid_m=3))
+        G = sweep_outputs(u, [(1, 1), (1, 3), (3, 1)], QuadConfig(degree=5, grid_m=3))[1]
         for i in range(3):
             for j in range(3):
                 assert G[i, j].item().overlaps(G[j, i].item())
 
     def test_sup_weight_formula(self):
         u = fourier_from_dict(1, {(1, 1): 9.0})
-        ranges = u_range_bounds(u, QuadConfig(degree=6, grid_m=4))
-        sw = sup_weight(u, Fraction(3, 2), ranges=ranges)
+        ranges = sweep_outputs(u, cfg=QuadConfig(degree=6, grid_m=4))[2]
+        sw = sup_weight(Fraction(3, 2), ranges)
         m = Interval(max(ranges[3], 0.0), max(ranges[1], abs(ranges[0])))
         direct = Interval(1.5) * iv_pow(m, Fraction(1, 2))
         assert abs(sw.hi - direct.hi) < 1e-12
@@ -300,7 +333,7 @@ class TestGramAndRanges:
 
     def test_range_bounds_sane(self):
         u = fourier_from_dict(1, {(1, 1): 9.0})
-        mn, mx, wit, clo, chi = u_range_bounds(u, QuadConfig(degree=6, grid_m=4))
+        mn, mx, wit, clo, chi = sweep_outputs(u, cfg=QuadConfig(degree=6, grid_m=4))[2]
         assert mn <= 0.0 <= wit <= 9.0 + 1e-9
         # best interior cell center at grid 4 sits at (7/16, 7/16)
         peak_cell = 9.0 * math.sin(7 * math.pi / 16) ** 2
@@ -314,8 +347,7 @@ class TestSpecExamples:
         # one interior cell of phi11^(3/2) against an adaptive oracle
         u = fourier_from_dict(1, {(1, 1): 1.0})
         rect = Rect.make(Fraction(1, 4), Fraction(3, 8), Fraction(1, 4), Fraction(3, 8))
-        model = enclose_on_rect(u, rect, 8)
-        val = integrate_rect(model, None, Fraction(1, 2), rect)
+        val = one_rect_engine(u, 8).do_rect(rect).powers[0]
         mpmath.mp.dps = 20
         oracle = float(
             mpmath.quad(
@@ -445,18 +477,14 @@ class TestWorkerProcesses:
 
         def results(workers):
             cfg = QuadConfig(degree=5, grid_m=3, workers=workers)
+            res, gram, ranges, stats = sweep_outputs(u, [(1, 1), (1, 3)], cfg)
             vals = [
                 integral_power(u, None, Fraction(1, 2), cfg),
                 integral_power(u, u, Fraction(1, 2), cfg, width_target=1e-6),
-                residual_l2(u, Fraction(3, 2), cfg),
+                integral_power(u, 4.0, Fraction(1, 2), cfg),
+                res,
             ]
-            gram = weighted_gram(u, Fraction(3, 2), [(1, 1), (1, 3)], cfg)
-            const = weighted_gram(Interval(4.0), Fraction(3, 2), [(1, 1), (1, 3)], cfg)
-            return (
-                [(v.lo, v.hi) for v in vals],
-                [(g.lo.tobytes(), g.hi.tobytes()) for g in (gram, const)],
-                u_range_bounds(u, cfg),
-            )
+            return [(v.lo, v.hi) for v in vals], gram.lo.tobytes(), gram.hi.tobytes(), ranges, stats
 
         assert results(1) == results(2)
 
@@ -467,7 +495,7 @@ class TestWorkerProcesses:
         for workers in (1, 2):
             cfg = QuadConfig(degree=6, grid_m=4, max_depth=0, workers=workers)
             with pytest.raises(PositivityError) as exc:
-                u_range_bounds(u, cfg)
+                sweep_outputs(u, cfg=cfg)
             errors.append(exc.value)
         serial, forked = errors
         assert serial.rect is not None and serial.rect != Rect.make(0, Fraction(1, 8), 0, Fraction(1, 8))

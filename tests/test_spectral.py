@@ -15,13 +15,12 @@ import powcert
 from powcert import spectral
 from powcert.errors import DefinitenessError, VerificationFailure
 from powcert.galerkin import GalerkinConfig, newton_solve
-from powcert.interval import Interval
+from powcert.interval import Interval, iv_pow
 from powcert.ivarray import IArr
-from powcert.quad import QuadConfig
+from powcert.quad import QuadConfig, gram_from_tables, gram_indices_freqs, pipeline_sweep
 from powcert.spectral import (
     EigenEnclosure,
     Pencil,
-    assemble_pencil,
     compute_K,
     projection_constant,
     stiffness_intervals,
@@ -211,12 +210,18 @@ class TestPencilJson:
                 assert float(elo) == b.lo[i, j] and float(ehi) == b.hi[i, j]
 
 
+def sweep_pencil(u, eig_n, cfg, **budgets):
+    """The pencil of the eigenvalue problem at p = 3/2 from the pipeline
+    sweep's gram matrix, as spectral_K_from_gram builds it."""
+    indices = symmetric_indices(eig_n)
+    b = pipeline_sweep(u, Fraction(3, 2), indices, cfg, **budgets)[1]
+    return Pencil(indices, stiffness_intervals(indices), b)
+
+
 class TestPipelinePencil:
     def test_small_end_to_end(self):
         u = newton_solve(GalerkinConfig(n_modes=6, tol=1e-10, quad_points=64))
-        pencil = assemble_pencil(
-            u, Fraction(3, 2), 4, QuadConfig(degree=6, grid_m=4), gram_width=1e-4
-        )
+        pencil = sweep_pencil(u, 4, QuadConfig(degree=6, grid_m=4), gram_width=1e-4)
         assert pencil.dim == 4
         assert pencil.indices == symmetric_indices(4)
         lo, hi = verified_discrete_eigs(pencil)
@@ -224,15 +229,13 @@ class TestPipelinePencil:
         assert np.all(hi >= lo)
         # Rayleigh-Ritz monotonicity: growing the subspace cannot raise the
         # smallest discrete eigenvalue
-        pencil6 = assemble_pencil(
-            u, Fraction(3, 2), 6, QuadConfig(degree=6, grid_m=4), gram_width=1e-4
-        )
+        pencil6 = sweep_pencil(u, 6, QuadConfig(degree=6, grid_m=4), gram_width=1e-4)
         lo6, hi6 = verified_discrete_eigs(pencil6)
         assert lo6[0] <= hi[0] + 1e-9
 
     def test_gram_symmetry_overlap(self):
         u = newton_solve(GalerkinConfig(n_modes=4, tol=1e-10, quad_points=48))
-        pencil = assemble_pencil(u, Fraction(3, 2), 4, QuadConfig(degree=5, grid_m=3))
+        pencil = sweep_pencil(u, 4, QuadConfig(degree=5, grid_m=3))
         b = pencil.b
         for i in range(pencil.dim):
             for j in range(pencil.dim):
@@ -242,14 +245,13 @@ class TestPipelinePencil:
 class TestConstantHarnessPencil:
     def test_one_mode_lambda(self):
         # constant weight c: A = [pi^2/2], B = [p c^(1/2)/4],
-        # lambda^N = 2 pi^2 / (p c^(1/2))
-        from powcert.quad import QuadConfig, weighted_gram
-        from powcert.spectral import stiffness_intervals
-
+        # lambda^N = 2 pi^2 / (p c^(1/2)); the weight's cosine table is
+        # T[0, 0] = c^(1/2) and 0 elsewhere
         c = 4.0
-        b = weighted_gram(
-            Interval(c), Fraction(3, 2), [(1, 1)], QuadConfig(degree=4, grid_m=2)
-        )
+        freqs = gram_indices_freqs([(1, 1)])
+        t = IArr.zeros((len(freqs), len(freqs)))
+        t[0, 0] = iv_pow(Interval(c), Fraction(1, 2))
+        b = gram_from_tables(t, freqs, [(1, 1)], Fraction(3, 2))
         pencil = Pencil([(1, 1)], stiffness_intervals([(1, 1)]), b)
         lo, hi = verified_discrete_eigs(pencil)
         target = 2.0 * math.pi**2 / (1.5 * math.sqrt(c))
