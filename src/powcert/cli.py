@@ -239,7 +239,7 @@ def psa_selftest(out=None) -> int:
     failures = []
 
     def check(name, model, idx, lo, hi, ulps=8):
-        c = model.coeffs[idx].item()
+        c = model.coeffs[0, idx].item()
         tol = ulps * ulp * max(1.0, abs(lo), abs(hi))
         ok = abs(c.lo - lo) <= tol and abs(c.hi - hi) <= tol
         print(f"  {'ok  ' if ok else 'FAIL'} {name}[x^{idx}] = {c}", file=out)
@@ -274,6 +274,10 @@ def psa_selftest(out=None) -> int:
 def cmd_constants(args, out=None) -> int:
     if args.eig_dim < 1:
         raise UsageError(f"--eig-dim must be >= 1, got {args.eig_dim}")
+    # C_p for p <= 2 is the Holder reduction to C2 on the unit square,
+    # which needs p >= 1; below 1 there is no embedding constant
+    if args.p is not None and args.p < 1:
+        raise UsageError(f"--p must be >= 1, got {args.p}")
     out = out or sys.stdout
     print(f"C2      = {poincare_c2()}", file=out)
     print(f"C4      = {embedding_constant(Fraction(4))}", file=out)

@@ -25,10 +25,15 @@ not hold for intervals.
 
 Rectangles whose positivity check fails, or whose enclosure is wider than
 its share of the caller's width budget, are bisected along their longer
-edge (tie: x) down to a depth limit.  With more than one worker the base
-rectangles are handed out to forked worker processes; contributions are
-summed in base-rectangle order regardless of the worker count, so results
-are reproducible.
+edge (tie: x) down to a depth limit.  The sweep runs level by level: the
+rectangles of one refinement level are evaluated as one batch of Taylor
+models, with one composition for all of them, and those bisected make up
+the next level.  Leaves are folded, and errors raised, as a depth-first
+recursion over each base rectangle would, so the batching does not show in
+the results.  With more than one worker the grid rows of base rectangles
+are handed out to forked worker processes, each sweeping its row as a
+batch; contributions are summed in base-rectangle order regardless of the
+worker count, so results are reproducible.
 
 One sweep engine evaluates every rectangle, and two functions run it:
 
@@ -319,11 +324,11 @@ def _model_domains(rect: Rect):
     return _frac_interval(lx0, lx1), _frac_interval(ly0, ly1)
 
 
-def _tensor_model(sx: IArr, a_iv: IArr, sy: IArr, dom) -> PowerSeries2D:
-    """sum_ij a_ij f_i(x) g_j(y) from the per-mode factor tables sx (of the
-    f_i) and sy (of the g_j)."""
-    coeffs = iv_matmul(iv_matmul(sx, a_iv), IArr(sy.lo.T, sy.hi.T))
-    return PowerSeries2D(coeffs, dom)
+def _tensor_models(sx: list, a_iv: IArr, sy: list, domain) -> PowerSeries2D:
+    """sum_ij a_ij f_i(x) g_j(y) on every rectangle, from its per-mode
+    factor tables sx[b] (of the f_i) and sy[b] (of the g_j)."""
+    items = [iv_matmul(iv_matmul(x, a_iv), IArr(y.lo.T, y.hi.T)) for x, y in zip(sx, sy)]
+    return PowerSeries2D(IArr(np.stack([c.lo for c in items]), np.stack([c.hi for c in items])), domain)
 
 
 def _corner_table(v: Fraction, qoff: Fraction, count: int) -> IArr:
@@ -489,34 +494,109 @@ class _Engine:
         )
         return sum(terms, Interval(0.0))
 
-    # -------------------- per-rectangle evaluation --------------------
+    # -------------------- one refinement level --------------------
 
-    def reduced_model(self, rect: Rect) -> PowerSeries2D:
-        """Taylor model, in the rectangle's local coordinates, of eta divided
-        by the monomial of its class: x*y on S11, y on S01, x on S10, 1 on S00."""
-        sx = self.sine_cols(rect.x0, rect.x1, rect.van_x, reduced=rect.van_x)
-        sy = self.sine_cols(rect.y0, rect.y1, rect.van_y, reduced=rect.van_y)
-        return _tensor_model(sx, self.eta.coeffs, sy, _model_domains(rect))
+    def reduced_models(self, rects) -> PowerSeries2D:
+        """Taylor models, in each rectangle's local coordinates, of eta
+        divided by the monomial of its class: x*y on S11, y on S01, x on S10,
+        1 on S00; one batch item per rectangle."""
+        sx = [self.sine_cols(r.x0, r.x1, r.van_x, reduced=r.van_x) for r in rects]
+        sy = [self.sine_cols(r.y0, r.y1, r.van_y, reduced=r.van_y) for r in rects]
+        doms = [_model_domains(r) for r in rects]
+        domain = tuple(IArr.from_intervals([d[k] for d in doms]) for k in (0, 1))
+        return _tensor_models(sx, self.eta.coeffs, sy, domain)
 
-    def eval_rect(self, rect: Rect) -> tuple[_RectOut, bool]:
-        """The rectangle's contributions, and whether every one of them fits
-        its share of the width budgets."""
+    def _full_models(self, rects, a_iv: IArr, domain) -> PowerSeries2D:
+        """The sine series with coefficients a_iv on every rectangle,
+        unreduced, over the domains of the rectangles' reduced models."""
+        sx = [self.sine_cols(r.x0, r.x1, r.van_x, reduced=False) for r in rects]
+        sy = [self.sine_cols(r.y0, r.y1, r.van_y, reduced=False) for r in rects]
+        return _tensor_models(sx, a_iv, sy, domain)
+
+    def eval_level(self, rects) -> list:
+        """Evaluate rectangles as one batch: their reduced models, the
+        positivity check and one composition for all.  Per rectangle, in
+        order: (its contributions, whether every one of them fits its share
+        of the width budgets), or the PositivityError or IntervalDomainError
+        that evaluating it alone raises, the latter naming the rectangle."""
+        v_red = self.reduced_models(rects)
+        red = v_red.range()
+        results = [None] * len(rects)
+        live = []
+        for b, rect in enumerate(rects):
+            try:
+                red_range = Interval(red.lo[b], red.hi[b])
+            except IntervalDomainError as exc:
+                results[b] = _on_rect(exc, rect)
+                continue
+            if red_range.lo <= 0.0:
+                results[b] = PositivityError(
+                    f"positivity check failed on {rect.describe()}",
+                    rng=red_range,
+                    rect=rect,
+                )
+            else:
+                live.append((b, red_range))
+        if not live:
+            return results
+        live_rects = [rects[b] for b, _ in live]
+        v_live = v_red[[b for b, _ in live]]
+        ws = self._compose(v_live)
+        # the unreduced sine series that the contributions need
+        lap = None
+        if self.req.residual_p is not None:
+            lap = self._full_models(live_rects, self.eta.lap, v_live.domain)
+        xis = [
+            self._full_models(live_rects, xi.coeffs, v_live.domain) if isinstance(xi, _EtaFourier) else xi
+            for xi in self.req.powers
+        ]
+        for j, ((b, red_range), w) in enumerate(zip(live, ws)):
+            rect = rects[b]
+            try:
+                if isinstance(w, Exception):
+                    raise w  # the composition's error, handled as if raised here
+                results[b] = self.rect_out(
+                    rect,
+                    red_range,
+                    v_live[j],
+                    w,
+                    None if lap is None else lap[j],
+                    [xi[j] if isinstance(xi, PowerSeries2D) else xi for xi in xis],
+                )
+            except IntervalDomainError as exc:
+                results[b] = _on_rect(exc, rect)
+            except PositivityError as exc:
+                results[b] = exc
+        return results
+
+    def _compose(self, v_red: PowerSeries2D) -> list:
+        """t^q of every model, as models of one item each; a model that the
+        composition rejects gets the error it raises on its own."""
+        try:
+            w = ps_compose(self.pow_q, v_red)
+        except (PositivityError, IntervalDomainError):
+            out = []
+            for b in range(v_red.batch):
+                try:
+                    out.append(ps_compose(self.pow_q, v_red[b]))
+                except (PositivityError, IntervalDomainError) as exc:
+                    out.append(exc)
+            return out
+        return [w[b] for b in range(w.batch)]
+
+    def rect_out(self, rect: Rect, red_range: Interval, v_red, w, v_lap, xis) -> tuple[_RectOut, bool]:
+        """One rectangle's contributions, and whether every one of them fits
+        its share of the width budgets, from the range of its reduced model
+        and these models of one item: the reduced model, its composition,
+        the Laplacian of eta (for the residual) and each xi (an Interval or
+        None as given)."""
         out = _RectOut(rect_count=1)
         area = rect.area
         van_x, van_y = rect.van_x, rect.van_y
-        v_red = self.reduced_model(rect)
-
-        red_range = v_red.range()
-        if red_range.lo <= 0.0:
-            raise PositivityError(
-                f"positivity check failed on {rect.describe()}",
-                rng=red_range,
-                rect=rect,
-            )
 
         u_range = red_range
         if van_x or van_y:
-            dx, dy = v_red.domain
+            dx, dy = (d[0].item() for d in v_red.domain)
             mon_range = Interval(1.0)
             if van_x:
                 mon_range = mon_range * dx
@@ -524,22 +604,22 @@ class _Engine:
                 mon_range = mon_range * dy
             u_range = mon_range * red_range
         else:
-            c0 = v_red.const_coeff()
+            c0 = v_red.const_coeff()[0].item()
             out.center_lo = c0.lo
             out.center_hi = c0.hi
         out.rng_min = out.witness_lo = u_range.lo
         out.rng_max = u_range.hi
 
-        w = ps_compose(self.pow_q, v_red)
         qx_base = self.q if van_x else Fraction(0)
         qy_base = self.q if van_y else Fraction(0)
+        w_coeffs = w.coeffs[0]
 
         ok = True
 
         if self.req.gram_freqs is not None:
             cx = self.cos_cols(rect.x0, rect.x1, van_x)
             cy = self.cos_cols(rect.y0, rect.y1, van_y)
-            t_rect = self._gram_tables(w, cx, cy, rect, qx_base, qy_base)
+            t_rect = self._gram_tables(w_coeffs, cx, cy, rect, qx_base, qy_base)
             # NaN fails every comparison, so the budget test below would
             # pass it; the scalar outputs are Intervals, which reject
             # non-finite endpoints when they are made
@@ -550,118 +630,126 @@ class _Engine:
                 ok = False
 
         if self.req.residual_p is not None:
-            res = self._residual_piece(rect, v_red, w, van_x, van_y)
+            res = self._residual_piece(rect, v_red, w, v_lap)
             out.res_sq = res
             if self.req.res_width is not None and res.width > self.req.res_width * area:
                 ok = False
 
         if self.req.powers:
             out.powers = []
-            for xi in self.req.powers:
-                val = self._power_piece(rect, w, xi, qx_base, qy_base)
+            for xi in xis:
+                val = self._power_piece(rect, w_coeffs, xi, qx_base, qy_base)
                 out.powers.append(val)
                 if self.req.power_width is not None and val.width > self.req.power_width * area:
                     ok = False
 
         return out, ok
 
-    def _gram_tables(self, w, cx, cy, rect, qx, qy) -> IArr:
+    def _gram_tables(self, w_coeffs, cx, cy, rect, qx, qy) -> IArr:
         size = 2 * self.n + 1
         cx_t = IArr(cx.lo.T, cx.hi.T)
 
         def reduce(itab):  # itab: (2n+1, 2n+1) -> (nf, nf)
-            return iv_matmul(iv_matmul(cx_t, iv_corr2d(itab, w.coeffs)), cy)
+            return iv_matmul(iv_matmul(cx_t, iv_corr2d(itab, w_coeffs)), cy)
 
         terms = self.corner_terms(rect, qx, qy, size, size, reduce)
         return sum(terms[1:], terms[0])
 
-    def _residual_piece(self, rect, v_red, w, van_x, van_y) -> Interval:
-        dx, dy = _model_domains(rect)
-        dom = (dx, dy)
-        sx_f = self.sine_cols(rect.x0, rect.x1, van_x, reduced=False)
-        sy_f = self.sine_cols(rect.y0, rect.y1, van_y, reduced=False)
-        v_lap = _tensor_model(sx_f, self.eta.lap, sy_f, dom)
+    def _residual_piece(self, rect, v_red, w, v_lap) -> Interval:
+        van_x, van_y = rect.van_x, rect.van_y
         p = self.req.residual_p
         if not (van_x or van_y):
             # single model of Delta u + u^p; widths couple to the small
             # residual instead of the huge separate pieces
             u_pow = w * v_red  # u^(1+q) = u^p
-            r_model = v_lap + u_pow
-            sq = iv_conv2d_full(r_model.coeffs, r_model.coeffs)
+            r_model = (v_lap + u_pow).coeffs[0]
+            sq = iv_conv2d_full(r_model, r_model)
             return self.poly_integral(sq, rect, Fraction(0), Fraction(0))
         # boundary rectangles: local three-piece expansion
         ex = Fraction(1) if van_x else Fraction(0)
         ey = Fraction(1) if van_y else Fraction(0)
-        piece1 = self.poly_integral(
-            iv_conv2d_full(v_lap.coeffs, v_lap.coeffs), rect, Fraction(0), Fraction(0)
-        )
+        lap = v_lap.coeffs[0]
+        piece1 = self.poly_integral(iv_conv2d_full(lap, lap), rect, Fraction(0), Fraction(0))
         red_pow = w * v_red  # [eta]^p
-        cross = iv_conv2d_full(red_pow.coeffs, v_lap.coeffs)
+        cross = iv_conv2d_full(red_pow.coeffs[0], lap)
         piece2 = self.poly_integral(cross, rect, p * ex, p * ey)
         two_p = 2 * p
         if two_p.denominator == 1:
             acc = v_red
             for _ in range(two_p.numerator - 1):
                 acc = acc * v_red
-            piece3 = self.poly_integral(acc.coeffs, rect, two_p * ex, two_p * ey)
         else:
-            w2 = w * w
-            r2 = v_red * v_red
-            piece3 = self.poly_integral((w2 * r2).coeffs, rect, two_p * ex, two_p * ey)
+            acc = (w * w) * (v_red * v_red)
+        piece3 = self.poly_integral(acc.coeffs[0], rect, two_p * ex, two_p * ey)
         return piece1 + Interval(2.0) * piece2 + piece3
 
-    def _power_piece(self, rect, w, xi, qx, qy) -> Interval:
+    def _power_piece(self, rect, w_coeffs, xi, qx, qy) -> Interval:
         if xi is None:
-            prod = w.coeffs
+            prod = w_coeffs
         elif isinstance(xi, Interval):
-            prod = w.coeffs * xi
+            prod = w_coeffs * xi
         else:
-            sx = self.sine_cols(rect.x0, rect.x1, rect.van_x, reduced=False)
-            sy = self.sine_cols(rect.y0, rect.y1, rect.van_y, reduced=False)
-            xi_model = _tensor_model(sx, xi.coeffs, sy, _model_domains(rect))
-            prod = iv_conv2d_full(w.coeffs, xi_model.coeffs)
+            prod = iv_conv2d_full(w_coeffs, xi.coeffs[0])
         return self.poly_integral(prod, rect, qx, qy)
 
-    # -------------------- recursion/driver --------------------
+    # -------------------- level-synchronous driver --------------------
 
-    def do_rect(self, rect: Rect) -> _RectOut:
-        at_limit = rect.depth >= self.cfg.max_depth
-        try:
-            out, ok = self.eval_rect(rect)
-        except IntervalDomainError as exc:
-            raise IntervalDomainError(f"{exc} on {rect.describe()}") from exc
-        except PositivityError:
-            if at_limit:
-                raise
-        else:
-            if ok:
-                return out
-            if at_limit:
-                # keep the sound-but-wide result, flag it
-                out.over_budget += 1
-                return out
-        r1, r2 = rect.bisect()
-        out = self.do_rect(r1)
-        out.merge(self.do_rect(r2))
-        return out
+    def sweep(self, rects) -> list[_RectOut]:
+        """Each rectangle's contributions over its bisection tree, evaluated
+        one refinement level at a time.  The leaves are folded, and the error
+        is raised, as the depth-first recursion over each rectangle in turn
+        folds and raises: a node's key is its path from the base rectangles
+        (the base index, then 0 or 1 per bisection), so key order is
+        depth-first order, and nothing after the first error in that order
+        is evaluated further."""
+        level = [((i,), rect) for i, rect in enumerate(rects)]
+        leaves = {}
+        first_error = None  # (key, error)
+        while level:
+            bisected = []
+            for (key, rect), res in zip(level, self.eval_level([r for _, r in level])):
+                at_limit = rect.depth >= self.cfg.max_depth
+                if isinstance(res, Exception):
+                    if at_limit or isinstance(res, IntervalDomainError):
+                        if first_error is None or key < first_error[0]:
+                            first_error = (key, res)
+                        continue
+                else:
+                    out, ok = res
+                    if ok or at_limit:
+                        if not ok:  # at the limit: keep the sound-but-wide result, flagged
+                            out.over_budget += 1
+                        leaves[key] = out
+                        continue
+                r1, r2 = rect.bisect()
+                bisected += [(key + (0,), r1), (key + (1,), r2)]
+            if first_error is not None:
+                bisected = [node for node in bisected if node[0] < first_error[0]]
+            level = bisected
+        if first_error is not None:
+            raise first_error[1]
+        return [_fold(leaves, (i,)) for i in range(len(rects))]
 
     def run(self) -> _RectOut:
         rects = self.sub.rects()
-        workers = min(self.cfg.workers, len(rects))
+        m = self.sub.grid_m
+        rows = [rects[i : i + m] for i in range(0, len(rects), m)]
+        workers = min(self.cfg.workers, len(rows))
         ctx = _fork_context() if workers > 1 else None
         if ctx is None:
-            results = [self.do_rect(r) for r in rects]
+            results = self.sweep(rects)
         else:
             from concurrent.futures import ProcessPoolExecutor
 
-            # map hands out one rectangle at a time and yields the results in
-            # rectangle order, so the first failing rectangle in that order
-            # raises, as in the serial sweep, and cancels those not started.
+            # map hands out one grid row at a time, each swept as its own
+            # batch, and yields the results in row order, so the first
+            # failing row in that order raises, as in the serial sweep, and
+            # cancels those not started.
             # The executor's shutdown lets its workers exit; Pool.terminate
             # kills them, and a worker killed while it sends a result leaves
             # the result queue locked, which hangs the pool.
             with ProcessPoolExecutor(workers, ctx, _init_worker, (self,)) as pool:
-                results = list(pool.map(_worker_do_rect, rects))
+                results = [out for row in pool.map(_worker_sweep, rows) for out in row]
         # The three other quadrants mirror this one and give the same leaf
         # results bit for bit.  Merging the list once per quadrant, in the
         # order a four-quadrant sweep would, reproduces that sweep's
@@ -673,6 +761,21 @@ class _Engine:
             for res in results:
                 total.merge(res)
         return total
+
+
+def _on_rect(exc: IntervalDomainError, rect: Rect) -> IntervalDomainError:
+    err = IntervalDomainError(f"{exc} on {rect.describe()}")
+    err.__cause__ = exc
+    return err
+
+
+def _fold(leaves: dict, key: tuple) -> _RectOut:
+    """The contributions of the node at key: its leaf, or its two halves
+    merged as the depth-first recursion merges them."""
+    out = leaves.get(key)
+    if out is None:
+        out = _fold(leaves, key + (0,)).merge(_fold(leaves, key + (1,)))
+    return out
 
 
 def _fork_context():
@@ -696,8 +799,8 @@ def _init_worker(engine: _Engine):
     _worker_engine = engine
 
 
-def _worker_do_rect(rect: Rect) -> _RectOut:
-    return _worker_engine.do_rect(rect)
+def _worker_sweep(rects) -> list[_RectOut]:
+    return _worker_engine.sweep(rects)
 
 
 def _wrap_xi(xi):

@@ -171,6 +171,19 @@ class TestSubcommands:
         assert captured.out == ""  # nothing computed or printed
         assert "--eig-dim" in captured.err
 
+    @pytest.mark.parametrize("p", ["0", "-3", "1/2"])
+    def test_constants_p_below_one_is_usage_error(self, capsys, p):
+        assert main(["constants", "--p", p]) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""  # nothing computed or printed
+        assert "--p" in captured.err
+
+    @pytest.mark.parametrize("p, line", [("1", "C_1 "), ("3/2", "C_3/2 "), ("4", "C_4 ")])
+    def test_constants_p_from_one_prints(self, capsys, p, line):
+        assert main(["constants", "--p", p]) == EXIT_OK
+        out = capsys.readouterr().out
+        assert any(l.startswith(line) for l in out.splitlines()), out
+
     def test_config_file_precedence(self, tmp_path):
         cfgfile = tmp_path / "cfg.json"
         cfgfile.write_text(json.dumps({"n_modes": 8, "grid_m": 5}))

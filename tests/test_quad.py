@@ -53,17 +53,22 @@ def fourier_from_dict(n_max, coeffs_dict):
 
 
 def one_rect_engine(u, degree, q=Fraction(1, 2), **cfg):
-    """The sweep engine of integral_power(u, None, q), to run on a single
-    rectangle through do_rect or reduced_model."""
+    """The sweep engine of integral_power(u, None, q), to run on single
+    rectangles through sweep or reduced_models."""
     req = quad._Request(powers=(None,))
     return quad._Engine(quad._EtaFourier(u), q, QuadConfig(degree=degree, **cfg), req)
 
 
 def with_reduced_model(engine, model):
-    """The engine with a given reduced model on every rectangle, in place of
-    the one it builds from eta."""
-    engine.reduced_model = lambda rect: model
+    """The engine with a given reduced model (a batch of one) on every
+    rectangle, in place of the one it builds from eta."""
+    engine.reduced_models = lambda rects: model[[0] * len(rects)]
     return engine
+
+
+def reduced_model(engine, rect):
+    """The engine's reduced model of eta on one rectangle, a batch of one."""
+    return engine.reduced_models([rect])
 
 
 def sweep_outputs(u, indices=((1, 1),), cfg=None, **budgets):
@@ -141,15 +146,15 @@ class TestEncloseOnRect:
     def test_center_value(self):
         u = fourier_from_dict(1, {(1, 1): 1.0})
         rc = Rect.make(Fraction(1, 4), Fraction(3, 4), Fraction(1, 4), Fraction(3, 4))
-        m = one_rect_engine(u, 6).reduced_model(rc)
-        assert m.const_coeff().contains(1.0)
+        m = reduced_model(one_rect_engine(u, 6), rc)
+        assert m.const_coeff()[0].item().contains(1.0)
 
     def test_corner_cross_derivative(self):
         # the x*y coefficient of eta at the corner is the constant of eta / (x y)
         u = fourier_from_dict(1, {(1, 1): 1.0})
         rs = Rect.make(0, 1, 0, 1)
-        m = one_rect_engine(u, 8).reduced_model(rs)
-        assert m.coeffs[0, 0].item().contains(math.pi**2)
+        m = reduced_model(one_rect_engine(u, 8), rs)
+        assert m.coeffs[0, 0, 0].item().contains(math.pi**2)
 
     def test_sampled_containment(self):
         rng = np.random.default_rng(0)
@@ -160,7 +165,7 @@ class TestEncloseOnRect:
             Rect.make(Fraction(1, 8), Fraction(1, 4), 0, Fraction(1, 8)),
             Rect.make(Fraction(1, 4), Fraction(3, 8), Fraction(1, 4), Fraction(3, 8)),
         ):
-            model = engine.reduced_model(rect)
+            model = reduced_model(engine, rect)
             cx = rect.expansion_x()
             cy = rect.expansion_y()
             for _ in range(40):
@@ -168,7 +173,7 @@ class TestEncloseOnRect:
                 y = rng.uniform(float(rect.y0), float(rect.y1))
                 val = u.eval(x, y)
                 tx, ty = Interval(x - float(cx)), Interval(y - float(cy))
-                got = model.eval_at(tx, ty)
+                got = model.eval_at(tx, ty)[0].item()
                 if rect.van_x:
                     got = got * tx
                 if rect.van_y:
@@ -177,7 +182,7 @@ class TestEncloseOnRect:
 
 
 class TestIntegrateRect:
-    """One rectangle through the engine's eval_rect, from a given reduced
+    """One rectangle through the engine's sweep, from a given reduced
     model: t^q composition, product with xi, corner integration."""
 
     def test_xy_analytic(self):
@@ -187,7 +192,7 @@ class TestIntegrateRect:
         engine = with_reduced_model(
             one_rect_engine(u, 4), PowerSeries2D.constant(Interval(1.0), 4, dom)
         )
-        v = engine.do_rect(Rect.make(0, 1, 0, 1)).powers[0]
+        v = engine.sweep([Rect.make(0, 1, 0, 1)])[0].powers[0]
         assert v.contains(4.0 / 9.0)
 
     def test_zero_xi(self):
@@ -203,7 +208,7 @@ class TestIntegrateRect:
         model = PowerSeries2D(cf, (Interval(0, 1), Interval(0, 1)))
         engine = with_reduced_model(one_rect_engine(u, 3, max_depth=0), model)
         with pytest.raises(PositivityError) as exc:
-            engine.do_rect(Rect.make(0, 1, 0, 1))
+            engine.sweep([Rect.make(0, 1, 0, 1)])
         assert exc.value.rect is not None
 
 
@@ -347,7 +352,7 @@ class TestSpecExamples:
         # one interior cell of phi11^(3/2) against an adaptive oracle
         u = fourier_from_dict(1, {(1, 1): 1.0})
         rect = Rect.make(Fraction(1, 4), Fraction(3, 8), Fraction(1, 4), Fraction(3, 8))
-        val = one_rect_engine(u, 8).do_rect(rect).powers[0]
+        val = one_rect_engine(u, 8).sweep([rect])[0].powers[0]
         mpmath.mp.dps = 20
         oracle = float(
             mpmath.quad(
@@ -441,15 +446,15 @@ class TestSweepEngine:
 
 @pytest.fixture
 def eval_log(monkeypatch):
-    """The rectangles _Engine.eval_rect is called on, in this process."""
+    """The rectangles _Engine.eval_level evaluates, in this process."""
     evals = []
-    real = quad._Engine.eval_rect
+    real = quad._Engine.eval_level
 
-    def logging_eval(self, rect):
-        evals.append(rect)
-        return real(self, rect)
+    def logging_eval(self, rects):
+        evals.extend(rects)
+        return real(self, rects)
 
-    monkeypatch.setattr(quad._Engine, "eval_rect", logging_eval)
+    monkeypatch.setattr(quad._Engine, "eval_level", logging_eval)
     return evals
 
 
@@ -504,7 +509,7 @@ class TestWorkerProcesses:
         assert (forked.rng.lo, forked.rng.hi) == (serial.rng.lo, serial.rng.hi)
 
     def test_serial_without_fork(self, monkeypatch, eval_log):
-        # eval_rect calls made in a forked worker are not logged here
+        # evaluations made in a forked worker are not logged here
         u = fourier_from_dict(3, {(1, 1): 5.0, (3, 1): 0.1})
         cfg = QuadConfig(degree=6, grid_m=2, workers=2)
         forked = sweep_digest(u, cfg)
@@ -550,6 +555,93 @@ class TestWorkerProcesses:
         )
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=60)
         assert (proc.returncode, proc.stdout) == (0, "ok\n"), proc.stderr
+
+
+# ----------------------------------------------------------------------
+# the depth-first sweep: each rectangle evaluated alone, bisected and
+# recursed into at once, kept to check that the level-synchronous sweep
+# folds and raises as it does
+# ----------------------------------------------------------------------
+
+def depth_first(engine, rect):
+    """The contributions of rect and its bisections, feeding the engine
+    batches of one rectangle."""
+    at_limit = rect.depth >= engine.cfg.max_depth
+    (res,) = engine.eval_level([rect])
+    if isinstance(res, Exception):
+        if at_limit or isinstance(res, IntervalDomainError):
+            raise res
+    else:
+        out, ok = res
+        if ok:
+            return out
+        if at_limit:
+            out.over_budget += 1
+            return out
+    r1, r2 = rect.bisect()
+    out = depth_first(engine, r1)
+    out.merge(depth_first(engine, r2))
+    return out
+
+
+def both_sweeps(monkeypatch, run):
+    """run() with the level-synchronous sweep, then with the depth-first one
+    (which forked workers inherit): its result or the error it raised."""
+    outs = []
+    for depth_first_sweep in (False, True):
+        if depth_first_sweep:
+            monkeypatch.setattr(quad._Engine, "sweep", lambda self, rects: [depth_first(self, r) for r in rects])
+        try:
+            outs.append(run())
+        except (PositivityError, IntervalDomainError) as exc:
+            outs.append(exc)
+    return outs
+
+
+class TestLevelSynchronous:
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_digest_matches_depth_first(self, monkeypatch, workers):
+        u = fourier_from_dict(5, {(1, 1): 5.0, (3, 1): 0.2, (1, 5): -0.1})
+        cfg = QuadConfig(degree=6, grid_m=3, workers=workers)
+        level, dfs = both_sweeps(
+            monkeypatch, lambda: sweep_digest(u, cfg, res_width=200.0, gram_width=1e-4)
+        )
+        assert level[-1]["rects"] > 36  # the budgets bisect
+        assert level == dfs
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("max_depth", [0, 2])
+    def test_positivity_error_matches_depth_first(self, monkeypatch, workers, max_depth):
+        # u < 0 near (1/6, 1/2); at max_depth 2 the rectangles before the
+        # failing one bisect first
+        u = fourier_from_dict(3, {(1, 1): 1.0, (3, 3): 0.8})
+        cfg = QuadConfig(degree=6, grid_m=4, max_depth=max_depth, workers=workers)
+        level, dfs = both_sweeps(monkeypatch, lambda: sweep_outputs(u, cfg=cfg, res_width=1e-300))
+        assert isinstance(level, PositivityError) and isinstance(dfs, PositivityError)
+        assert str(level) == str(dfs)
+        assert level.rect == dfs.rect and level.rect.depth == max_depth
+        assert (level.rng.lo, level.rng.hi) == (dfs.rng.lo, dfs.rng.hi)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_domain_error_matches_depth_first(self, monkeypatch, workers):
+        # the tables of [1/6, 1/3] and [1/12, 1/6] are poisoned: base
+        # rectangle 1 fails at depth 0, and rectangle 0, before it, fails
+        # only in a rectangle of depth 2, found two levels later
+        real = quad._sine_factor_matrix
+
+        def poisoned(modes, x0, dom, degree, reduced):
+            out = real(modes, x0, dom, degree, reduced)
+            if x0 in (Fraction(1, 4), Fraction(1, 8)):
+                out.hi[-1, 0] = math.nan
+            return out
+
+        monkeypatch.setattr(quad, "_sine_factor_matrix", poisoned)
+        u = fourier_from_dict(3, {(1, 1): 5.0, (3, 1): 0.1})
+        cfg = QuadConfig(degree=6, grid_m=3, max_depth=2, workers=workers)
+        level, dfs = both_sweeps(monkeypatch, lambda: sweep_outputs(u, cfg=cfg, res_width=1e-300))
+        assert isinstance(level, IntervalDomainError)
+        assert str(level) == str(dfs)
+        assert str(level).endswith("on S10 [0,1/12]x[1/12,1/6] depth=2")
 
 
 # ----------------------------------------------------------------------
