@@ -89,6 +89,11 @@ class IArr:
         hi = np.array([s.hi for s in seq])
         return cls(lo, hi)
 
+    @classmethod
+    def stack(cls, seq) -> "IArr":
+        """The IArrs of seq, all of one shape, stacked along a new first axis."""
+        return cls(np.stack([a.lo for a in seq]), np.stack([a.hi for a in seq]))
+
     def copy(self) -> "IArr":
         return IArr(self.lo.copy(), self.hi.copy())
 
@@ -212,14 +217,24 @@ class IArr:
     # ------------------------------------------------------------------
 
     def sum(self, axis=None) -> "IArr":
-        n = self.lo.size if axis is None else self.lo.shape[axis]
+        """Sum over all entries, one axis or a tuple of axes.  A tuple of
+        axes is moved to the end and flattened, so that each item is summed
+        as one row, in the order .sum() sums a C-contiguous item alone."""
+        lo, hi = self.lo, self.hi
+        if isinstance(axis, tuple):
+            last = range(-len(axis), 0)
+            lo, hi = np.moveaxis(lo, axis, last), np.moveaxis(hi, axis, last)
+            keep = lo.shape[: lo.ndim - len(axis)]
+            lo, hi = lo.reshape(keep + (-1,)), hi.reshape(keep + (-1,))
+            axis = -1
+        n = lo.size if axis is None else lo.shape[axis]
         if n == 0:
-            return IArr.zeros(np.sum(self.lo, axis=axis).shape)
+            return IArr.zeros(np.sum(lo, axis=axis).shape)
         g = _gamma(max(n - 1, 1))
-        slo = np.sum(self.lo, axis=axis)
-        shi = np.sum(self.hi, axis=axis)
-        alo = np.sum(np.abs(self.lo), axis=axis)
-        ahi = np.sum(np.abs(self.hi), axis=axis)
+        slo = np.sum(lo, axis=axis)
+        shi = np.sum(hi, axis=axis)
+        alo = np.sum(np.abs(lo), axis=axis)
+        ahi = np.sum(np.abs(hi), axis=axis)
         # additions never suffer underflow error, so no absolute guard
         return IArr(_dn(slo - _up(g * alo)), _up(shi + _up(g * ahi)))
 
@@ -227,7 +242,11 @@ class IArr:
         return iv_matmul(self, self._coerce(other))
 
 def iv_matmul(A: IArr, B: IArr) -> IArr:
-    """Verified matrix product via midpoint-radius with error inflation."""
+    """Verified matrix product via midpoint-radius with error inflation.
+
+    A and B may be stacks of matrices, broadcast as numpy's matmul
+    broadcasts them; each item has the bits of the product of that item
+    alone when the stack is contiguous or one operand is a 2-D matrix."""
     return _mr_matmul(*A.mid_rad(), *B.mid_rad())
 
 
@@ -249,10 +268,11 @@ def _mr_matmul(Am, Ar, Bm, Br) -> IArr:
     raw = (R + _gamma(k + 4) * P) * _K_INFL
     # an output entry is exactly zero iff its row of A or column of B is
     # identically zero (then every contributing product is exactly 0.0);
-    # testing the inputs keeps this sound under underflow
+    # testing the inputs keeps this sound under underflow.  Rows and
+    # columns are tested per matrix of a stack.
     arow = np.max(absA + Ar, axis=-1)
-    bcol = np.max(absB + Br, axis=0)
-    zero = (arow[..., :, None] == 0.0) | (bcol[None, :] == 0.0)
+    bcol = np.max(absB + Br, axis=-2)
+    zero = (arow[..., :, None] == 0.0) | (bcol[..., None, :] == 0.0)
     Cr = np.where(zero, 0.0, _up(raw + _ABS_GUARD))
     return IArr(np.where(zero, 0.0, _dn(Cm - Cr)), np.where(zero, 0.0, _up(Cm + Cr)))
 
@@ -271,21 +291,26 @@ def _window_index(P: int, Q: int, p: int, q: int) -> np.ndarray:
 
 
 def iv_corr2d(T: IArr, K: IArr) -> IArr:
-    """Cross-correlation: out[a, b] = sum_ij K[i, j] T[a + i, b + j]."""
+    """Cross-correlation: out[a, b] = sum_ij K[i, j] T[a + i, b + j].
+
+    K may be a stack of kernels (..., p, q), correlated with the one T:
+    the window matrix of T is gathered once, and each item has the bits of
+    its correlation alone."""
     return _mr_corr2d(*T.mid_rad(), *K.mid_rad())
 
 
 def _mr_corr2d(Tm, Tr, Km, Kr) -> IArr:
     """Cross-correlation of T in [Tm +- Tr] with K in [Km +- Kr] as a
     windowed matrix-vector product, the window rows gathered from Tm and Tr."""
-    p, q = Km.shape
+    p, q = Km.shape[-2:]
     P, Q = Tm.shape
     idx = _window_index(P, Q, p, q)
+    stack = Km.shape[:-2]
     out = _mr_matmul(
-        Tm.ravel()[idx], Tr.ravel()[idx], Km.reshape(p * q, 1), Kr.reshape(p * q, 1)
+        Tm.ravel()[idx], Tr.ravel()[idx], Km.reshape(stack + (p * q, 1)), Kr.reshape(stack + (p * q, 1))
     )
-    A, B = P - p + 1, Q - q + 1
-    return IArr(out.lo.reshape(A, B), out.hi.reshape(A, B))
+    shape = stack + (P - p + 1, Q - q + 1)
+    return IArr(out.lo.reshape(shape), out.hi.reshape(shape))
 
 
 def iv_conv2d_full(U: IArr, V: IArr) -> IArr:

@@ -153,10 +153,8 @@ class PowerSeries:
         self._check_compatible(other)
         conv = iv_conv2d_full if len(self.domain) == 2 else iv_conv1d_full
         a, b = self.coeffs, other.coeffs
-        full = [conv(a[i], b[i]) for i in range(self.batch)]
-        lo = np.stack([f.lo for f in full])
-        hi = np.stack([f.hi for f in full])
-        return self._like(IArr(lo, hi)).reduce(self.degree)
+        full = IArr.stack([conv(a[i], b[i]) for i in range(self.batch)])
+        return self._like(full).reduce(self.degree)
 
     def scale(self, c) -> "PowerSeries":
         """Item b times c, or times c[b] for an IArr c."""
@@ -371,7 +369,7 @@ class ElemFn:
                     return None
                 p = one / p
             rows.append(p * fac)
-        out = IArr(np.stack([r.lo for r in rows]), np.stack([r.hi for r in rows]))
+        out = IArr.stack(rows)
         for a in pows + [out]:
             if not (np.isfinite(a.lo).all() and np.isfinite(a.hi).all()):
                 return None

@@ -28,12 +28,17 @@ its share of the caller's width budget, are bisected along their longer
 edge (tie: x) down to a depth limit.  The sweep runs level by level: the
 rectangles of one refinement level are evaluated as one batch of Taylor
 models, with one composition for all of them, and those bisected make up
-the next level.  Leaves are folded, and errors raised, as a depth-first
-recursion over each base rectangle would, so the batching does not show in
-the results.  With more than one worker the grid rows of base rectangles
-are handed out to forked worker processes, each sweeping its row as a
-batch; contributions are summed in base-rectangle order regardless of the
-worker count, so results are reproducible.
+the next level.  Their contributions -- gram tables, residual and power
+integrals, range bounds -- are computed as stacked arrays once per level,
+over groups of rectangles of one class and local box, which share every
+corner table; each rectangle gets the bits it would get evaluated alone.
+Leaves are folded, and errors raised, as a depth-first recursion over each
+base rectangle would, so the batching does not show in the results.  With
+more than one worker the grid rows of base rectangles are handed out to
+forked worker processes, each sweeping its row as a batch; contributions
+are summed in base-rectangle order regardless of the worker count, so
+results are reproducible.  Factor and corner tables depend only on their
+arguments and are built once per process.
 
 One sweep engine evaluates every rectangle, and two functions run it:
 
@@ -50,14 +55,22 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 
+from . import ivarray
 from .errors import IntervalDomainError, PositivityError, UsageError
 from .galerkin import FourierApproximation
 from .interval import PI, Interval, iv_cos, iv_pow, iv_sin
-from .ivarray import IArr, iv_conv2d_full, iv_corr2d, iv_matmul, iv_outer
+from .ivarray import IArr, iv_conv2d_full, iv_outer
 from .psa import ElemFn, PowerSeries2D, ps_compose
+
+# The benchmark's tracer (perfbench/tracing.py) wraps quad.iv_matmul,
+# quad.iv_corr2d and quad.iv_conv2d_full, and its cost hooks read 2-D
+# operands.  The sweep multiplies stacks of matrices, so it calls those
+# products through the ivarray module, and the names stay importable here.
+from .ivarray import iv_corr2d, iv_matmul  # noqa: F401
 
 __all__ = [
     "Rect",
@@ -121,18 +134,16 @@ class Rect:
         return self.cls in (RectClass.S11, RectClass.S01)
 
     def expansion_x(self) -> Fraction:
-        return Fraction(0) if self.van_x else (self.x0 + self.x1) / 2
+        return _local_edge(self.x0, self.x1, self.van_x)[0]
 
     def expansion_y(self) -> Fraction:
-        return Fraction(0) if self.van_y else (self.y0 + self.y1) / 2
+        return _local_edge(self.y0, self.y1, self.van_y)[0]
 
     def local_x(self) -> tuple[Fraction, Fraction]:
-        cx = self.expansion_x()
-        return self.x0 - cx, self.x1 - cx
+        return _local_edge(self.x0, self.x1, self.van_x)[1:]
 
     def local_y(self) -> tuple[Fraction, Fraction]:
-        cy = self.expansion_y()
-        return self.y0 - cy, self.y1 - cy
+        return _local_edge(self.y0, self.y1, self.van_y)[1:]
 
     @property
     def area(self) -> float:
@@ -314,30 +325,159 @@ def _frac_interval(lo: Fraction, hi: Fraction) -> Interval:
     return Interval(Interval.from_fraction(lo).lo, Interval.from_fraction(hi).hi)
 
 
+def _local_edge(a: Fraction, b: Fraction, van: bool) -> tuple[Fraction, Fraction, Fraction]:
+    """The expansion point of the edge [a, b] -- its vanishing end 0 when
+    van, else its midpoint -- and the edge's ends in local coordinates."""
+    x0 = Fraction(0) if van else (a + b) / 2
+    return x0, a - x0, b - x0
+
+
 # ----------------------------------------------------------------------
-# models and corner integration on one rectangle
+# tables, built once per process
 # ----------------------------------------------------------------------
 
-def _model_domains(rect: Rect):
-    lx0, lx1 = rect.local_x()
-    ly0, ly1 = rect.local_y()
-    return _frac_interval(lx0, lx1), _frac_interval(ly0, ly1)
+# A table depends only on its arguments, so one table serves every sweep in
+# the process, and forked workers inherit those built before the fork.  A
+# default verify builds 231 factor and 24 corner tables (about 0.9 MB), the
+# benchmark's certify configuration 42 and 15; the bound keeps several
+# sweeps of that size without evicting.  The arrays are shared between
+# callers, hence read-only.
+_TABLES = 1024
 
 
-def _tensor_models(sx: list, a_iv: IArr, sy: list, domain) -> PowerSeries2D:
-    """sum_ij a_ij f_i(x) g_j(y) on every rectangle, from its per-mode
-    factor tables sx[b] (of the f_i) and sy[b] (of the g_j)."""
-    items = [iv_matmul(iv_matmul(x, a_iv), IArr(y.lo.T, y.hi.T)) for x, y in zip(sx, sy)]
-    return PowerSeries2D(IArr(np.stack([c.lo for c in items]), np.stack([c.hi for c in items])), domain)
+def _read_only(t: IArr) -> IArr:
+    t.lo.flags.writeable = False
+    t.hi.flags.writeable = False
+    return t
 
 
+@lru_cache(maxsize=_TABLES)
+def _sine_table(modes: tuple, a: Fraction, b: Fraction, van: bool, reduced: bool, degree: int) -> IArr:
+    """The sine factor table of the edge [a, b] in its local coordinates
+    (_sine_factor_matrix); reduced needs a vanishing edge."""
+    x0, lo, hi = _local_edge(a, b, van)
+    return _read_only(_sine_factor_matrix(modes, x0, _frac_interval(lo, hi), degree, reduced=reduced))
+
+
+@lru_cache(maxsize=_TABLES)
+def _cosine_table(freqs: tuple, a: Fraction, b: Fraction, van: bool, degree: int) -> IArr:
+    """The cosine factor table of the edge [a, b] in its local coordinates."""
+    x0, lo, hi = _local_edge(a, b, van)
+    return _read_only(_cosine_factor_matrix(freqs, x0, _frac_interval(lo, hi), degree))
+
+
+@lru_cache(maxsize=_TABLES)
 def _corner_table(v: Fraction, qoff: Fraction, count: int) -> IArr:
     """v^(e+1) / (e+1) for the exponents e = i + qoff, i < count."""
     vals = []
     for i in range(count):
         e = Fraction(i) + qoff
         vals.append(_endpoint_power(v, e + 1) / Interval.from_fraction(e + 1))
-    return IArr.from_intervals(vals)
+    return _read_only(IArr.from_intervals(vals))
+
+
+# ----------------------------------------------------------------------
+# one refinement level as stacks
+# ----------------------------------------------------------------------
+
+class _Edges:
+    """The distinct edges (a, b, vanishing) of a list of rectangles, x and
+    y edges alike -- the tables of one interval are one table -- and each
+    rectangle's index into them for its x edge and for its y edge."""
+
+    def __init__(self, keys: list, ix: np.ndarray, iy: np.ndarray):
+        self.keys = keys
+        self.ix = ix
+        self.iy = iy
+
+    @classmethod
+    def of(cls, rects) -> "_Edges":
+        keys = {}
+        ix = [keys.setdefault((r.x0, r.x1, r.van_x), len(keys)) for r in rects]
+        iy = [keys.setdefault((r.y0, r.y1, r.van_y), len(keys)) for r in rects]
+        return cls(list(keys), np.array(ix, dtype=np.intp), np.array(iy, dtype=np.intp))
+
+    def take(self, order) -> "_Edges":
+        """The edges of the rectangles in the given order."""
+        return _Edges(self.keys, self.ix[order], self.iy[order])
+
+    def domains(self) -> tuple[IArr, IArr]:
+        """Each rectangle's local x and y intervals."""
+        dom = IArr.from_intervals([_frac_interval(*_local_edge(*k)[1:]) for k in self.keys])
+        return dom[self.ix], dom[self.iy]
+
+
+class _Group:
+    """The batch items [start, stop) of one class and one local box, which
+    share every corner table; rect is one of them."""
+
+    def __init__(self, start: int, stop: int, rect: Rect):
+        self.items = slice(start, stop)
+        self.rect = rect
+
+    def corners(self, e: Fraction, nx: int, ny: int) -> list:
+        """Signed corner tables of a tensor antiderivative over the local
+        box: (X outer Y, sign) for the corner tables X of x^(i+qx) at each x
+        end and Y of y^(j+qy) at each y end, negative at the two mixed
+        corners, where qx = e on a vanishing x edge and 0 otherwise (qy
+        alike).  A lower end at the expansion point contributes zero and is
+        skipped."""
+        r = self.rect
+        qx = e if r.van_x else Fraction(0)
+        qy = e if r.van_y else Fraction(0)
+        (lx0, lx1), (ly0, ly1) = r.local_x(), r.local_y()
+        xends = ((lx1, 1),) if lx0 == 0 else ((lx1, 1), (lx0, -1))
+        yends = ((ly1, 1),) if ly0 == 0 else ((ly1, 1), (ly0, -1))
+        return [
+            (iv_outer(_corner_table(xe, qx, nx), _corner_table(ye, qy, ny)), xs * ys)
+            for xe, xs in xends
+            for ye, ys in yends
+        ]
+
+
+def _groups(rects, edges: _Edges) -> tuple[list, list]:
+    """An order of the rectangles in which those of one class and local box
+    are consecutive, rectangles on a vanishing edge first, and the groups
+    of that order."""
+    local = {}
+    lid = [local.setdefault((k[2],) + _local_edge(*k)[1:], len(local)) for k in edges.keys]
+    boxes = {}
+    gid = [boxes.setdefault((lid[i], lid[j]), len(boxes)) for i, j in zip(edges.ix, edges.iy)]
+    inner = [not (r.van_x or r.van_y) for r in rects]
+    order = sorted(range(len(rects)), key=lambda b: (inner[b], gid[b]))
+    groups = []
+    for j, b in enumerate(order):
+        if j == 0 or gid[b] != gid[order[j - 1]]:
+            groups.append([j, j + 1, rects[b]])
+        else:
+            groups[-1][1] = j + 1
+    return order, [_Group(*g) for g in groups]
+
+
+def _convolve_items(U: IArr, V: IArr) -> IArr:
+    """iv_conv2d_full of each item of U with the same item of V.  One
+    convolution per model: a convolution over stacked windows gives the same
+    bits but is slower and larger."""
+    return IArr.stack([iv_conv2d_full(U[b], V[b]) for b in range(len(U))])
+
+
+def _integrals(coeffs: IArr, groups: list, e: Fraction) -> IArr:
+    """For every item of the consecutive groups, counted from the first
+    group's start: sum_ij coeffs[b, i, j] * integral of x^(i+qx) y^(j+qy)
+    over the item's local box (qx, qy as in _Group.corners).  The
+    coefficient enters each corner term, since intervals do not distribute,
+    and the terms are added from zero in corner order."""
+    base = groups[0].items.start
+    out = IArr.zeros(groups[-1].items.stop - base)
+    for g in groups:
+        at = slice(g.items.start - base, g.items.stop - base)
+        c = coeffs[at]
+        acc = IArr.zeros(len(c))
+        for itab, sign in g.corners(e, *c.shape[1:]):
+            term = (c * itab).sum(axis=(1, 2))
+            acc = acc + (term if sign > 0 else -term)
+        out[at] = acc
+    return out
 
 
 # ----------------------------------------------------------------------
@@ -365,9 +505,9 @@ class _EtaFourier:
     its exact coefficient matrix and the interval matrix of its Laplacian."""
 
     def __init__(self, eta: FourierApproximation):
-        self.modes = eta.modes
+        self.modes = tuple(int(m) for m in eta.modes)
         self.coeffs = IArr.exact(np.asarray(eta.coeffs, dtype=float))
-        m = self.modes.astype(float)
+        m = np.array(self.modes, dtype=float)
         fac = IArr.exact(-(m[:, None] ** 2 + m[None, :] ** 2))
         self.lap = fac * self.coeffs * PI.sqr()
 
@@ -432,93 +572,33 @@ class _Engine:
         self.q = q
         # one t^q for every rectangle, so its derivative constants are built once
         self.pow_q = ElemFn.pow_q(self.q)
-        self._col_cache = {}
-
-    # -------------------- cached 1-D machinery --------------------
-
-    # the x and y tables of one interval are the same table: keys name the
-    # interval, not the axis
-    def sine_cols(self, a: Fraction, b: Fraction, van: bool, reduced: bool):
-        key = ("sin", a, b, van, reduced)
-        hit = self._col_cache.get(key)
-        if hit is not None:
-            return hit
-        x0 = Fraction(0) if van else (a + b) / 2
-        dom = _frac_interval(a - x0, b - x0)
-        out = _sine_factor_matrix(self.eta.modes, x0, dom, self.n, reduced=reduced)
-        self._col_cache[key] = out
-        return out
-
-    def cos_cols(self, a: Fraction, b: Fraction, van: bool):
-        key = ("cos", a, b, van)
-        hit = self._col_cache.get(key)
-        if hit is not None:
-            return hit
-        x0 = Fraction(0) if van else (a + b) / 2
-        dom = _frac_interval(a - x0, b - x0)
-        out = _cosine_factor_matrix(self.req.gram_freqs, x0, dom, self.n)
-        self._col_cache[key] = out
-        return out
-
-    def corner_vec(self, v: Fraction, qoff: Fraction, count: int):
-        key = ("corner", v, qoff, count)
-        hit = self._col_cache.get(key)
-        if hit is not None:
-            return hit
-        out = _corner_table(v, qoff, count)
-        self._col_cache[key] = out
-        return out
-
-    def corner_terms(self, rect: Rect, qx, qy, nx: int, ny: int, reduce) -> list:
-        """Signed corner terms of a tensor antiderivative over the rectangle's
-        local box: reduce(X outer Y) for the corner tables X of x^(i+qx) at each
-        x end and Y of y^(j+qy) at each y end, negated at the two mixed corners.
-        A lower end at the expansion point contributes zero and is skipped."""
-        lx0, lx1 = rect.local_x()
-        ly0, ly1 = rect.local_y()
-        xends = ((lx1, 1),) if lx0 == 0 else ((lx1, 1), (lx0, -1))
-        yends = ((ly1, 1),) if ly0 == 0 else ((ly1, 1), (ly0, -1))
-        terms = []
-        for xe, xsign in xends:
-            xtab = self.corner_vec(xe, qx, nx)
-            for ye, ysign in yends:
-                f = reduce(iv_outer(xtab, self.corner_vec(ye, qy, ny)))
-                terms.append(f if xsign * ysign > 0 else -f)
-        return terms
-
-    def poly_integral(self, coeffs: IArr, rect: Rect, qx: Fraction, qy: Fraction) -> Interval:
-        """sum_ij coeffs[i,j] * integral x^(i+qx) y^(j+qy) over the local box,
-        with the coefficient entering each of the four corner terms."""
-        terms = self.corner_terms(
-            rect, qx, qy, *coeffs.shape, lambda itab: (coeffs * itab).sum().item()
-        )
-        return sum(terms, Interval(0.0))
 
     # -------------------- one refinement level --------------------
+
+    def _tensor_models(self, edges: _Edges, a_iv: IArr, reduced: bool, domain) -> PowerSeries2D:
+        """sum_ij a_ij f_i(x) f_j(y) on every rectangle, one batch item each:
+        f_i the sine of mode i in local coordinates, divided by t on a
+        vanishing edge when reduced.  The product of a table with a_iv is
+        formed once per edge."""
+        t = IArr.stack([_sine_table(self.eta.modes, a, b, van, reduced and van, self.n) for a, b, van in edges.keys])
+        y = t[edges.iy]
+        y_t = IArr(np.swapaxes(y.lo, 1, 2), np.swapaxes(y.hi, 1, 2))
+        return PowerSeries2D(ivarray.iv_matmul(ivarray.iv_matmul(t, a_iv)[edges.ix], y_t), domain)
 
     def reduced_models(self, rects) -> PowerSeries2D:
         """Taylor models, in each rectangle's local coordinates, of eta
         divided by the monomial of its class: x*y on S11, y on S01, x on S10,
         1 on S00; one batch item per rectangle."""
-        sx = [self.sine_cols(r.x0, r.x1, r.van_x, reduced=r.van_x) for r in rects]
-        sy = [self.sine_cols(r.y0, r.y1, r.van_y, reduced=r.van_y) for r in rects]
-        doms = [_model_domains(r) for r in rects]
-        domain = tuple(IArr.from_intervals([d[k] for d in doms]) for k in (0, 1))
-        return _tensor_models(sx, self.eta.coeffs, sy, domain)
-
-    def _full_models(self, rects, a_iv: IArr, domain) -> PowerSeries2D:
-        """The sine series with coefficients a_iv on every rectangle,
-        unreduced, over the domains of the rectangles' reduced models."""
-        sx = [self.sine_cols(r.x0, r.x1, r.van_x, reduced=False) for r in rects]
-        sy = [self.sine_cols(r.y0, r.y1, r.van_y, reduced=False) for r in rects]
-        return _tensor_models(sx, a_iv, sy, domain)
+        edges = _Edges.of(rects)
+        return self._tensor_models(edges, self.eta.coeffs, True, edges.domains())
 
     def eval_level(self, rects) -> list:
         """Evaluate rectangles as one batch: their reduced models, the
-        positivity check and one composition for all.  Per rectangle, in
-        order: (its contributions, whether every one of them fits its share
-        of the width budgets), or the PositivityError or IntervalDomainError
-        that evaluating it alone raises, the latter naming the rectangle."""
+        positivity check, one composition and their contributions for all.
+        Per rectangle, in order: (its contributions, whether every one of
+        them fits its share of the width budgets), or the PositivityError or
+        IntervalDomainError that evaluating it alone raises, the latter
+        naming the rectangle."""
         v_red = self.reduced_models(rects)
         red = v_red.range()
         results = [None] * len(rects)
@@ -527,7 +607,7 @@ class _Engine:
             try:
                 red_range = Interval(red.lo[b], red.hi[b])
             except IntervalDomainError as exc:
-                results[b] = _on_rect(exc, rect)
+                results[b] = exc
                 continue
             if red_range.lo <= 0.0:
                 results[b] = PositivityError(
@@ -536,161 +616,184 @@ class _Engine:
                     rect=rect,
                 )
             else:
-                live.append((b, red_range))
-        if not live:
-            return results
-        live_rects = [rects[b] for b, _ in live]
-        v_live = v_red[[b for b, _ in live]]
-        ws = self._compose(v_live)
-        # the unreduced sine series that the contributions need
-        lap = None
-        if self.req.residual_p is not None:
-            lap = self._full_models(live_rects, self.eta.lap, v_live.domain)
-        xis = [
-            self._full_models(live_rects, xi.coeffs, v_live.domain) if isinstance(xi, _EtaFourier) else xi
-            for xi in self.req.powers
+                live.append(b)
+        if live:
+            w, errors = self._compose(v_red[live])
+            ok = []
+            for b, exc in zip(live, errors):
+                if exc is None:
+                    ok.append(b)
+                else:
+                    results[b] = exc
+            if ok:
+                outs = self.contributions([rects[b] for b in ok], v_red[ok], w, red[ok])
+                for b, res in zip(ok, outs):
+                    results[b] = res
+        return [
+            _on_rect(res, rect) if isinstance(res, IntervalDomainError) else res
+            for res, rect in zip(results, rects)
         ]
-        for j, ((b, red_range), w) in enumerate(zip(live, ws)):
-            rect = rects[b]
-            try:
-                if isinstance(w, Exception):
-                    raise w  # the composition's error, handled as if raised here
-                results[b] = self.rect_out(
-                    rect,
-                    red_range,
-                    v_live[j],
-                    w,
-                    None if lap is None else lap[j],
-                    [xi[j] if isinstance(xi, PowerSeries2D) else xi for xi in xis],
-                )
-            except IntervalDomainError as exc:
-                results[b] = _on_rect(exc, rect)
-            except PositivityError as exc:
-                results[b] = exc
-        return results
 
-    def _compose(self, v_red: PowerSeries2D) -> list:
-        """t^q of every model, as models of one item each; a model that the
-        composition rejects gets the error it raises on its own."""
+    def _compose(self, v_red: PowerSeries2D):
+        """t^q of the models the composition accepts, as one batch, and per
+        model the error the composition raises on it alone, or None."""
         try:
-            w = ps_compose(self.pow_q, v_red)
+            return ps_compose(self.pow_q, v_red), [None] * v_red.batch
         except (PositivityError, IntervalDomainError):
-            out = []
-            for b in range(v_red.batch):
-                try:
-                    out.append(ps_compose(self.pow_q, v_red[b]))
-                except (PositivityError, IntervalDomainError) as exc:
-                    out.append(exc)
-            return out
-        return [w[b] for b in range(w.batch)]
+            pass
+        errors = []
+        for b in range(v_red.batch):
+            try:
+                ps_compose(self.pow_q, v_red[b])
+                errors.append(None)
+            except (PositivityError, IntervalDomainError) as exc:
+                errors.append(exc)
+        ok = [b for b, exc in enumerate(errors) if exc is None]
+        return (ps_compose(self.pow_q, v_red[ok]) if ok else None), errors
 
-    def rect_out(self, rect: Rect, red_range: Interval, v_red, w, v_lap, xis) -> tuple[_RectOut, bool]:
-        """One rectangle's contributions, and whether every one of them fits
-        its share of the width budgets, from the range of its reduced model
-        and these models of one item: the reduced model, its composition,
-        the Laplacian of eta (for the residual) and each xi (an Interval or
-        None as given)."""
-        out = _RectOut(rect_count=1)
-        area = rect.area
-        van_x, van_y = rect.van_x, rect.van_y
+    def contributions(self, rects, v_red: PowerSeries2D, w: PowerSeries2D, red: IArr) -> list:
+        """Each rectangle's contributions, and whether every one of them fits
+        its share of the width budgets, or the IntervalDomainError that
+        evaluating it alone raises; from the batches of the rectangles'
+        reduced models, their compositions and their reduced ranges.
 
-        u_range = red_range
-        if van_x or van_y:
-            dx, dy = (d[0].item() for d in v_red.domain)
-            mon_range = Interval(1.0)
-            if van_x:
-                mon_range = mon_range * dx
-            if van_y:
-                mon_range = mon_range * dy
-            u_range = mon_range * red_range
-        else:
-            c0 = v_red.const_coeff()[0].item()
-            out.center_lo = c0.lo
-            out.center_hi = c0.hi
-        out.rng_min = out.witness_lo = u_range.lo
-        out.rng_max = u_range.hi
+        The contributions are computed as stacks, over consecutive groups of
+        rectangles of one class and local box that share their corner
+        tables; every rectangle's contributions have the bits of the
+        rectangle evaluated alone."""
+        edges = _Edges.of(rects)
+        order, groups = _groups(rects, edges)
+        edges = edges.take(order)
+        v_red, w, red = v_red[order], w[order], red[order]
+        req = self.req
+        # u = (class monomial) * eta_reduced over the rectangle
+        u_rng = red.copy()
+        for g in groups:
+            r = g.rect
+            if r.van_x or r.van_y:
+                mon = IArr.exact(np.ones(g.items.stop - g.items.start))
+                if r.van_x:
+                    mon = mon * v_red.domain[0][g.items]
+                if r.van_y:
+                    mon = mon * v_red.domain[1][g.items]
+                u_rng[g.items] = mon * red[g.items]
+        t = res = None
+        if req.gram_freqs is not None:
+            cos = IArr.stack([_cosine_table(req.gram_freqs, a, b, van, self.n) for a, b, van in edges.keys])
+            t = self._gram_tables(groups, w, cos[edges.ix], cos[edges.iy])
+        if req.residual_p is not None:
+            lap = self._tensor_models(edges, self.eta.lap, False, v_red.domain)
+            res = self._residuals(groups, v_red, w, lap)
+        powers = []
+        for xi in req.powers:
+            if xi is None:
+                prod = w.coeffs
+            elif isinstance(xi, Interval):
+                prod = w.coeffs * xi
+            else:
+                xi_model = self._tensor_models(edges, xi.coeffs, False, v_red.domain)
+                prod = _convolve_items(w.coeffs, xi_model.coeffs)
+            powers.append(_integrals(prod, groups, self.q))
+        outs = self._rect_outs(groups, u_rng, v_red.const_coeff(), t, res, powers)
+        return [outs[j] for j in np.argsort(order)]
 
-        qx_base = self.q if van_x else Fraction(0)
-        qy_base = self.q if van_y else Fraction(0)
-        w_coeffs = w.coeffs[0]
-
-        ok = True
-
-        if self.req.gram_freqs is not None:
-            cx = self.cos_cols(rect.x0, rect.x1, van_x)
-            cy = self.cos_cols(rect.y0, rect.y1, van_y)
-            t_rect = self._gram_tables(w_coeffs, cx, cy, rect, qx_base, qy_base)
+    def _rect_outs(self, groups: list, u_rng: IArr, c0: IArr, t, res, powers: list) -> list:
+        """Per batch item: its _RectOut and whether every contribution fits
+        its share of the width budgets, or the IntervalDomainError of the
+        first non-finite output in the order ranges, gram table, residual,
+        integrals; from the stacks of u's range, the constant coefficients,
+        the gram tables, the residuals and one stack per integral."""
+        req = self.req
+        if t is not None:
             # NaN fails every comparison, so the budget test below would
             # pass it; the scalar outputs are Intervals, which reject
             # non-finite endpoints when they are made
-            if not (np.isfinite(t_rect.lo).all() and np.isfinite(t_rect.hi).all()):
-                raise IntervalDomainError("non-finite gram table")
-            out.t_table = t_rect
-            if self.req.gram_width is not None and t_rect.max_width() > self.req.gram_width * area:
-                ok = False
+            t_finite = np.isfinite(t.lo).all(axis=(1, 2)) & np.isfinite(t.hi).all(axis=(1, 2))
+            t_width = np.max(t.width(), axis=(1, 2), initial=0.0)
+        outs = []
+        for g in groups:
+            area = g.rect.area
+            inner = not (g.rect.van_x or g.rect.van_y)
+            for j in range(g.items.start, g.items.stop):
+                try:
+                    u = Interval(u_rng.lo[j], u_rng.hi[j])
+                    out = _RectOut(rect_count=1, rng_min=u.lo, rng_max=u.hi, witness_lo=u.lo)
+                    if inner:
+                        c = Interval(c0.lo[j], c0.hi[j])
+                        out.center_lo, out.center_hi = c.lo, c.hi
+                    ok = True
+                    if t is not None:
+                        if not t_finite[j]:
+                            raise IntervalDomainError("non-finite gram table")
+                        out.t_table = t[j]
+                        if req.gram_width is not None and t_width[j] > req.gram_width * area:
+                            ok = False
+                    if res is not None:
+                        out.res_sq = Interval(res.lo[j], res.hi[j])
+                        if req.res_width is not None and out.res_sq.width > req.res_width * area:
+                            ok = False
+                    if req.powers:
+                        out.powers = [Interval(v.lo[j], v.hi[j]) for v in powers]
+                        if req.power_width is not None and any(v.width > req.power_width * area for v in out.powers):
+                            ok = False
+                    outs.append((out, ok))
+                except IntervalDomainError as exc:
+                    outs.append(exc)
+        return outs
 
-        if self.req.residual_p is not None:
-            res = self._residual_piece(rect, v_red, w, v_lap)
-            out.res_sq = res
-            if self.req.res_width is not None and res.width > self.req.res_width * area:
-                ok = False
-
-        if self.req.powers:
-            out.powers = []
-            for xi in xis:
-                val = self._power_piece(rect, w_coeffs, xi, qx_base, qy_base)
-                out.powers.append(val)
-                if self.req.power_width is not None and val.width > self.req.power_width * area:
-                    ok = False
-
-        return out, ok
-
-    def _gram_tables(self, w_coeffs, cx, cy, rect, qx, qy) -> IArr:
+    def _gram_tables(self, groups: list, w: PowerSeries2D, cx: IArr, cy: IArr) -> IArr:
+        """Each item's cosine-pair table T[fx, fy], the integral of
+        w cos(fx pi x) cos(fy pi y) over its local box, from the stacks cx
+        and cy of its x and y cosine factor tables: per corner, the
+        correlation of the corner table with w between the two tables, the
+        corner terms added in corner order."""
         size = 2 * self.n + 1
-        cx_t = IArr(cx.lo.T, cx.hi.T)
+        cx_t = IArr(np.swapaxes(cx.lo, 1, 2), np.swapaxes(cx.hi, 1, 2))
+        nf = cy.shape[2]
+        out = IArr.zeros((len(cy), nf, nf))
+        for g in groups:
+            at = g.items
+            t = None
+            for itab, sign in g.corners(self.q, size, size):
+                corr = ivarray.iv_corr2d(itab, w.coeffs[at])
+                f = ivarray.iv_matmul(ivarray.iv_matmul(cx_t[at], corr), cy[at])
+                f = f if sign > 0 else -f
+                t = f if t is None else t + f
+            out[at] = t
+        return out
 
-        def reduce(itab):  # itab: (2n+1, 2n+1) -> (nf, nf)
-            return iv_matmul(iv_matmul(cx_t, iv_corr2d(itab, w_coeffs)), cy)
-
-        terms = self.corner_terms(rect, qx, qy, size, size, reduce)
-        return sum(terms[1:], terms[0])
-
-    def _residual_piece(self, rect, v_red, w, v_lap) -> Interval:
-        van_x, van_y = rect.van_x, rect.van_y
+    def _residuals(self, groups: list, v_red: PowerSeries2D, w: PowerSeries2D, lap: PowerSeries2D) -> IArr:
+        """Each item's integral of (Delta u + u^p)^2 over its rectangle, from
+        the models of eta reduced, its composition and the Laplacian of eta.
+        The rectangles on a vanishing edge come first, then the interior."""
         p = self.req.residual_p
-        if not (van_x or van_y):
+        u_pow = w * v_red  # u^(1+q) = u^p inside, [eta]^p on an edge rectangle
+        out = IArr.zeros(v_red.batch)
+        edge = [g for g in groups if g.rect.van_x or g.rect.van_y]
+        inner = groups[len(edge):]
+        if inner:
             # single model of Delta u + u^p; widths couple to the small
             # residual instead of the huge separate pieces
-            u_pow = w * v_red  # u^(1+q) = u^p
-            r_model = (v_lap + u_pow).coeffs[0]
-            sq = iv_conv2d_full(r_model, r_model)
-            return self.poly_integral(sq, rect, Fraction(0), Fraction(0))
-        # boundary rectangles: local three-piece expansion
-        ex = Fraction(1) if van_x else Fraction(0)
-        ey = Fraction(1) if van_y else Fraction(0)
-        lap = v_lap.coeffs[0]
-        piece1 = self.poly_integral(iv_conv2d_full(lap, lap), rect, Fraction(0), Fraction(0))
-        red_pow = w * v_red  # [eta]^p
-        cross = iv_conv2d_full(red_pow.coeffs[0], lap)
-        piece2 = self.poly_integral(cross, rect, p * ex, p * ey)
-        two_p = 2 * p
-        if two_p.denominator == 1:
-            acc = v_red
-            for _ in range(two_p.numerator - 1):
-                acc = acc * v_red
-        else:
-            acc = (w * w) * (v_red * v_red)
-        piece3 = self.poly_integral(acc.coeffs[0], rect, two_p * ex, two_p * ey)
-        return piece1 + Interval(2.0) * piece2 + piece3
-
-    def _power_piece(self, rect, w_coeffs, xi, qx, qy) -> Interval:
-        if xi is None:
-            prod = w_coeffs
-        elif isinstance(xi, Interval):
-            prod = w_coeffs * xi
-        else:
-            prod = iv_conv2d_full(w_coeffs, xi.coeffs[0])
-        return self.poly_integral(prod, rect, qx, qy)
+            at = slice(inner[0].items.start, inner[-1].items.stop)
+            r = lap.coeffs[at] + u_pow.coeffs[at]
+            out[at] = _integrals(_convolve_items(r, r), inner, Fraction(0))
+        if edge:
+            # local three-piece expansion
+            at = slice(edge[0].items.start, edge[-1].items.stop)
+            lp = lap.coeffs[at]
+            piece1 = _integrals(_convolve_items(lp, lp), edge, Fraction(0))
+            piece2 = _integrals(_convolve_items(u_pow.coeffs[at], lp), edge, p)
+            two_p = 2 * p
+            v = v_red[at]
+            if two_p.denominator == 1:
+                acc = v
+                for _ in range(two_p.numerator - 1):
+                    acc = acc * v
+            else:
+                acc = (w[at] * w[at]) * (v * v)
+            piece3 = _integrals(acc.coeffs, edge, two_p)
+            out[at] = piece1 + piece2 * Interval(2.0) + piece3
+        return out
 
     # -------------------- level-synchronous driver --------------------
 

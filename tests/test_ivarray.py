@@ -191,6 +191,18 @@ class TestMatmul:
         C = iv_matmul(A, B)
         assert np.all(C.lo[2] == 0.0) and np.all(C.hi[2] == 0.0)
 
+    def test_stacked_zero_column_of_one_item(self):
+        # a column that is zero in one matrix of a stack only is not an
+        # exact zero column of the product
+        A = IArr.exact(np.ones((2, 3, 3)))
+        B = IArr.exact(np.ones((2, 3, 3)))
+        B.lo[:, 1, 2] = B.hi[:, 1, 2] = 0.0
+        B.lo[0, :, 1] = B.hi[0, :, 1] = 0.0
+        C = iv_matmul(A, B)
+        assert C[0, 1, 2].item().contains(2.0) and C[1, 1, 2].item().contains(2.0)
+        assert (C.lo[0, :, 1] == 0.0).all() and (C.hi[0, :, 1] == 0.0).all()
+        assert C[1, 1, 1].item().contains(3.0)
+
     def test_interval_widths_reasonable(self):
         rng = np.random.default_rng(5)
         A = random_iarr(rng, (10, 10), width=1e-8)
@@ -280,6 +292,51 @@ class TestSameBitsAsReference:
         T = data.draw(iarrs((P, Q)))
         K = data.draw(iarrs((p, q)))
         assert same_bits(iv_corr2d(T, K), ref_corr2d(T, K))
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.data(), st.integers(1, 4), st.integers(1, 8), st.integers(1, 8), st.integers(1, 8))
+    def test_stacked_matmul_per_item(self, data, g, m, k, n):
+        # items with their own exact-zero rows and columns; stacks as the
+        # sweep forms them: contiguous, transposed items, a 2-D operand
+        # broadcast against a stack
+        def stack(shape):
+            items = [data.draw(iarrs(shape)) for _ in range(g)]
+            return IArr(np.stack([a.lo for a in items]), np.stack([a.hi for a in items]))
+
+        def transposed(a):
+            return IArr(np.swapaxes(a.lo, 1, 2), np.swapaxes(a.hi, 1, 2))
+
+        A, B, Bt = stack((m, k)), stack((k, n)), transposed(stack((n, k)))
+        A2, B2 = data.draw(iarrs((m, k))), data.draw(iarrs((k, n)))
+        for left, right in ((A, B), (A, Bt), (A2, B), (A, B2)):
+            C = iv_matmul(left, right)
+            for b in range(g):
+                item_l = left if left.ndim == 2 else left[b]
+                item_r = right if right.ndim == 2 else right[b]
+                assert same_bits(C[b], iv_matmul(item_l, item_r))
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.data(), model_shapes(), st.integers(1, 4))
+    def test_stacked_corr2d_per_item(self, data, n, g):
+        T = data.draw(iarrs((2 * n + 1, 2 * n + 1)))
+        items = [data.draw(iarrs((n + 1, n + 1))) for _ in range(g)]
+        K = IArr(np.stack([k.lo for k in items]), np.stack([k.hi for k in items]))
+        C = iv_corr2d(T, K)
+        for b in range(g):
+            assert same_bits(C[b], iv_corr2d(T, items[b]))
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.data(), st.integers(1, 4), st.integers(1, 21), st.integers(1, 21))
+    def test_sum_over_axes_per_item(self, data, g, m, n):
+        items = [data.draw(iarrs((m, n))) for _ in range(g)]
+        A = IArr(np.stack([a.lo for a in items]), np.stack([a.hi for a in items]))
+        s = A.sum(axis=(1, 2))
+        assert s.shape == (g,)
+        for b in range(g):
+            assert same_bits(s[b], items[b].sum())
+        # a leading axis moves to the end
+        moved = IArr(np.moveaxis(A.lo, 0, 2), np.moveaxis(A.hi, 0, 2))
+        assert same_bits(moved.sum(axis=(0, 1)), s)
 
     def test_window_index_cached_read_only(self):
         idx = _window_index(5, 6, 2, 3)

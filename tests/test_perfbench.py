@@ -6,8 +6,10 @@ benchmark's files are only read: its modules are loaded from their paths.
 
 import importlib.util
 import os
+from fractions import Fraction
 from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
 from powcert import certify, cli, errors, galerkin, interval, ivarray, psa, quad
@@ -59,3 +61,19 @@ def test_workload_entry_points(tmp_path):
         assert isinstance(cfg, cli.RunConfig)
     assert isinstance(workloads.quad_config(quad), quad.QuadConfig)
     assert len(workloads.quad_inputs(1, galerkin.FourierApproximation)) == workloads.N_ETAS
+
+
+def test_traced_sweeps_complete():
+    # the tracer's cost hooks read 2-D operands: stacked products must not
+    # reach the names it wraps
+    u = galerkin.FourierApproximation(3, np.array([[5.0, 0.1], [0.2, 0.05]]))
+    cfg = quad.QuadConfig(degree=6, grid_m=2)
+    tracer = tracing.Tracer()
+    tracer.install(PC)
+    try:
+        quad.integral_power(u, u, Fraction(1, 2), cfg)
+        _res, _gram, _ranges, stats = quad.pipeline_sweep(u, Fraction(3, 2), [(1, 1), (1, 3)], cfg, res_width=10.0)
+    finally:
+        tracer.uninstall()
+    assert stats["rects"] > 16  # the budget bisects
+    assert tracer.counters["ivarray.flops"] > 0

@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from conftest import clear_tables
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
@@ -19,7 +20,7 @@ from test_ivarray import (
     same_bits,
 )
 
-from powcert import psa, quad
+from powcert import ivarray, psa, quad
 from powcert.errors import PositivityError, UsageError
 from powcert.galerkin import GalerkinConfig, newton_solve
 from powcert.interval import Interval, iv_pow
@@ -529,6 +530,12 @@ def items_same_bits(batch: PowerSeries2D, refs) -> bool:
     )
 
 
+def ref_corr2d_items(T, K):
+    """ref_corr2d of T with each kernel of a stack, item by item."""
+    out = [ref_corr2d(T, K[b]) for b in range(len(K))]
+    return IArr(np.stack([c.lo for c in out]), np.stack([c.hi for c in out]))
+
+
 class TestSameBitsAsReference:
     @settings(max_examples=40, deadline=None)
     @given(st.data(), model_shapes())
@@ -687,9 +694,10 @@ class TestSameBitsAsReference:
             return (res.lo, res.hi), gram.lo.tobytes(), gram.hi.tobytes(), ranges, stats
 
         new = sweep()
+        clear_tables()  # rebuilt with the reference kernels
         monkeypatch.setattr(IArr, "__mul__", ref_mul)
         monkeypatch.setattr(IArr, "__rmul__", ref_mul)
-        monkeypatch.setattr(quad, "iv_corr2d", ref_corr2d)
+        monkeypatch.setattr(ivarray, "iv_corr2d", ref_corr2d_items)
         monkeypatch.setattr(quad, "iv_conv2d_full", ref_conv2d_full)
         monkeypatch.setattr(psa, "iv_conv2d_full", ref_conv2d_full)
         monkeypatch.setattr(PowerSeries2D, "reduce", ref_reduce_batch)

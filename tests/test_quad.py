@@ -16,7 +16,7 @@ from powcert import quad
 from powcert.errors import IntervalDomainError, PositivityError, UsageError
 from powcert.galerkin import FourierApproximation, odd_modes
 from powcert.interval import Interval, iv_pow
-from powcert.ivarray import IArr
+from powcert.ivarray import IArr, iv_conv2d_full, iv_corr2d, iv_matmul, iv_outer
 from powcert.psa import PowerSeries2D
 from powcert.quad import (
     MonomialTerm,
@@ -709,3 +709,245 @@ class TestTrigTablesSameBits:
                     assert same_bits(got, ref_sine_full(modes, x0, dom, degree)), (degree, a, b, x0)
                     got = quad._cosine_factor_matrix(freqs, x0, dom, degree)
                     assert same_bits(got, ref_cosine(freqs, x0, dom, degree)), (degree, a, b, x0)
+
+
+# ----------------------------------------------------------------------
+# the per-rectangle contributions: one rectangle's tensor models, gram
+# tables, residual and power pieces computed alone, kept to check that the
+# level-batched contributions give the same bits
+# ----------------------------------------------------------------------
+
+def ref_tensor_model(engine, rect, a_iv, reduced, domain):
+    """sum_ij a_ij f_i(x) f_j(y) on one rectangle, a batch of one."""
+    n, modes = engine.n, engine.eta.modes
+    x = quad._sine_table(modes, rect.x0, rect.x1, rect.van_x, reduced and rect.van_x, n)
+    y = quad._sine_table(modes, rect.y0, rect.y1, rect.van_y, reduced and rect.van_y, n)
+    return PowerSeries2D(iv_matmul(iv_matmul(x, a_iv), IArr(y.lo.T, y.hi.T)), domain)
+
+
+def ref_corner_terms(rect, qx, qy, nx, ny, reduce):
+    lx0, lx1 = rect.local_x()
+    ly0, ly1 = rect.local_y()
+    xends = ((lx1, 1),) if lx0 == 0 else ((lx1, 1), (lx0, -1))
+    yends = ((ly1, 1),) if ly0 == 0 else ((ly1, 1), (ly0, -1))
+    terms = []
+    for xe, xsign in xends:
+        xtab = quad._corner_table(xe, qx, nx)
+        for ye, ysign in yends:
+            f = reduce(iv_outer(xtab, quad._corner_table(ye, qy, ny)))
+            terms.append(f if xsign * ysign > 0 else -f)
+    return terms
+
+
+def ref_poly_integral(coeffs, rect, qx, qy):
+    terms = ref_corner_terms(rect, qx, qy, *coeffs.shape, lambda itab: (coeffs * itab).sum().item())
+    return sum(terms, Interval(0.0))
+
+
+def ref_gram_tables(engine, w_coeffs, cx, cy, rect, qx, qy):
+    size = 2 * engine.n + 1
+    cx_t = IArr(cx.lo.T, cx.hi.T)
+
+    def reduce(itab):
+        return iv_matmul(iv_matmul(cx_t, iv_corr2d(itab, w_coeffs)), cy)
+
+    terms = ref_corner_terms(rect, qx, qy, size, size, reduce)
+    return sum(terms[1:], terms[0])
+
+
+def ref_residual_piece(engine, rect, v_red, w, v_lap):
+    van_x, van_y = rect.van_x, rect.van_y
+    p = engine.req.residual_p
+    if not (van_x or van_y):
+        r_model = (v_lap + w * v_red).coeffs[0]
+        return ref_poly_integral(iv_conv2d_full(r_model, r_model), rect, Fraction(0), Fraction(0))
+    ex = Fraction(1) if van_x else Fraction(0)
+    ey = Fraction(1) if van_y else Fraction(0)
+    lap = v_lap.coeffs[0]
+    piece1 = ref_poly_integral(iv_conv2d_full(lap, lap), rect, Fraction(0), Fraction(0))
+    cross = iv_conv2d_full((w * v_red).coeffs[0], lap)
+    piece2 = ref_poly_integral(cross, rect, p * ex, p * ey)
+    two_p = 2 * p
+    if two_p.denominator == 1:
+        acc = v_red
+        for _ in range(two_p.numerator - 1):
+            acc = acc * v_red
+    else:
+        acc = (w * w) * (v_red * v_red)
+    piece3 = ref_poly_integral(acc.coeffs[0], rect, two_p * ex, two_p * ey)
+    return piece1 + Interval(2.0) * piece2 + piece3
+
+
+def ref_power_piece(w_coeffs, xi, rect, qx, qy):
+    if xi is None:
+        prod = w_coeffs
+    elif isinstance(xi, Interval):
+        prod = w_coeffs * xi
+    else:
+        prod = iv_conv2d_full(w_coeffs, xi.coeffs[0])
+    return ref_poly_integral(prod, rect, qx, qy)
+
+
+def ref_rect_out(engine, rect, red_range, v_red, w, v_lap, xis):
+    """One rectangle's contributions and whether all fit their budgets."""
+    out = quad._RectOut(rect_count=1)
+    area = rect.area
+    van_x, van_y = rect.van_x, rect.van_y
+    req = engine.req
+    u_range = red_range
+    if van_x or van_y:
+        dx, dy = (d[0].item() for d in v_red.domain)
+        mon_range = Interval(1.0)
+        if van_x:
+            mon_range = mon_range * dx
+        if van_y:
+            mon_range = mon_range * dy
+        u_range = mon_range * red_range
+    else:
+        c0 = v_red.const_coeff()[0].item()
+        out.center_lo, out.center_hi = c0.lo, c0.hi
+    out.rng_min = out.witness_lo = u_range.lo
+    out.rng_max = u_range.hi
+    qx = engine.q if van_x else Fraction(0)
+    qy = engine.q if van_y else Fraction(0)
+    w_coeffs = w.coeffs[0]
+    ok = True
+    if req.gram_freqs is not None:
+        cx = quad._cosine_table(req.gram_freqs, rect.x0, rect.x1, van_x, engine.n)
+        cy = quad._cosine_table(req.gram_freqs, rect.y0, rect.y1, van_y, engine.n)
+        t_rect = ref_gram_tables(engine, w_coeffs, cx, cy, rect, qx, qy)
+        if not (np.isfinite(t_rect.lo).all() and np.isfinite(t_rect.hi).all()):
+            raise IntervalDomainError("non-finite gram table")
+        out.t_table = t_rect
+        if req.gram_width is not None and t_rect.max_width() > req.gram_width * area:
+            ok = False
+    if req.residual_p is not None:
+        out.res_sq = ref_residual_piece(engine, rect, v_red, w, v_lap)
+        if req.res_width is not None and out.res_sq.width > req.res_width * area:
+            ok = False
+    if req.powers:
+        out.powers = []
+        for xi in xis:
+            val = ref_power_piece(w_coeffs, xi, rect, qx, qy)
+            out.powers.append(val)
+            if req.power_width is not None and val.width > req.power_width * area:
+                ok = False
+    return out, ok
+
+
+def mixed_rects():
+    """Rectangles of all four classes at depths 0 to 2 of a 3 x 3 grid,
+    several of one class and local box, in no particular order."""
+    rects = []
+    for k, rect in enumerate(Subdivision(3).rects()):
+        rects.append(rect)
+        halves = rect.bisect()
+        rects.extend(halves)
+        rects.extend(halves[k % 2].bisect())
+    order = np.random.default_rng(5).permutation(len(rects))
+    return [rects[i] for i in order]
+
+
+def interval_digest(v):
+    return None if v is None else (v.lo, v.hi)
+
+
+def rect_out_digest(res):
+    out, ok = res
+    table = None if out.t_table is None else (out.t_table.lo.tobytes(), out.t_table.hi.tobytes())
+    powers = None if out.powers is None else [interval_digest(v) for v in out.powers]
+    return (
+        ok, interval_digest(out.res_sq), table, powers, out.rng_min, out.rng_max,
+        out.witness_lo, out.center_lo, out.center_hi, out.rect_count, out.over_budget,
+    )
+
+
+class TestLevelBatchedContributions:
+    @pytest.mark.parametrize("p", [Fraction(3, 2), Fraction(7, 4)])
+    def test_same_bits_as_one_rectangle_alone(self, p):
+        # p = 3/2: [eta]^(2p) as a power of eta; p = 7/4: (w w)(eta eta)
+        u = fourier_from_dict(3, {(1, 1): 5.0, (3, 1): 0.2, (1, 3): -0.1})
+        xi = fourier_from_dict(3, {(1, 1): 1.0, (3, 3): 0.3})
+        indices = [(1, 1), (1, 3), (3, 1)]
+        req = quad._Request(
+            residual_p=p,
+            gram_freqs=tuple(gram_indices_freqs(indices)),
+            powers=(None, Interval(0.75), quad._EtaFourier(xi)),
+            res_width=1.0,
+            gram_width=1e-2,
+            power_width=1e-3,
+        )
+        engine = quad._Engine(quad._EtaFourier(u), p - 1, QuadConfig(degree=6, grid_m=3), req)
+        rects = mixed_rects()
+        assert {r.cls for r in rects} == set(RectClass) and {r.depth for r in rects} == {0, 1, 2}
+
+        v_red = engine.reduced_models(rects)
+        red = v_red.range()
+        got = engine.eval_level(rects)
+        flags = set()
+        for b, rect in enumerate(rects):
+            v = v_red[b]
+            assert same_bits(v.coeffs[0], ref_tensor_model(engine, rect, engine.eta.coeffs, True, v.domain).coeffs[0])
+            w = quad.ps_compose(engine.pow_q, v)
+            lap = ref_tensor_model(engine, rect, engine.eta.lap, False, v.domain)
+            xis = [None, req.powers[1], ref_tensor_model(engine, rect, req.powers[2].coeffs, False, v.domain)]
+            ref = ref_rect_out(engine, rect, Interval(red.lo[b], red.hi[b]), v, w, lap, xis)
+            assert rect_out_digest(got[b]) == rect_out_digest(ref), rect.describe()
+            flags.add(ref[1])
+        assert flags == {True, False}  # some rectangles fit the budgets, some do not
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_non_finite_gram_table_matches_depth_first(self, monkeypatch, workers):
+        # the cosine tables of [1/6, 1/3] and [1/12, 1/6] are poisoned: base
+        # rectangle 1 fails at depth 0, and rectangle 0, before it, fails
+        # only in a rectangle of depth 2
+        real = quad._cosine_factor_matrix
+
+        def poisoned(freqs, x0, dom, degree):
+            out = real(freqs, x0, dom, degree)
+            if x0 in (Fraction(1, 4), Fraction(1, 8)):
+                out.lo[0, 0] = -math.inf
+            return out
+
+        monkeypatch.setattr(quad, "_cosine_factor_matrix", poisoned)
+        u = fourier_from_dict(3, {(1, 1): 5.0, (3, 1): 0.1})
+        cfg = QuadConfig(degree=6, grid_m=3, max_depth=2, workers=workers)
+        level, dfs = both_sweeps(monkeypatch, lambda: sweep_outputs(u, cfg=cfg, res_width=1e-300))
+        assert isinstance(level, IntervalDomainError)
+        assert str(level) == str(dfs)
+        assert str(level) == "non-finite gram table on S10 [0,1/12]x[1/12,1/6] depth=2"
+
+
+class TestTablesPerProcess:
+    def test_second_integral_builds_no_table(self, monkeypatch):
+        builds = []
+        for name in ("_sine_factor_matrix", "_cosine_factor_matrix"):
+            real = getattr(quad, name)
+
+            def counting(*args, _real=real, **kw):
+                builds.append(args[1:])
+                return _real(*args, **kw)
+
+            monkeypatch.setattr(quad, name, counting)
+        u = fourier_from_dict(3, {(1, 1): 2.0, (3, 1): 0.05})
+        u2 = fourier_from_dict(3, {(1, 1): 1.5, (1, 3): -0.02})
+        cfg = QuadConfig(degree=6, grid_m=3)
+        first = [integral_power(u, xi, Fraction(1, 2), cfg) for xi in (None, u)]
+        assert builds
+        built, corners = len(builds), quad._corner_table.cache_info().misses
+        again = [integral_power(u, xi, Fraction(1, 2), cfg) for xi in (None, u)]
+        integral_power(u2, u2, Fraction(1, 2), cfg)  # other coefficients, the same modes
+        assert len(builds) == built and quad._corner_table.cache_info().misses == corners
+        assert [(v.lo, v.hi) for v in again] == [(v.lo, v.hi) for v in first]
+
+    def test_tables_read_only(self):
+        h = Fraction(1, 8)
+        for table in (
+            quad._sine_table((1, 3), Fraction(0), h, True, True, 6),
+            quad._cosine_table((0, 2), h, 2 * h, False, 6),
+            quad._corner_table(h, Fraction(1, 2), 7),
+        ):
+            with pytest.raises(ValueError):
+                table.lo[0] = 0.0
+            with pytest.raises(ValueError):
+                table.hi[0] = 0.0
