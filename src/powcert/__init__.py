@@ -16,13 +16,12 @@ from .errors import (
     UsageError,
     VerificationFailure,
 )
-from .interval import Interval, RationalExp, gamma_half, iv_arith, iv_elem, iv_pow
+from .interval import Interval, gamma_half, iv_arith, iv_elem, iv_pow
 
 __version__ = "0.1.0"
 
 __all__ = [
     "Interval",
-    "RationalExp",
     "iv_arith",
     "iv_pow",
     "iv_elem",

@@ -73,9 +73,11 @@ class RunConfig:
         self.p = Fraction(self.p)
         if not (1 < self.p < 2):
             raise UsageError(f"p must lie in (1, 2), got {self.p}")
+        # bool is a subclass of int, so a JSON true would pass for 1
         for name in ("n_modes", "eig_n", "grid_m", "degree", "max_depth", "workers"):
-            if not isinstance(getattr(self, name), int):
-                raise UsageError(f"{name} must be an integer, got {getattr(self, name)!r}")
+            value = getattr(self, name)
+            if not isinstance(value, int) or isinstance(value, bool):
+                raise UsageError(f"{name} must be an integer, got {value!r}")
         if self.n_modes < 1 or self.eig_n < 1 or self.grid_m < 1:
             raise UsageError("sizes must be >= 1")
         if self.workers == 0:
@@ -85,7 +87,7 @@ class RunConfig:
             value = getattr(self, name)
             if value is None and name.endswith("_width"):
                 continue  # no width budget
-            if not (isinstance(value, (int, float)) and 0 < value < math.inf):
+            if isinstance(value, bool) or not (isinstance(value, (int, float)) and 0 < value < math.inf):
                 raise UsageError(f"{name} must be finite and > 0, got {value!r}")
         self.holder = check_holder(self.p, self.holder)
         try:
@@ -278,6 +280,12 @@ def cmd_constants(args, out=None) -> int:
     # which needs p >= 1; below 1 there is no embedding constant
     if args.p is not None and args.p < 1:
         raise UsageError(f"--p must be >= 1, got {args.p}")
+    c_p = None
+    if args.p is not None and args.p > 2:
+        try:
+            c_p = embedding_constant(args.p)
+        except UnsupportedError as exc:
+            raise UsageError(f"--p {args.p}: {exc}") from exc
     out = out or sys.stdout
     print(f"C2      = {poincare_c2()}", file=out)
     print(f"C4      = {embedding_constant(Fraction(4))}", file=out)
@@ -285,8 +293,8 @@ def cmd_constants(args, out=None) -> int:
     print(f"lambda1 = {lambda1_interval()}", file=out)
     if args.p is not None:
         p = args.p
-        if p > 2:
-            print(f"C_{p}    = {embedding_constant(p)}", file=out)
+        if c_p is not None:
+            print(f"C_{p}    = {c_p}", file=out)
         else:
             print(f"C_{p}    = {poincare_c2()} (Holder reduction to C2)", file=out)
     return EXIT_OK

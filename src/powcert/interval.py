@@ -19,15 +19,16 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from functools import lru_cache
 
 from .errors import IntervalDomainError, UnsupportedError
 
 __all__ = [
     "Interval",
-    "RationalExp",
     "iv_arith",
     "iv_pow",
     "iv_elem",
+    "sin_cos_pi",
     "gamma_half",
     "PI",
     "TWO_PI",
@@ -37,11 +38,6 @@ __all__ = [
 ]
 
 _INF = math.inf
-
-# Exponents are carried as exact rationals so that arithmetic on them
-# (q = p - 1, p' = 2(p - 1), i + q + 1, ...) never rounds.
-RationalExp = Fraction
-
 
 def _dn(x: float) -> float:
     return math.nextafter(x, -_INF)
@@ -71,10 +67,6 @@ class Interval:
     # ------------------------------------------------------------------
     # constructors
     # ------------------------------------------------------------------
-
-    @classmethod
-    def point(cls, x) -> "Interval":
-        return cls(float(x))
 
     @classmethod
     def from_fraction(cls, f) -> "Interval":
@@ -210,25 +202,6 @@ class Interval:
         a, b = abs(self.lo), abs(self.hi)
         lo = 0.0 if self.lo <= 0.0 <= self.hi else _dn(min(a, b) * min(a, b))
         return Interval(lo, _up(max(a, b) * max(a, b)))
-
-    def abs(self) -> "Interval":
-        return Interval(self.mig, self.mag)
-
-    # elementary functions as methods, for convenience
-    def sqrt(self):
-        return iv_sqrt(self)
-
-    def exp(self):
-        return iv_exp(self)
-
-    def log(self):
-        return iv_log(self)
-
-    def sin(self):
-        return iv_sin(self)
-
-    def cos(self):
-        return iv_cos(self)
 
 
 # ----------------------------------------------------------------------
@@ -379,7 +352,21 @@ def _cos_core(rho: Interval) -> Interval:
     return out.intersect(Interval(-1.0, 1.0))
 
 
-def _sin_point(x: float) -> Interval:
+_CYCLE_AT_ZERO = (0.0, 1.0, 0.0, -1.0)
+
+
+def _cycle(j: int, rho: Interval | None) -> Interval:
+    """sin(rho + j pi/2): entry j mod 4 of the cycle (sin, cos, -sin, -cos)
+    at rho, exactly (0, 1, 0, -1) when rho is None, which stands for an
+    exact 0."""
+    if rho is None:
+        return Interval(_CYCLE_AT_ZERO[j % 4])
+    v = _cos_core(rho) if j % 2 else _sin_core(rho)
+    return -v if j % 4 >= 2 else v
+
+
+def _trig_point(x: float, phase: int) -> Interval:
+    """sin(x + phase pi/2) at a point: phase 0 gives sin x, phase 1 cos x."""
     if abs(x) > 1e12:
         return Interval(-1.0, 1.0)
     k = round(x / TWO_PI.mid)
@@ -388,33 +375,7 @@ def _sin_point(x: float) -> Interval:
     rho = r - HALF_PI * j
     if rho.mag > 0.8:  # pragma: no cover - defensive
         return Interval(-1.0, 1.0)
-    jm = j % 4
-    if jm == 0:
-        return _sin_core(rho)
-    if jm == 1:
-        return _cos_core(rho)
-    if jm == 2:
-        return -_sin_core(rho)
-    return -_cos_core(rho)
-
-
-def _cos_point(x: float) -> Interval:
-    if abs(x) > 1e12:
-        return Interval(-1.0, 1.0)
-    k = round(x / TWO_PI.mid)
-    r = Interval(x) - TWO_PI * k
-    j = int(round(r.mid / HALF_PI.mid))
-    rho = r - HALF_PI * j
-    if rho.mag > 0.8:  # pragma: no cover - defensive
-        return Interval(-1.0, 1.0)
-    jm = j % 4
-    if jm == 0:
-        return _cos_core(rho)
-    if jm == 1:
-        return -_sin_core(rho)
-    if jm == 2:
-        return -_cos_core(rho)
-    return _sin_core(rho)
+    return _cycle(j + phase, rho)
 
 
 def _crosses(lo: float, hi: float, offset: float, slack: float) -> bool:
@@ -428,34 +389,50 @@ def _crosses(lo: float, hi: float, offset: float, slack: float) -> bool:
     return n_lo <= n_hi
 
 
-def iv_sin(x: Interval) -> Interval:
+# per phase, the points where sin(x + phase pi/2) is 1 and where it is -1,
+# modulo 2 pi
+_PEAKS = ((HALF_PI.mid, -HALF_PI.mid), (0.0, PI.mid))
+
+
+def _trig_range(x: Interval, phase: int) -> Interval:
+    """Range of sin(t + phase pi/2) over t in x."""
     if x.hi - x.lo >= TWO_PI.lo:
         return Interval(-1.0, 1.0)
-    a = _sin_point(x.lo)
-    b = _sin_point(x.hi)
+    a = _trig_point(x.lo, phase)
+    b = _trig_point(x.hi, phase)
     lo = min(a.lo, b.lo)
     hi = max(a.hi, b.hi)
     slack = 1e-9 + abs(x.lo) * 1e-14 + abs(x.hi) * 1e-14
-    if _crosses(x.lo, x.hi, HALF_PI.mid, slack):
+    top, bottom = _PEAKS[phase]
+    if _crosses(x.lo, x.hi, top, slack):
         hi = 1.0
-    if _crosses(x.lo, x.hi, -HALF_PI.mid, slack):
+    if _crosses(x.lo, x.hi, bottom, slack):
         lo = -1.0
     return Interval(max(lo, -1.0), min(hi, 1.0))
+
+
+def iv_sin(x: Interval) -> Interval:
+    return _trig_range(x, 0)
 
 
 def iv_cos(x: Interval) -> Interval:
-    if x.hi - x.lo >= TWO_PI.lo:
-        return Interval(-1.0, 1.0)
-    a = _cos_point(x.lo)
-    b = _cos_point(x.hi)
-    lo = min(a.lo, b.lo)
-    hi = max(a.hi, b.hi)
-    slack = 1e-9 + abs(x.lo) * 1e-14 + abs(x.hi) * 1e-14
-    if _crosses(x.lo, x.hi, 0.0, slack):
-        hi = 1.0
-    if _crosses(x.lo, x.hi, PI.mid, slack):
-        lo = -1.0
-    return Interval(max(lo, -1.0), min(hi, 1.0))
+    return _trig_range(x, 1)
+
+
+@lru_cache(maxsize=4096)
+def sin_cos_pi(r) -> tuple[Interval, Interval]:
+    """Enclosures of sin(pi r) and cos(pi r) for an exact rational r.
+
+    r is reduced exactly, r = 2n + j/2 + s with |s| <= 1/4, so the only
+    rounding is in pi s and the Taylor cores at it; at a multiple of 1/2
+    (s = 0) both values are exact.  r and r + 2 give the same bits.  Cached
+    per argument: the trig factor tables ask for one residue many times (a
+    default verify for 566 residues, 5000 times)."""
+    r = Fraction(r) % 2
+    j = round(2 * r)
+    s = r - Fraction(j, 2)
+    rho = None if s == 0 else PI * Interval.from_fraction(s)
+    return _cycle(j, rho), _cycle(j + 1, rho)
 
 
 # ----------------------------------------------------------------------

@@ -122,11 +122,6 @@ class IArr:
     def item(self) -> Interval:
         return Interval(float(self.lo), float(self.hi))
 
-    def intervals(self):
-        flat_lo = self.lo.ravel()
-        flat_hi = self.hi.ravel()
-        return [Interval(a, b) for a, b in zip(flat_lo, flat_hi)]
-
     def __repr__(self):
         return f"IArr(lo={self.lo!r}, hi={self.hi!r})"
 
@@ -159,9 +154,6 @@ class IArr:
     def contains(self, pts) -> np.ndarray:
         pts = np.asarray(pts)
         return (self.lo <= pts) & (pts <= self.hi)
-
-    def is_zero(self) -> bool:
-        return bool(np.all(self.lo == 0.0) and np.all(self.hi == 0.0))
 
     # ------------------------------------------------------------------
     # entrywise arithmetic
@@ -238,8 +230,6 @@ class IArr:
         # additions never suffer underflow error, so no absolute guard
         return IArr(_dn(slo - _up(g * alo)), _up(shi + _up(g * ahi)))
 
-    def __matmul__(self, other) -> "IArr":
-        return iv_matmul(self, self._coerce(other))
 
 def iv_matmul(A: IArr, B: IArr) -> IArr:
     """Verified matrix product via midpoint-radius with error inflation.

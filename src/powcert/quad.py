@@ -62,14 +62,17 @@ import numpy as np
 from . import ivarray
 from .errors import IntervalDomainError, PositivityError, UsageError
 from .galerkin import FourierApproximation
-from .interval import PI, Interval, iv_cos, iv_pow, iv_sin
+from .interval import PI, Interval, iv_pow, sin_cos_pi
 from .ivarray import IArr, iv_conv2d_full, iv_outer
 from .psa import ElemFn, PowerSeries2D, ps_compose
 
 # The benchmark's tracer (perfbench/tracing.py) wraps quad.iv_matmul,
-# quad.iv_corr2d and quad.iv_conv2d_full, and its cost hooks read 2-D
-# operands.  The sweep multiplies stacks of matrices, so it calls those
-# products through the ivarray module, and the names stay importable here.
+# quad.iv_corr2d, quad.iv_conv2d_full, quad.iv_sin and quad.iv_cos, and its
+# cost hooks read 2-D operands.  The sweep multiplies stacks of matrices, so
+# it calls those products through the ivarray module, and the factor tables
+# take their sines and cosines from sin_cos_pi; the names stay importable
+# here.
+from .interval import iv_cos, iv_sin  # noqa: F401
 from .ivarray import iv_corr2d, iv_matmul  # noqa: F401
 
 __all__ = [
@@ -240,87 +243,6 @@ def integrate_monomial(term: MonomialTerm, rect: Rect) -> Interval:
     return (t22 - t12) - (t21 - t11)
 
 
-# ----------------------------------------------------------------------
-# 1-D trigonometric factor models
-# ----------------------------------------------------------------------
-
-def _inv_fact_fractions(n: int):
-    return [Fraction(1, math.factorial(k)) for k in range(n + 3)]
-
-
-def _sine_factor_matrix(
-    modes, x0: Fraction, dom: Interval, degree: int, reduced: bool
-) -> IArr:
-    """Coefficient matrix (degree+1, n_modes) of Taylor models in the local
-    variable t for sin(m pi (x0 + t)), or sin(m pi t)/t when reduced (then
-    x0 must be 0 and dom = [0, w])."""
-    if not reduced:
-        return _trig_factor_matrix(modes, x0, dom, degree, phase=0)
-    if x0 != 0:
-        raise UsageError("reduced sine factor requires expansion at 0")
-    n = degree
-    out = IArr.zeros((n + 1, len(modes)))
-    inv_fact = _inv_fact_fractions(n + 3)
-    omegas = [Interval(float(m)) * PI for m in modes]
-    # sin(w t)/t = sum_{even k} (-1)^(k/2) w^(k+1) t^k / (k+1)!
-    for col, w in enumerate(omegas):
-        wp = w  # w^(k+1) running power
-        for k in range(0, n + 1):
-            if k % 2 == 0:
-                sign = 1.0 if (k // 2) % 2 == 0 else -1.0
-                out[k, col] = wp * Interval.from_fraction(inv_fact[k + 1] * int(sign))
-            wp = wp * w
-        # Lagrange remainder of the sine series divided by t, resorbed
-        # into the degree-n coefficient
-        if n % 2 == 0:
-            order = n + 3  # sine orders <= n+2 are all present/zero
-            extra = dom.sqr()
-        else:
-            order = n + 2
-            extra = dom
-        wmag = w.mag
-        r = wmag**order / math.factorial(order) * (1.0 + 1e-12)
-        r = math.nextafter(r, math.inf)
-        rem = Interval(-r, r) * extra
-        cur = out[n, col].item()
-        out[n, col] = cur + rem
-    return out
-
-
-def _cosine_factor_matrix(freqs, x0: Fraction, dom: Interval, degree: int) -> IArr:
-    """Taylor models of cos(f pi (x0 + t)) for every frequency (f may be 0)."""
-    return _trig_factor_matrix(freqs, x0, dom, degree, phase=1)
-
-
-def _trig_factor_matrix(freqs, x0: Fraction, dom: Interval, degree: int, phase: int) -> IArr:
-    """Coefficient matrix (degree+1, len(freqs)) of Taylor models in t of
-    sin(f pi (x0 + t) + phase pi/2): phase 0 gives sines, phase 1 cosines.
-    The k-th derivative of sin(theta + phase pi/2) is entry k + phase of the
-    cycle (sin, cos, -sin, -cos) at theta; the Lagrange remainder of order
-    degree+1 is resorbed into the top coefficient."""
-    n = degree
-    out = IArr.zeros((n + 1, len(freqs)))
-    inv_fact = _inv_fact_fractions(n + 3)
-    for col, f in enumerate(freqs):
-        if f == 0:  # sin 0 = 0 and cos 0 = 1, exactly
-            out[0, col] = Interval(float(phase))
-            continue
-        w = Interval(float(f)) * PI
-        theta = w * Interval.from_fraction(x0)
-        s = iv_sin(theta)
-        c = iv_cos(theta)
-        cyc = (s, c, -s, -c)
-        wp = Interval(1.0)
-        for k in range(0, n + 1):
-            out[k, col] = cyc[(k + phase) % 4] * wp * Interval.from_fraction(inv_fact[k])
-            wp = wp * w
-        r = w.mag ** (n + 1) / math.factorial(n + 1) * (1.0 + 1e-12)
-        r = math.nextafter(r, math.inf)
-        cur = out[n, col].item()
-        out[n, col] = cur + Interval(-r, r) * dom
-    return out
-
-
 def _frac_interval(lo: Fraction, hi: Fraction) -> Interval:
     return Interval(Interval.from_fraction(lo).lo, Interval.from_fraction(hi).hi)
 
@@ -352,18 +274,64 @@ def _read_only(t: IArr) -> IArr:
 
 
 @lru_cache(maxsize=_TABLES)
-def _sine_table(modes: tuple, a: Fraction, b: Fraction, van: bool, reduced: bool, degree: int) -> IArr:
-    """The sine factor table of the edge [a, b] in its local coordinates
-    (_sine_factor_matrix); reduced needs a vanishing edge."""
-    x0, lo, hi = _local_edge(a, b, van)
-    return _read_only(_sine_factor_matrix(modes, x0, _frac_interval(lo, hi), degree, reduced=reduced))
+def _trig_table(freqs: tuple, a: Fraction, b: Fraction, van: bool, phase: int, reduced: bool, degree: int) -> IArr:
+    """Coefficient matrix (degree+1, len(freqs)) of the Taylor models, in
+    the local coordinate t of the edge [a, b] (_local_edge), of
+    sin(f pi (x0 + t) + phase pi/2) for every frequency f: phase 0 gives
+    sines, phase 1 cosines.  reduced gives sin(f pi t)/t instead, which
+    needs phase 0 and a vanishing edge (x0 = 0).
 
-
-@lru_cache(maxsize=_TABLES)
-def _cosine_table(freqs: tuple, a: Fraction, b: Fraction, van: bool, degree: int) -> IArr:
-    """The cosine factor table of the edge [a, b] in its local coordinates."""
+    The k-th derivative of sin(theta + phase pi/2) is entry k + phase of the
+    cycle (sin, cos, -sin, -cos) at theta = f pi x0, enclosed by sin_cos_pi
+    of the exact residue of f x0 mod 2.  With shift 1 when reduced, else 0,
+    row k is cycle entry k + phase + shift times (f pi)^(k+shift)/(k+shift)!,
+    exactly 0 or +-(f pi)^(k+shift)/(k+shift)! where the entry is exactly 0
+    or +-1.  The Lagrange remainder is resorbed into the top row."""
+    if reduced and (phase or not van):
+        raise UsageError("the reduced sine table needs phase 0 on a vanishing edge")
     x0, lo, hi = _local_edge(a, b, van)
-    return _read_only(_cosine_factor_matrix(freqs, x0, _frac_interval(lo, hi), degree))
+    dom = _frac_interval(lo, hi)
+    n, shift = degree, int(reduced)
+    out = IArr.zeros((n + 1, len(freqs)))
+    out.lo[0] = out.hi[0] = [float(phase) if f == 0 else 0.0 for f in freqs]  # sin 0, cos 0
+    live = [col for col, f in enumerate(freqs) if f != 0]
+    f = [freqs[col] for col in live]
+    sin_cos = [sin_cos_pi(fi * x0 % 2) for fi in f]
+    sin = IArr.from_intervals([s for s, _ in sin_cos])
+    cos = IArr.from_intervals([c for _, c in sin_cos])
+    # row k is formed as ((cycle entry) (f pi)^j) (1/j!), j = k + shift,
+    # with (f pi)^j the running product w (w (w ...)); the term of j = 0 is
+    # exactly 1
+    cycle = IArr.stack([sin, cos, -sin, -cos])[(np.arange(n + 1) + phase + shift) % 4]
+    w = IArr.exact(f) * PI
+    powers = [IArr.exact(np.ones(len(f))), w]
+    for _ in range(n - 1 + shift):
+        powers.append(powers[-1] * w)
+    powers = IArr.stack(powers[shift:])
+    fact = IArr.from_intervals(
+        [Interval.from_fraction(Fraction(1, math.factorial(j))) for j in range(shift, n + 1 + shift)]
+    )[:, None]
+    rows, terms = cycle * powers * fact, powers * fact
+    if not shift:
+        rows[0], terms[0] = cycle[0], powers[0]
+    # a cycle entry of exactly 0 or +-1 gives an exact multiple of the term;
+    # + 0.0 turns the zeros' -0.0 into 0.0
+    exact = (cycle.lo == cycle.hi) & np.isin(cycle.lo, (-1.0, 0.0, 1.0))
+    e_lo, e_hi = cycle.lo * terms.lo, cycle.lo * terms.hi
+    rows = IArr(
+        np.where(exact, np.minimum(e_lo, e_hi), rows.lo) + 0.0,
+        np.where(exact, np.maximum(e_lo, e_hi), rows.hi) + 0.0,
+    )
+    order, extra = n + 1 + shift, dom
+    if reduced and n % 2 == 0:  # sin(f pi t) has no term of even order n + 2
+        order, extra = order + 1, dom.sqr()
+    r = np.array([
+        math.nextafter(m**order / math.factorial(order) * (1.0 + 1e-12), math.inf)
+        for m in w.mag().tolist()
+    ])
+    rows[n] = rows[n] + IArr(-r, r) * extra
+    out[:, live] = rows
+    return _read_only(out)
 
 
 @lru_cache(maxsize=_TABLES)
@@ -580,7 +548,7 @@ class _Engine:
         f_i the sine of mode i in local coordinates, divided by t on a
         vanishing edge when reduced.  The product of a table with a_iv is
         formed once per edge."""
-        t = IArr.stack([_sine_table(self.eta.modes, a, b, van, reduced and van, self.n) for a, b, van in edges.keys])
+        t = IArr.stack([_trig_table(self.eta.modes, a, b, van, 0, reduced and van, self.n) for a, b, van in edges.keys])
         y = t[edges.iy]
         y_t = IArr(np.swapaxes(y.lo, 1, 2), np.swapaxes(y.hi, 1, 2))
         return PowerSeries2D(ivarray.iv_matmul(ivarray.iv_matmul(t, a_iv)[edges.ix], y_t), domain)
@@ -679,7 +647,7 @@ class _Engine:
                 u_rng[g.items] = mon * red[g.items]
         t = res = None
         if req.gram_freqs is not None:
-            cos = IArr.stack([_cosine_table(req.gram_freqs, a, b, van, self.n) for a, b, van in edges.keys])
+            cos = IArr.stack([_trig_table(req.gram_freqs, a, b, van, 1, False, self.n) for a, b, van in edges.keys])
             t = self._gram_tables(groups, w, cos[edges.ix], cos[edges.iy])
         if req.residual_p is not None:
             lap = self._tensor_models(edges, self.eta.lap, False, v_red.domain)

@@ -178,6 +178,14 @@ class TestSubcommands:
         assert captured.out == ""  # nothing computed or printed
         assert "--p" in captured.err
 
+    @pytest.mark.parametrize("p", ["3", "5/2", "7/3"])
+    def test_constants_p_out_of_scope_is_usage_error(self, capsys, p):
+        # C_p has no closed form here: refused before anything is printed
+        assert main(["constants", "--p", p]) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"C_{p} is out of scope" in captured.err
+
     @pytest.mark.parametrize("p, line", [("1", "C_1 "), ("3/2", "C_3/2 "), ("4", "C_4 ")])
     def test_constants_p_from_one_prints(self, capsys, p, line):
         assert main(["constants", "--p", p]) == EXIT_OK
@@ -263,6 +271,10 @@ class TestSubcommands:
             (["--p", "5/4"], None),
             ([], {"grid_m": "8"}),
             ([], {"degree": 6.5}),
+            ([], {"grid_m": True}),
+            ([], {"max_depth": False}),
+            ([], {"res_width": True}),
+            ([], {"galerkin_tol": True}),
         ],
     )
     def test_bad_sweep_config_exits_before_solving(self, tmp_path, monkeypatch, flags, config):
@@ -290,6 +302,17 @@ class TestSubcommands:
             (dict(gram_width=-1e-5), "gram_width"),
             (dict(tail_threshold=-math.inf), "tail_threshold"),
             (dict(galerkin_tol=math.inf), "galerkin_tol"),
+            # bool is an int in Python, but no count or width in a config
+            (dict(n_modes=True), "n_modes"),
+            (dict(eig_n=True), "eig_n"),
+            (dict(grid_m=True), "grid_m"),
+            (dict(degree=True), "degree"),
+            (dict(max_depth=False), "max_depth"),
+            (dict(workers=True), "workers"),
+            (dict(res_width=True), "res_width"),
+            (dict(gram_width=True), "gram_width"),
+            (dict(tail_threshold=True), "tail_threshold"),
+            (dict(galerkin_tol=True), "galerkin_tol"),
         ],
     )
     def test_bad_sweep_config_names_field(self, kw, match):
@@ -364,14 +387,15 @@ class TestStageFailures:
         assert "midpoint eigendecomposition failed" in cert.failure
 
     def test_non_finite_factor_table_fails_integration(self, monkeypatch):
-        real = quad._cosine_factor_matrix
+        real = quad._trig_table
 
-        def poisoned(*args, **kw):
-            out = real(*args, **kw)
-            out.lo[0, 0] = math.nan
+        def poisoned(freqs, a, b, van, phase, reduced, degree):
+            out = real(freqs, a, b, van, phase, reduced, degree).copy()
+            if phase == 1:  # the cosine tables of the gram sweep
+                out.lo[0, 0] = math.nan
             return out
 
-        monkeypatch.setattr(quad, "_cosine_factor_matrix", poisoned)
+        monkeypatch.setattr(quad, "_trig_table", poisoned)
         cert = run_pipeline(tiny_config())
         assert cert.status == "failed: integration"
         assert "non-finite gram table on" in cert.failure

@@ -9,17 +9,22 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from powcert import interval
 from powcert.errors import IntervalDomainError, UnsupportedError
 from powcert.interval import (
     HALF_PI,
     LN2,
     PI,
     SQRT_PI,
+    TWO_PI,
     Interval,
     gamma_half,
     iv_arith,
+    iv_cos,
     iv_elem,
     iv_pow,
+    iv_sin,
+    sin_cos_pi,
 )
 
 mpmath.mp.dps = 40
@@ -271,6 +276,140 @@ class TestElem:
             iv_elem("sqrt", Interval(-1.0, 1.0))
         with pytest.raises(UnsupportedError):
             iv_elem("tan", Interval(0.0, 1.0))
+
+
+# ----------------------------------------------------------------------
+# reference: the earlier separate sine and cosine point evaluators and
+# range functions, kept to check that the one evaluator selected by phase
+# gives the same bits
+# ----------------------------------------------------------------------
+
+def ref_sin_point(x):
+    if abs(x) > 1e12:
+        return Interval(-1.0, 1.0)
+    k = round(x / TWO_PI.mid)
+    r = Interval(x) - TWO_PI * k
+    j = int(round(r.mid / HALF_PI.mid))
+    rho = r - HALF_PI * j
+    if rho.mag > 0.8:
+        return Interval(-1.0, 1.0)
+    jm = j % 4
+    if jm == 0:
+        return interval._sin_core(rho)
+    if jm == 1:
+        return interval._cos_core(rho)
+    if jm == 2:
+        return -interval._sin_core(rho)
+    return -interval._cos_core(rho)
+
+
+def ref_cos_point(x):
+    if abs(x) > 1e12:
+        return Interval(-1.0, 1.0)
+    k = round(x / TWO_PI.mid)
+    r = Interval(x) - TWO_PI * k
+    j = int(round(r.mid / HALF_PI.mid))
+    rho = r - HALF_PI * j
+    if rho.mag > 0.8:
+        return Interval(-1.0, 1.0)
+    jm = j % 4
+    if jm == 0:
+        return interval._cos_core(rho)
+    if jm == 1:
+        return -interval._sin_core(rho)
+    if jm == 2:
+        return -interval._cos_core(rho)
+    return interval._sin_core(rho)
+
+
+def ref_sin(x):
+    if x.hi - x.lo >= TWO_PI.lo:
+        return Interval(-1.0, 1.0)
+    a = ref_sin_point(x.lo)
+    b = ref_sin_point(x.hi)
+    lo = min(a.lo, b.lo)
+    hi = max(a.hi, b.hi)
+    slack = 1e-9 + abs(x.lo) * 1e-14 + abs(x.hi) * 1e-14
+    if interval._crosses(x.lo, x.hi, HALF_PI.mid, slack):
+        hi = 1.0
+    if interval._crosses(x.lo, x.hi, -HALF_PI.mid, slack):
+        lo = -1.0
+    return Interval(max(lo, -1.0), min(hi, 1.0))
+
+
+def ref_cos(x):
+    if x.hi - x.lo >= TWO_PI.lo:
+        return Interval(-1.0, 1.0)
+    a = ref_cos_point(x.lo)
+    b = ref_cos_point(x.hi)
+    lo = min(a.lo, b.lo)
+    hi = max(a.hi, b.hi)
+    slack = 1e-9 + abs(x.lo) * 1e-14 + abs(x.hi) * 1e-14
+    if interval._crosses(x.lo, x.hi, 0.0, slack):
+        hi = 1.0
+    if interval._crosses(x.lo, x.hi, PI.mid, slack):
+        lo = -1.0
+    return Interval(max(lo, -1.0), min(hi, 1.0))
+
+
+def same_interval_bits(a, b):
+    return (a.lo, a.hi, math.copysign(1, a.lo), math.copysign(1, a.hi)) == (
+        b.lo, b.hi, math.copysign(1, b.lo), math.copysign(1, b.hi)
+    )
+
+
+class TestTrig:
+    def test_same_bits_as_separate_sin_and_cos(self):
+        rng = np.random.default_rng(11)
+        centres = np.concatenate([
+            rng.uniform(-10, 10, 400),
+            rng.uniform(-1e4, 1e4, 200),
+            rng.choice([-1, 1], 100) * 10.0 ** rng.uniform(-300, 13, 100),
+            [0.0, -0.0, HALF_PI.mid, PI.mid, -PI.mid, TWO_PI.mid, 3 * HALF_PI.mid],
+        ])
+        widths = np.concatenate([[0.0], 10.0 ** rng.uniform(-16, 1, len(centres) - 1)])
+        rng.shuffle(widths)
+        for c, w in zip(centres, widths):
+            for x in (Interval(c), Interval(c, c + w), Interval(c - 7 * w, c)):
+                assert same_interval_bits(iv_sin(x), ref_sin(x)), x
+                assert same_interval_bits(iv_cos(x), ref_cos(x)), x
+
+    def test_sin_cos_pi_encloses_at_dyadic_rationals(self):
+        for j in range(13):
+            for k in range(0, 2 ** (j + 1), 1 if j < 9 else 7):
+                r = Fraction(k, 2**j)
+                s, c = sin_cos_pi(r)
+                x = mpmath.mpf(k) / 2**j  # exact
+                assert contains_mp(s, mpmath.sinpi(x)) and contains_mp(c, mpmath.cospi(x)), r
+
+    def test_sin_cos_pi_encloses_at_non_dyadic_rationals(self):
+        for den in (3, 5, 6, 7, 10, 12, 113, 1000, 3**15):
+            for num in range(-2 * den - 3, 2 * den + 4, max(1, den // 40)):
+                r = Fraction(num, den)
+                s, c = sin_cos_pi(r)
+                x = mpmath.mpf(num) / den
+                assert contains_mp(s, mpmath.sinpi(x)) and contains_mp(c, mpmath.cospi(x)), r
+                assert s.width < 1e-14 and c.width < 1e-14  # a few ulps
+
+    def test_sin_cos_pi_exact_at_multiples_of_half(self):
+        cycle = [(0.0, 1.0), (1.0, 0.0), (0.0, -1.0), (-1.0, 0.0)]
+        for n in range(-9, 10):
+            s, c = sin_cos_pi(Fraction(n, 2))
+            want_s, want_c = cycle[n % 4]
+            assert same_interval_bits(s, Interval(want_s)) and same_interval_bits(c, Interval(want_c)), n
+
+    def test_sin_cos_pi_same_bits_modulo_two(self):
+        for r in (Fraction(1, 3), Fraction(5, 8), Fraction(7, 4), Fraction(-1, 12), Fraction(1, 4), Fraction(3, 4)):
+            for shift in (2, -2, 10):
+                for a, b in zip(sin_cos_pi(r), sin_cos_pi(r + shift)):
+                    assert same_interval_bits(a, b), (r, shift)
+
+    def test_sin_cos_pi_narrower_than_float_reduction(self):
+        # reducing pi r in floats loses what the exact reduction keeps
+        for r in (Fraction(1, 3), Fraction(7, 24), Fraction(41, 32), Fraction(1023, 1024)):
+            theta = PI * Interval.from_fraction(r)
+            s, c = sin_cos_pi(r)
+            assert s.width <= iv_sin(theta).width and c.width <= iv_cos(theta).width, r
 
 
 class TestConstants:

@@ -1,5 +1,6 @@
 """Verified quadrature: monomial order, rectangle models, oracle containment."""
 
+import functools
 import math
 import multiprocessing
 import subprocess
@@ -393,37 +394,19 @@ class TestSpecExamples:
 
 
 class TestSweepEngine:
-    def test_factor_tables_shared_between_axes(self, monkeypatch):
+    def test_factor_tables_shared_between_axes(self, table_builds):
         # the x and y tables of one interval are one table: at grid_m = 2
         # the sweep needs three sine tables ([0, 1/4] reduced and full,
         # [1/4, 1/2] full) and two cosine tables, not one set per axis
-        builds = {"sin": 0, "cos": 0}
-        real_sin, real_cos = quad._sine_factor_matrix, quad._cosine_factor_matrix
-
-        def count_sin(*args, **kw):
-            builds["sin"] += 1
-            return real_sin(*args, **kw)
-
-        def count_cos(*args, **kw):
-            builds["cos"] += 1
-            return real_cos(*args, **kw)
-
-        monkeypatch.setattr(quad, "_sine_factor_matrix", count_sin)
-        monkeypatch.setattr(quad, "_cosine_factor_matrix", count_cos)
         u = fourier_from_dict(3, {(1, 1): 5.0, (3, 1): 0.1})
         pipeline_sweep(u, Fraction(3, 2), [(1, 1), (1, 3)], QuadConfig(degree=6, grid_m=2))
-        assert builds == {"sin": 3, "cos": 2}
+        phases = [args[4] for args in table_builds]
+        assert sorted(phases) == [0, 0, 0, 1, 1]
 
-    @pytest.mark.parametrize("table", ["_sine_factor_matrix", "_cosine_factor_matrix"])
+    @pytest.mark.parametrize("table", ["sine", "cosine"])
     def test_non_finite_factor_table_names_rectangle(self, monkeypatch, table):
-        real = getattr(quad, table)
-
-        def poisoned(*args, **kw):
-            out = real(*args, **kw)
-            out.hi[-1, 0] = math.nan
-            return out
-
-        monkeypatch.setattr(quad, table, poisoned)
+        phase = ("sine", "cosine").index(table)
+        poison_tables(monkeypatch, lambda a, b, van, ph: ph == phase, "hi", (-1, 0), math.nan)
         u = fourier_from_dict(3, {(1, 1): 5.0, (3, 1): 0.1})
         # every rectangle fails; forked workers report the first in
         # rectangle order, as the serial sweep does
@@ -442,6 +425,41 @@ class TestSweepEngine:
         free = sweep_digest(u, cfg)
         assert tight[:-1] == free[:-1]
         assert tight[-1] == {"rects": 36, "over_budget": 36}
+
+
+@pytest.fixture
+def table_builds(monkeypatch):
+    """The arguments of every factor table built in this process: the
+    builder, counting, behind a cache of its own."""
+    builds = []
+    build = quad._trig_table.__wrapped__
+
+    def counting(*args):
+        builds.append(args)
+        return build(*args)
+
+    monkeypatch.setattr(quad, "_trig_table", functools.lru_cache(maxsize=None)(counting))
+    return builds
+
+
+def poison_tables(monkeypatch, when, side, at, value):
+    """Give every factor table whose edge and phase pass when(a, b, van,
+    phase) the value at index at of its lo or hi endpoints (side)."""
+    real = quad._trig_table
+
+    def poisoned(freqs, a, b, van, phase, reduced, degree):
+        out = real(freqs, a, b, van, phase, reduced, degree)
+        if when(a, b, van, phase):
+            out = out.copy()
+            getattr(out, side)[at] = value
+        return out
+
+    monkeypatch.setattr(quad, "_trig_table", poisoned)
+
+
+def mid_at(a, b, van, *points):
+    """Whether the edge [a, b] is expanded at its midpoint, one of points."""
+    return not van and (a + b) / 2 in points
 
 
 @pytest.fixture
@@ -627,15 +645,13 @@ class TestLevelSynchronous:
         # the tables of [1/6, 1/3] and [1/12, 1/6] are poisoned: base
         # rectangle 1 fails at depth 0, and rectangle 0, before it, fails
         # only in a rectangle of depth 2, found two levels later
-        real = quad._sine_factor_matrix
-
-        def poisoned(modes, x0, dom, degree, reduced):
-            out = real(modes, x0, dom, degree, reduced)
-            if x0 in (Fraction(1, 4), Fraction(1, 8)):
-                out.hi[-1, 0] = math.nan
-            return out
-
-        monkeypatch.setattr(quad, "_sine_factor_matrix", poisoned)
+        poison_tables(
+            monkeypatch,
+            lambda a, b, van, phase: phase == 0 and mid_at(a, b, van, Fraction(1, 4), Fraction(1, 8)),
+            "hi",
+            (-1, 0),
+            math.nan,
+        )
         u = fourier_from_dict(3, {(1, 1): 5.0, (3, 1): 0.1})
         cfg = QuadConfig(degree=6, grid_m=3, max_depth=2, workers=workers)
         level, dfs = both_sweeps(monkeypatch, lambda: sweep_outputs(u, cfg=cfg, res_width=1e-300))
@@ -645,14 +661,20 @@ class TestLevelSynchronous:
 
 
 # ----------------------------------------------------------------------
-# reference kernels: the earlier separate sine and cosine loops, kept to
-# check that the shared Taylor-with-remainder helper gives the same bits
+# reference kernels: the earlier table loops, one per kind of table, which
+# took sines and cosines of (f pi) x0 formed in intervals; kept to check
+# that the one table builder is nowhere wider, and has their bits on the
+# reduced sine sin(f pi t)/t
 # ----------------------------------------------------------------------
+
+def ref_inv_fact(n):
+    return [Fraction(1, math.factorial(k)) for k in range(n + 1)]
+
 
 def ref_sine_full(modes, x0, dom, degree):
     n = degree
     out = IArr.zeros((n + 1, len(modes)))
-    inv_fact = quad._inv_fact_fractions(n + 3)
+    inv_fact = ref_inv_fact(n + 3)
     for col, m in enumerate(modes):
         w = Interval(float(m)) * quad.PI
         theta = w * Interval.from_fraction(x0)
@@ -673,7 +695,7 @@ def ref_sine_full(modes, x0, dom, degree):
 def ref_cosine(freqs, x0, dom, degree):
     n = degree
     out = IArr.zeros((n + 1, len(freqs)))
-    inv_fact = quad._inv_fact_fractions(n + 3)
+    inv_fact = ref_inv_fact(n + 3)
     for col, f in enumerate(freqs):
         if f == 0:
             out[0, col] = Interval(1.0)
@@ -694,21 +716,121 @@ def ref_cosine(freqs, x0, dom, degree):
     return out
 
 
+def ref_sine_reduced(modes, dom, degree):
+    """sin(m pi t)/t."""
+    n = degree
+    out = IArr.zeros((n + 1, len(modes)))
+    inv_fact = ref_inv_fact(n + 3)
+    for col, m in enumerate(modes):
+        w = Interval(float(m)) * quad.PI
+        wp = w
+        for k in range(0, n + 1):
+            if k % 2 == 0:
+                sign = 1.0 if (k // 2) % 2 == 0 else -1.0
+                out[k, col] = wp * Interval.from_fraction(inv_fact[k + 1] * int(sign))
+            wp = wp * w
+        if n % 2 == 0:
+            order = n + 3
+            extra = dom.sqr()
+        else:
+            order = n + 2
+            extra = dom
+        r = w.mag**order / math.factorial(order) * (1.0 + 1e-12)
+        r = math.nextafter(r, math.inf)
+        rem = Interval(-r, r) * extra
+        cur = out[n, col].item()
+        out[n, col] = cur + rem
+    return out
+
+
+def mp_fraction(r):
+    return mpmath.mpf(r.numerator) / r.denominator
+
+
+def sinpi(r):
+    """sin(pi r) for a rational r, exact where it is 0 or +-1."""
+    return mpmath.sinpi(mp_fraction(Fraction(r) % 2))
+
+
+def grid_edges(grids=(1, 3, 8, 16)):
+    """The edges of the base rectangles of each grid, vanishing at 0."""
+    for m in grids:
+        h = Fraction(1, 2 * m)
+        for i in range(m):
+            yield i * h, (i + 1) * h, i == 0
+
+
 class TestTrigTablesSameBits:
     @pytest.mark.parametrize("degree", [2, 5, 6, 10, 12])
     def test_against_reference_loops(self, degree):
-        modes = odd_modes(59)
-        freqs = list(range(0, 60, 2))
-        for m in (1, 3, 16):
-            h = Fraction(1, 2 * m)
-            for i in range(m):
-                a, b = i * h, (i + 1) * h
-                for x0 in (a, (a + b) / 2):
-                    dom = quad._frac_interval(a - x0, b - x0)
-                    got = quad._sine_factor_matrix(modes, x0, dom, degree, reduced=False)
-                    assert same_bits(got, ref_sine_full(modes, x0, dom, degree)), (degree, a, b, x0)
-                    got = quad._cosine_factor_matrix(freqs, x0, dom, degree)
-                    assert same_bits(got, ref_cosine(freqs, x0, dom, degree)), (degree, a, b, x0)
+        # the reduced sines keep the reference loop's bits; every other
+        # entry encloses the same coefficient as the reference and is never
+        # wider
+        modes, freqs = tuple(map(int, odd_modes(59))), tuple(range(0, 60, 2))
+        for a, b, van in grid_edges():
+            x0, lo, hi = quad._local_edge(a, b, van)
+            dom = quad._frac_interval(lo, hi)
+            for phase, fs, ref in ((0, modes, ref_sine_full), (1, freqs, ref_cosine)):
+                got = quad._trig_table(fs, a, b, van, phase, False, degree)
+                ref = ref(fs, x0, dom, degree)
+                where = (degree, a, b, phase)
+                assert np.all(got.lo <= ref.hi) and np.all(ref.lo <= got.hi), where
+                assert np.all(got.hi - got.lo <= ref.hi - ref.lo), where
+            for d in range(3 if van else 0):  # the edge and its first bisections
+                e = b / 2**d
+                got = quad._trig_table(modes, Fraction(0), e, True, 0, True, degree)
+                ref = ref_sine_reduced(modes, quad._frac_interval(Fraction(0), e), degree)
+                assert same_bits(got, ref), (degree, e)
+
+
+class TestTrigTables:
+    def test_exact_cycle_entries_give_exact_rows(self):
+        # cos(f pi (1/4 + t)) for even f: f/4 is a multiple of 1/2, so the
+        # cycle entries are exactly 0 and +-1, and so are the rows' factors
+        n, freqs = 6, (2, 4, 6)
+        got = quad._trig_table(freqs, Fraction(0), Fraction(1, 2), False, 1, False, n)
+        # the first derivatives at f pi/4: (0, -f pi), (-1, 0) and (0, f pi)
+        assert same_bits(got[0], IArr.exact([0.0, -1.0, 0.0]))
+        term = IArr.exact(freqs) * quad.PI * Interval(1.0)
+        assert same_bits(got[1], IArr([-term.hi[0], 0.0, term.lo[2]], [-term.lo[0], 0.0, term.hi[2]]))
+        for k in range(n):
+            zero = [col for col, f in enumerate(freqs) if (f // 2 + k) % 2]
+            assert same_bits(got[k, zero], IArr.zeros(len(zero))), k
+
+    @pytest.mark.parametrize("phase, reduced", [(0, False), (1, False), (0, True)])
+    def test_models_enclose_function(self, phase, reduced):
+        # each row below the top encloses the exact Taylor coefficient, and
+        # the model evaluated in intervals encloses the function
+        n = 6
+        fs = tuple(map(int, odd_modes(15))) if phase == 0 else tuple(range(0, 16, 2))
+        shift = int(reduced)
+        for a, b, van in grid_edges((3,)):
+            if reduced and not van:
+                continue
+            x0, lo, hi = quad._local_edge(a, b, van)
+            got = quad._trig_table(fs, a, b, van, phase, reduced, n)
+            for col, f in enumerate(fs):
+                w = f * mpmath.pi
+                for k in range(n):
+                    j = k + shift
+                    c = w**j / mpmath.factorial(j) * sinpi(f * x0 + Fraction(j + phase, 2))
+                    assert got.lo[k, col] <= c <= got.hi[k, col], (a, b, f, k)
+                for t in (lo, hi, (lo + hi) / 3):
+                    if not reduced:
+                        value = sinpi(f * (x0 + t) + Fraction(phase, 2))
+                    elif t:
+                        value = sinpi(f * t) / mp_fraction(t)
+                    else:
+                        value = w
+                    powers = [iv_pow(Interval.from_fraction(t), k) for k in range(n + 1)]
+                    terms = (Interval(got.lo[k, col], got.hi[k, col]) * powers[k] for k in range(n + 1))
+                    model = sum(terms, Interval(0.0))
+                    assert model.lo <= value <= model.hi, (a, b, f, t)
+
+    def test_tracer_names_importable(self):
+        from powcert import interval
+
+        assert quad.iv_sin is interval.iv_sin and quad.iv_cos is interval.iv_cos
 
 
 # ----------------------------------------------------------------------
@@ -720,8 +842,8 @@ class TestTrigTablesSameBits:
 def ref_tensor_model(engine, rect, a_iv, reduced, domain):
     """sum_ij a_ij f_i(x) f_j(y) on one rectangle, a batch of one."""
     n, modes = engine.n, engine.eta.modes
-    x = quad._sine_table(modes, rect.x0, rect.x1, rect.van_x, reduced and rect.van_x, n)
-    y = quad._sine_table(modes, rect.y0, rect.y1, rect.van_y, reduced and rect.van_y, n)
+    x = quad._trig_table(modes, rect.x0, rect.x1, rect.van_x, 0, reduced and rect.van_x, n)
+    y = quad._trig_table(modes, rect.y0, rect.y1, rect.van_y, 0, reduced and rect.van_y, n)
     return PowerSeries2D(iv_matmul(iv_matmul(x, a_iv), IArr(y.lo.T, y.hi.T)), domain)
 
 
@@ -813,8 +935,8 @@ def ref_rect_out(engine, rect, red_range, v_red, w, v_lap, xis):
     w_coeffs = w.coeffs[0]
     ok = True
     if req.gram_freqs is not None:
-        cx = quad._cosine_table(req.gram_freqs, rect.x0, rect.x1, van_x, engine.n)
-        cy = quad._cosine_table(req.gram_freqs, rect.y0, rect.y1, van_y, engine.n)
+        cx = quad._trig_table(req.gram_freqs, rect.x0, rect.x1, van_x, 1, False, engine.n)
+        cy = quad._trig_table(req.gram_freqs, rect.y0, rect.y1, van_y, 1, False, engine.n)
         t_rect = ref_gram_tables(engine, w_coeffs, cx, cy, rect, qx, qy)
         if not (np.isfinite(t_rect.lo).all() and np.isfinite(t_rect.hi).all()):
             raise IntervalDomainError("non-finite gram table")
@@ -901,15 +1023,13 @@ class TestLevelBatchedContributions:
         # the cosine tables of [1/6, 1/3] and [1/12, 1/6] are poisoned: base
         # rectangle 1 fails at depth 0, and rectangle 0, before it, fails
         # only in a rectangle of depth 2
-        real = quad._cosine_factor_matrix
-
-        def poisoned(freqs, x0, dom, degree):
-            out = real(freqs, x0, dom, degree)
-            if x0 in (Fraction(1, 4), Fraction(1, 8)):
-                out.lo[0, 0] = -math.inf
-            return out
-
-        monkeypatch.setattr(quad, "_cosine_factor_matrix", poisoned)
+        poison_tables(
+            monkeypatch,
+            lambda a, b, van, phase: phase == 1 and mid_at(a, b, van, Fraction(1, 4), Fraction(1, 8)),
+            "lo",
+            (0, 0),
+            -math.inf,
+        )
         u = fourier_from_dict(3, {(1, 1): 5.0, (3, 1): 0.1})
         cfg = QuadConfig(degree=6, grid_m=3, max_depth=2, workers=workers)
         level, dfs = both_sweeps(monkeypatch, lambda: sweep_outputs(u, cfg=cfg, res_width=1e-300))
@@ -919,16 +1039,8 @@ class TestLevelBatchedContributions:
 
 
 class TestTablesPerProcess:
-    def test_second_integral_builds_no_table(self, monkeypatch):
-        builds = []
-        for name in ("_sine_factor_matrix", "_cosine_factor_matrix"):
-            real = getattr(quad, name)
-
-            def counting(*args, _real=real, **kw):
-                builds.append(args[1:])
-                return _real(*args, **kw)
-
-            monkeypatch.setattr(quad, name, counting)
+    def test_second_integral_builds_no_table(self, table_builds):
+        builds = table_builds
         u = fourier_from_dict(3, {(1, 1): 2.0, (3, 1): 0.05})
         u2 = fourier_from_dict(3, {(1, 1): 1.5, (1, 3): -0.02})
         cfg = QuadConfig(degree=6, grid_m=3)
@@ -943,8 +1055,8 @@ class TestTablesPerProcess:
     def test_tables_read_only(self):
         h = Fraction(1, 8)
         for table in (
-            quad._sine_table((1, 3), Fraction(0), h, True, True, 6),
-            quad._cosine_table((0, 2), h, 2 * h, False, 6),
+            quad._trig_table((1, 3), Fraction(0), h, True, 0, True, 6),
+            quad._trig_table((0, 2), h, 2 * h, False, 1, False, 6),
             quad._corner_table(h, Fraction(1, 2), 7),
         ):
             with pytest.raises(ValueError):
