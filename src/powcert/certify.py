@@ -315,7 +315,8 @@ def positivity_check(r2: Interval, p: Fraction, ranges: tuple) -> PositivityResu
     lam1 = lambda1_interval()
     # min over the closure is <= 0 (boundary) and >= rng_min
     mabs = Interval(0.0, max(0.0, -rng_min))
-    base = mabs + Interval(r2.hi)
+    # mabs.lo + r2.hi = r2.hi exactly: only the upper end is rounded
+    base = Interval(r2.hi, (mabs + Interval(r2.hi)).hi)
     base = Interval(max(base.lo, 0.0), max(base.hi, 0.0))  # true base is >= 0
     bound = iv_pow(base, p - 1)
     witness_margin = witness_lo - r2.hi

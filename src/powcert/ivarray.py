@@ -8,20 +8,22 @@ Accumulating operations (matmul, correlation, convolution, sums) go through
 a midpoint-radius representation (Rump, "Fast and parallel interval
 arithmetic", BIT 39, 1999) with a Higham-style gamma_k * |A||B| inflation of
 the dot-product rounding error plus a tiny absolute guard for underflow.
-Correlation and convolution take midpoint and radius of their operands
-before windowing: both are elementwise, so they commute with it, and the
-window matrices are gathered from the midpoint and radius arrays directly.
-Zero rows/columns stay exactly zero: when every contributing magnitude is
-exactly 0.0 the float result is exact and no guard is added, which the
-Taylor-model code relies on for factoring out vanishing-edge monomials.
+Correlation takes midpoint and radius of its operands before windowing
+(both commute with it); the convolution of model products runs on stacks of
+models in two stages, each bounded by its own (1 + gamma_m) factor.  Zero
+rows/columns stay exactly zero: when every contributing product has a
+factor exactly 0.0 the float result is exact and no guard is added, which
+the Taylor-model code relies on for factoring out vanishing-edge monomials.
 """
 
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import IntervalDomainError
 from .interval import Interval
@@ -29,6 +31,8 @@ from .interval import Interval
 _U = 2.0**-53          # unit roundoff, round-to-nearest binary64
 _K_INFL = 1.0 + 2.0**-40   # swallows (1+u)^m accumulation factors
 _ABS_GUARD = 2.0**-960     # >> n * (underflow absolute error) for any sane n
+_MAX_INNER = 4096          # inner dimensions the guard and _K_INFL are sized for
+_CHUNK = 16                # models per pass of iv_conv2d_batch; more buy memory, not time
 
 _NEG_INF = -math.inf
 _POS_INF = math.inf
@@ -248,7 +252,7 @@ def _mr_matmul(Am, Ar, Bm, Br) -> IArr:
     contributing magnitude is exactly zero stay exactly zero.
     """
     k = Am.shape[-1] if Am.ndim else 1
-    if k > 4096:
+    if k > _MAX_INNER:
         raise IntervalDomainError("inner dimension too large for the stock inflation factor")
     Cm = Am @ Bm
     absA = np.abs(Am)
@@ -283,15 +287,11 @@ def _window_index(P: int, Q: int, p: int, q: int) -> np.ndarray:
 def iv_corr2d(T: IArr, K: IArr) -> IArr:
     """Cross-correlation: out[a, b] = sum_ij K[i, j] T[a + i, b + j].
 
-    K may be a stack of kernels (..., p, q), correlated with the one T:
-    the window matrix of T is gathered once, and each item has the bits of
-    its correlation alone."""
-    return _mr_corr2d(*T.mid_rad(), *K.mid_rad())
-
-
-def _mr_corr2d(Tm, Tr, Km, Kr) -> IArr:
-    """Cross-correlation of T in [Tm +- Tr] with K in [Km +- Kr] as a
-    windowed matrix-vector product, the window rows gathered from Tm and Tr."""
+    K may be a stack of kernels (..., p, q), correlated with the one T: a
+    windowed matrix-vector product, the window matrix gathered once from
+    T's midpoints and radii, and each item has the bits of its correlation
+    alone."""
+    (Tm, Tr), (Km, Kr) = T.mid_rad(), K.mid_rad()
     p, q = Km.shape[-2:]
     P, Q = Tm.shape
     idx = _window_index(P, Q, p, q)
@@ -303,38 +303,82 @@ def _mr_corr2d(Tm, Tr, Km, Kr) -> IArr:
     return IArr(out.lo.reshape(shape), out.hi.reshape(shape))
 
 
-def iv_conv2d_full(U: IArr, V: IArr) -> IArr:
-    """Full 2-D convolution: out[s, t] = sum_ij U[i, j] V[s - i, t - j].
+@lru_cache(maxsize=64)
+def _conv_factors(b: int, terms: int) -> tuple[float, float]:
+    """Floats above G = g(b) + g(L - 1) (1 + g(b)) and
+    H = 1 / ((1 - g(2b + 1)) (1 - g(L - 1)) (1 - u)^4), g(k) = k u / (1 - k u)
+    (Higham, Accuracy and Stability of Numerical Algorithms, section 3.1),
+    for rows of b entries and L = terms row products per output entry."""
+    u = Fraction(1, 2**53)
+    g1, g2, g3 = (k * u / (1 - k * u) for k in (b, terms - 1, 2 * b + 1))
+    exact = (g1 + g2 * (1 + g1), 1 / ((1 - g3) * (1 - g2) * (1 - u) ** 4))
+    return tuple(math.nextafter(float(x), math.inf) for x in exact)
 
-    The correlation of zero-padded V with flipped U; the padding is exact
-    zero in midpoint and radius alike, so it is added after mid_rad."""
-    m, n = U.shape
-    v, w = V.shape
-    Vm, Vr = V.mid_rad()
-    Tm = np.zeros((v + 2 * (m - 1), w + 2 * (n - 1)))
-    Tr = np.zeros_like(Tm)
-    Tm[m - 1 : m - 1 + v, n - 1 : n - 1 + w] = Vm
-    Tr[m - 1 : m - 1 + v, n - 1 : n - 1 + w] = Vr
-    Um, Ur = U.mid_rad()
-    # copies: a reversed view reshapes to a negatively strided vector, which
-    # numpy multiplies outside BLAS, in another summation order
-    return _mr_corr2d(Tm, Tr, Um[::-1, ::-1].copy(), Ur[::-1, ::-1].copy())
+
+def iv_conv2d_batch(U: IArr, V: IArr) -> IArr:
+    """Full 2-D convolution of each item of the stack U (B, a, b) with the
+    same item of V (B, c, d): out[k, s, t] = sum_ij U[k, i, j] V[k, s - i, t - j].
+
+    Per chunk of _CHUNK items, U's rows times the Toeplitz blocks of V's
+    rows (one stacked matmul, inner dimension b), then the sum of the a
+    shifted slices of those row products.  Both stages carry four sums: M of
+    Um Vm, P of |Um| |Vm|, Q of Ur |Vm| + (|Um| + Ur) Vr, and Z of |Vm| + Vr
+    over the nonzero entries of U.  The result lies in
+    M +- [(G P + Q) H + guard] (_conv_factors); an entry with Z = 0, every
+    product with a factor exactly zero in midpoint and radius, is exactly 0.
+    Each item has the bits of the item alone."""
+    batch, a, b = U.shape
+    c, d = V.shape[1:]
+    if b > _MAX_INNER:
+        raise IntervalDomainError("inner dimension too large for the stock inflation factor")
+    G, H = _conv_factors(b, min(a, c))
+    w, n, v = b + d - 1, min(_CHUNK, batch), slice(b - 1, b - 1 + d)
+    lo, hi = np.empty((2, batch, a + c - 1, w))
+    # a chunk's work arrays, reused, zero blocks never written: V's rows
+    # (Vm, |Vm|, Vr) padded by b - 1 zeros, their Toeplitz blocks
+    # T[f, j, r, t] = X[r, f, t + j], U's rows reversed as block rows M, P, Q, Z
+    X, R = np.zeros((n, c, 3, d + 2 * b - 2)), np.zeros((n, 4, a, 3, b))
+    T, rows, S = np.empty((n, 3, b, c, w)), np.empty((n, 4 * a, c * w)), np.empty((n, 4, a + c - 1, w))
+    for at in range(0, batch, _CHUNK):
+        k, m = slice(at, at + _CHUNK), min(_CHUNK, batch - at)
+        (Um, Ur), (Vm, Vr) = U[k].mid_rad(), V[k].mid_rad()
+        Um, Ur = Um[..., ::-1], Ur[..., ::-1]
+        X[:m, :, 0, v], X[:m, :, 1, v], X[:m, :, 2, v] = Vm, np.abs(Vm), Vr
+        np.copyto(T[:m], sliding_window_view(X[:m], w, axis=3).transpose(0, 2, 3, 1, 4))
+        R[:m, 0, :, 0], R[:m, 1, :, 1], R[:m, 2, :, 1] = Um, np.abs(Um), Ur
+        np.add(R[:m, 1, :, 1], Ur, out=R[:m, 2, :, 2])
+        R[:m, 3, :, 1] = R[:m, 3, :, 2] = R[:m, 2, :, 2] != 0.0
+        np.matmul(R[:m].reshape(m, 4 * a, 3 * b), T[:m].reshape(m, 3 * b, c * w), out=rows[:m])
+        prods, sums = rows[:m].reshape(m, 4, a, c, w), S[:m]
+        sums[:] = 0.0
+        for i in range(a):
+            sums[:, :, i : i + c] += prods[:, :, i]
+        mid, rad, zero = sums[:, 0], sums[:, 1], sums[:, 3] == 0.0
+        rad *= G
+        rad += sums[:, 2]
+        rad *= H
+        rad += _ABS_GUARD
+        for out, op, way in ((lo[k], np.subtract, _NEG_INF), (hi[k], np.add, _POS_INF)):
+            np.nextafter(op(mid, rad, out=out), way, out=out)
+            np.copyto(out, 0.0, where=zero)
+    return IArr(lo, hi)
+
+
+def iv_conv2d_full(U: IArr, V: IArr) -> IArr:
+    """Full 2-D convolution of two coefficient matrices: iv_conv2d_batch on
+    a batch of one."""
+    return iv_conv2d_batch(U[None], V[None])[0]
 
 
 def iv_conv1d_full(u: IArr, v: IArr) -> IArr:
-    """Full 1-D convolution by shift-accumulate; at most min(len) nudged adds
-    per coefficient, which keeps the worked golden examples within ulps."""
-    nu, nv = len(u.lo), len(v.lo)
-    out = IArr.zeros(nu + nv - 1)
-    for i in range(nu):
-        prod = v * Interval(float(u.lo[i]), float(u.hi[i]))
-        if i == 0:
-            out.lo[:nv] = prod.lo
-            out.hi[:nv] = prod.hi
-        else:
-            seg = out[i : i + nv] + prod
-            out.lo[i : i + nv] = seg.lo
-            out.hi[i : i + nv] = seg.hi
+    """Full 1-D convolution along the last axis, of each item of u with the
+    same item of v, by shift-accumulate; at most min(len) nudged adds per
+    coefficient, which keeps the worked golden examples within ulps."""
+    nu, nv = u.shape[-1], v.shape[-1]
+    out = IArr.zeros(u.shape[:-1] + (nu + nv - 1,))
+    out[..., :nv] = v * u[..., :1]
+    for i in range(1, nu):
+        out[..., i : i + nv] = out[..., i : i + nv] + v * u[..., i : i + 1]
     return out
 
 

@@ -63,17 +63,17 @@ from . import ivarray
 from .errors import IntervalDomainError, PositivityError, UsageError
 from .galerkin import FourierApproximation
 from .interval import PI, Interval, iv_pow, sin_cos_pi
-from .ivarray import IArr, iv_conv2d_full, iv_outer
+from .ivarray import IArr, iv_conv2d_batch, iv_matmul, iv_outer
 from .psa import ElemFn, PowerSeries2D, ps_compose
 
 # The benchmark's tracer (perfbench/tracing.py) wraps quad.iv_matmul,
 # quad.iv_corr2d, quad.iv_conv2d_full, quad.iv_sin and quad.iv_cos, and its
-# cost hooks read 2-D operands.  The sweep multiplies stacks of matrices, so
-# it calls those products through the ivarray module, and the factor tables
-# take their sines and cosines from sin_cos_pi; the names stay importable
-# here.
+# cost hooks read 2-D operands.  The sweep's one 2-D product, a level's
+# factor tables times the coefficients, calls quad.iv_matmul; stacked
+# products go through ivarray, model products through iv_conv2d_batch, and
+# the factor tables take sines and cosines from sin_cos_pi.
 from .interval import iv_cos, iv_sin  # noqa: F401
-from .ivarray import iv_corr2d, iv_matmul  # noqa: F401
+from .ivarray import iv_conv2d_full, iv_corr2d  # noqa: F401
 
 __all__ = [
     "Rect",
@@ -422,13 +422,6 @@ def _groups(rects, edges: _Edges) -> tuple[list, list]:
     return order, [_Group(*g) for g in groups]
 
 
-def _convolve_items(U: IArr, V: IArr) -> IArr:
-    """iv_conv2d_full of each item of U with the same item of V.  One
-    convolution per model: a convolution over stacked windows gives the same
-    bits but is slower and larger."""
-    return IArr.stack([iv_conv2d_full(U[b], V[b]) for b in range(len(U))])
-
-
 def _integrals(coeffs: IArr, groups: list, e: Fraction) -> IArr:
     """For every item of the consecutive groups, counted from the first
     group's start: sum_ij coeffs[b, i, j] * integral of x^(i+qx) y^(j+qy)
@@ -547,11 +540,13 @@ class _Engine:
         """sum_ij a_ij f_i(x) f_j(y) on every rectangle, one batch item each:
         f_i the sine of mode i in local coordinates, divided by t on a
         vanishing edge when reduced.  The product of a table with a_iv is
-        formed once per edge."""
+        formed once per edge, all edges as the rows of one matrix."""
         t = IArr.stack([_trig_table(self.eta.modes, a, b, van, 0, reduced and van, self.n) for a, b, van in edges.keys])
         y = t[edges.iy]
         y_t = IArr(np.swapaxes(y.lo, 1, 2), np.swapaxes(y.hi, 1, 2))
-        return PowerSeries2D(ivarray.iv_matmul(ivarray.iv_matmul(t, a_iv)[edges.ix], y_t), domain)
+        ta = iv_matmul(IArr(t.lo.reshape(-1, t.shape[2]), t.hi.reshape(-1, t.shape[2])), a_iv)
+        ta = IArr(ta.lo.reshape(t.shape), ta.hi.reshape(t.shape))
+        return PowerSeries2D(ivarray.iv_matmul(ta[edges.ix], y_t), domain)
 
     def reduced_models(self, rects) -> PowerSeries2D:
         """Taylor models, in each rectangle's local coordinates, of eta
@@ -660,7 +655,7 @@ class _Engine:
                 prod = w.coeffs * xi
             else:
                 xi_model = self._tensor_models(edges, xi.coeffs, False, v_red.domain)
-                prod = _convolve_items(w.coeffs, xi_model.coeffs)
+                prod = iv_conv2d_batch(w.coeffs, xi_model.coeffs)
             powers.append(_integrals(prod, groups, self.q))
         outs = self._rect_outs(groups, u_rng, v_red.const_coeff(), t, res, powers)
         return [outs[j] for j in np.argsort(order)]
@@ -744,13 +739,13 @@ class _Engine:
             # residual instead of the huge separate pieces
             at = slice(inner[0].items.start, inner[-1].items.stop)
             r = lap.coeffs[at] + u_pow.coeffs[at]
-            out[at] = _integrals(_convolve_items(r, r), inner, Fraction(0))
+            out[at] = _integrals(iv_conv2d_batch(r, r), inner, Fraction(0))
         if edge:
             # local three-piece expansion
             at = slice(edge[0].items.start, edge[-1].items.stop)
             lp = lap.coeffs[at]
-            piece1 = _integrals(_convolve_items(lp, lp), edge, Fraction(0))
-            piece2 = _integrals(_convolve_items(u_pow.coeffs[at], lp), edge, p)
+            piece1 = _integrals(iv_conv2d_batch(lp, lp), edge, Fraction(0))
+            piece2 = _integrals(iv_conv2d_batch(u_pow.coeffs[at], lp), edge, p)
             two_p = 2 * p
             v = v_red[at]
             if two_p.denominator == 1:

@@ -13,8 +13,10 @@ from hypothesis.extra import numpy as hnp
 from test_ivarray import (
     MIDS,
     iarrs,
+    inside_no_wider,
     model_shapes,
     ref_conv2d_full,
+    ref_conv2d_items,
     ref_corr2d,
     ref_mul,
     same_bits,
@@ -685,23 +687,30 @@ class TestSameBitsAsReference:
             f.deriv_table(t, range(8))
 
     def test_pipeline_sweep_with_reference_kernels(self, monkeypatch):
+        # every kernel but the convolution gives the reference's bits; the
+        # two-stage convolution encloses inside the window kernel, so the
+        # residual and the gram matrix lie inside the reference's, and the
+        # ranges, which take no product, are equal
         u = newton_solve(GalerkinConfig(n_modes=6, p=Fraction(3, 2), tol=1e-10))
         idx = symmetric_indices(4)
         cfg = quad.QuadConfig(degree=6, grid_m=2, workers=1)
 
         def sweep():
-            res, gram, ranges, stats = quad.pipeline_sweep(u, Fraction(3, 2), idx, cfg)
-            return (res.lo, res.hi), gram.lo.tobytes(), gram.hi.tobytes(), ranges, stats
+            return quad.pipeline_sweep(u, Fraction(3, 2), idx, cfg)
 
-        new = sweep()
+        res, gram, ranges, stats = sweep()
         clear_tables()  # rebuilt with the reference kernels
         monkeypatch.setattr(IArr, "__mul__", ref_mul)
         monkeypatch.setattr(IArr, "__rmul__", ref_mul)
         monkeypatch.setattr(ivarray, "iv_corr2d", ref_corr2d_items)
-        monkeypatch.setattr(quad, "iv_conv2d_full", ref_conv2d_full)
-        monkeypatch.setattr(psa, "iv_conv2d_full", ref_conv2d_full)
+        monkeypatch.setattr(quad, "iv_conv2d_batch", ref_conv2d_items)
+        monkeypatch.setattr(psa, "iv_conv2d_batch", ref_conv2d_items)
+        monkeypatch.setitem(globals(), "iv_conv2d_full", ref_conv2d_full)  # RefModel.__mul__
         monkeypatch.setattr(PowerSeries2D, "reduce", ref_reduce_batch)
         monkeypatch.setattr(PowerSeries2D, "range", ref_range_batch)
         monkeypatch.setattr(quad, "ps_compose", ref_ps_compose_batch)
         monkeypatch.setattr(ElemFn, "deriv", ref_deriv)
-        assert sweep() == new
+        ref_res, ref_gram, ref_ranges, ref_stats = sweep()
+        assert inside_no_wider(IArr.from_intervals([res]), IArr.from_intervals([ref_res]))
+        assert inside_no_wider(gram, ref_gram)
+        assert (ranges, stats) == (ref_ranges, ref_stats)
