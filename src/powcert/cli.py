@@ -39,6 +39,7 @@ from .certify import (
 from .errors import PowcertError, UnsupportedError, UsageError
 from .galerkin import FourierApproximation, GalerkinConfig, newton_solve
 from .interval import Interval
+from .ivarray import single_blas_thread
 from .quad import QuadConfig, pipeline_sweep, sup_weight
 from .spectral import projection_constant, spectral_K_from_gram, symmetric_indices
 
@@ -47,6 +48,14 @@ __all__ = ["RunConfig", "run_verify", "run_pipeline", "main", "psa_selftest"]
 EXIT_OK = 0
 EXIT_STAGE = 2
 EXIT_USAGE = 64
+
+
+def _available_cpus() -> int:
+    """The CPUs this process may run on, where the platform says so, else
+    the machine's CPU count."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 @dataclass
@@ -58,7 +67,7 @@ class RunConfig:
     degree: int = 10            # PSA degree for the pipeline models
     holder: tuple = (4, 4, 2)
     linf_qr: tuple | None = None  # (q, r) of the L-infinity bound; p fixes it
-    workers: int = 0            # 0 = available parallelism
+    workers: int = 0            # 0 = one per CPU this process may use
     max_depth: int = 12
     res_width: float = 0.02     # width budget for the residual-norm square
     gram_width: float = 1e-5    # width budget per gram table entry
@@ -81,7 +90,7 @@ class RunConfig:
         if self.n_modes < 1 or self.eig_n < 1 or self.grid_m < 1:
             raise UsageError("sizes must be >= 1")
         if self.workers == 0:
-            self.workers = os.cpu_count() or 1
+            self.workers = _available_cpus()
         self.quad()  # the sweep's own checks: degree, max_depth and workers
         for name in ("res_width", "gram_width", "tail_threshold", "galerkin_tol"):
             value = getattr(self, name)
@@ -143,6 +152,9 @@ def _solve_or_load(cfg: RunConfig) -> FourierApproximation:
     return newton_solve(GalerkinConfig(n_modes=cfg.n_modes, p=cfg.p, tol=cfg.galerkin_tol))
 
 
+# one BLAS thread: Galerkin's leggauss and the spectral stage make products
+# too small for a second one
+@single_blas_thread()
 def run_pipeline(cfg: RunConfig, log=None) -> ProofCertificate:
     """galerkin -> quad -> spectral -> certify; any stage failure yields a
     failed certificate naming the stage (never a silent partial success).

@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from functools import lru_cache
 
 from .errors import IntervalDomainError, UnsupportedError
 
@@ -326,41 +325,45 @@ def iv_log(x: Interval) -> Interval:
     return Interval(a.lo, b.hi)
 
 
-def _sin_core(rho: Interval) -> Interval:
-    # |rho| <= ~0.8 after quadrant reduction
+def _sin_core(rho):
+    """sin rho for |rho| <= ~0.8 (after quadrant reduction): an Interval, or
+    entry by entry an IArr, with the bits each entry gets alone."""
     s = rho.sqr()
     acc = Interval(0.0)
     for d in range(_SIN_DEG, 0, -2):
         sign = -1.0 if (d // 2) % 2 else 1.0
-        acc = acc * s + _INV_FACT[d] * sign
-    acc = acc * rho
-    rm = rho.mag
-    tail = _up(rm ** (_SIN_DEG + 2) / math.factorial(_SIN_DEG + 2) * (1.0 + 1e-10))
-    out = acc + Interval(-tail, tail)
-    return out.intersect(Interval(-1.0, 1.0))
+        acc = s * acc + _INV_FACT[d] * sign
+    return _with_tail(acc * rho, rho, _SIN_DEG + 2)
 
 
-def _cos_core(rho: Interval) -> Interval:
+def _cos_core(rho):
+    """cos rho, as _sin_core."""
     s = rho.sqr()
     acc = Interval(0.0)
     for d in range(_COS_DEG, -1, -2):
         sign = -1.0 if (d // 2) % 2 else 1.0
-        acc = acc * s + _INV_FACT[d] * sign
-    rm = rho.mag
-    tail = _up(rm ** (_COS_DEG + 2) / math.factorial(_COS_DEG + 2) * (1.0 + 1e-10))
-    out = acc + Interval(-tail, tail)
+        acc = s * acc + _INV_FACT[d] * sign
+    return _with_tail(acc, rho, _COS_DEG + 2)
+
+
+def _with_tail(acc, rho, order: int):
+    """acc widened by the Lagrange tail |rho|^order / order! of a sine or
+    cosine series and cut to [-1, 1]; rho an Interval or an IArr."""
+    def tail(m: float) -> float:
+        return _up(m**order / math.factorial(order) * (1.0 + 1e-10))
+
+    if isinstance(rho, Interval):
+        t = tail(rho.mag)
+        out = acc + Interval(-t, t)
+    else:  # entry by entry in Python floats, so each entry has its own bits
+        t = [tail(m) for m in rho.mag().tolist()]
+        out = acc + type(rho)([-v for v in t], t)
     return out.intersect(Interval(-1.0, 1.0))
 
 
-_CYCLE_AT_ZERO = (0.0, 1.0, 0.0, -1.0)
-
-
-def _cycle(j: int, rho: Interval | None) -> Interval:
+def _cycle(j: int, rho: Interval) -> Interval:
     """sin(rho + j pi/2): entry j mod 4 of the cycle (sin, cos, -sin, -cos)
-    at rho, exactly (0, 1, 0, -1) when rho is None, which stands for an
-    exact 0."""
-    if rho is None:
-        return Interval(_CYCLE_AT_ZERO[j % 4])
+    at rho, which is exactly (0, 1, 0, -1) at rho = 0."""
     v = _cos_core(rho) if j % 2 else _sin_core(rho)
     return -v if j % 4 >= 2 else v
 
@@ -419,20 +422,13 @@ def iv_cos(x: Interval) -> Interval:
     return _trig_range(x, 1)
 
 
-@lru_cache(maxsize=4096)
 def sin_cos_pi(r) -> tuple[Interval, Interval]:
-    """Enclosures of sin(pi r) and cos(pi r) for an exact rational r.
+    """Enclosures of sin(pi r) and cos(pi r) for an exact rational r: the
+    array form ivarray.sin_cos_pi on a batch of one."""
+    from .ivarray import sin_cos_pi as batch  # ivarray imports this module
 
-    r is reduced exactly, r = 2n + j/2 + s with |s| <= 1/4, so the only
-    rounding is in pi s and the Taylor cores at it; at a multiple of 1/2
-    (s = 0) both values are exact.  r and r + 2 give the same bits.  Cached
-    per argument: the trig factor tables ask for one residue many times (a
-    default verify for 566 residues, 5000 times)."""
-    r = Fraction(r) % 2
-    j = round(2 * r)
-    s = r - Fraction(j, 2)
-    rho = None if s == 0 else PI * Interval.from_fraction(s)
-    return _cycle(j, rho), _cycle(j + 1, rho)
+    s, c = batch([r])
+    return s[0].item(), c[0].item()
 
 
 # ----------------------------------------------------------------------

@@ -19,6 +19,8 @@ the Taylor-model code relies on for factoring out vanishing-edge monomials.
 from __future__ import annotations
 
 import math
+import threading
+from contextlib import contextmanager
 from fractions import Fraction
 from functools import lru_cache
 
@@ -26,7 +28,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import IntervalDomainError
-from .interval import Interval
+from .interval import PI, Interval, _cos_core, _sin_core
 
 _U = 2.0**-53          # unit roundoff, round-to-nearest binary64
 _K_INFL = 1.0 + 2.0**-40   # swallows (1+u)^m accumulation factors
@@ -36,6 +38,77 @@ _CHUNK = 16                # models per pass of iv_conv2d_batch; more buy memory
 
 _NEG_INF = -math.inf
 _POS_INF = math.inf
+
+
+# (get, set) thread-count symbols of the OpenBLAS builds numpy ships or
+# links: scipy-openblas with 64-bit and with 32-bit integers, plain OpenBLAS
+_BLAS_THREAD_SYMBOLS = (
+    ("scipy_openblas_get_num_threads64_", "scipy_openblas_set_num_threads64_"),
+    ("scipy_openblas_get_num_threads", "scipy_openblas_set_num_threads"),
+    ("openblas_get_num_threads64_", "openblas_set_num_threads64_"),
+    ("openblas_get_num_threads", "openblas_set_num_threads"),
+)
+
+
+@lru_cache(maxsize=None)
+def _blas_threads():
+    """The (get, set) thread-count functions of the OpenBLAS loaded into
+    this process, or None when none is found.  Looked up once, on first
+    use, among the shared objects mapped into the process (Linux)."""
+    import ctypes
+
+    try:
+        with open("/proc/self/maps") as fh:
+            paths = sorted({line.split()[-1] for line in fh if "openblas" in line.rsplit("/", 1)[-1]})
+    except OSError:
+        return None
+    for path in paths:
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
+        for get_name, set_name in _BLAS_THREAD_SYMBOLS:
+            get, set_ = getattr(lib, get_name, None), getattr(lib, set_name, None)
+            if get is not None and set_ is not None:
+                get.restype, get.argtypes = ctypes.c_int, []
+                set_.restype, set_.argtypes = None, [ctypes.c_int]
+                return get, set_
+    return None
+
+
+class _BlasHold:
+    """The blocks of single_blas_thread open in the process, in any thread,
+    and the thread count before the first of them."""
+
+    lock = threading.Lock()
+    depth = 0
+    before = 0
+
+
+@contextmanager
+def single_blas_thread():
+    """Run the block with OpenBLAS limited to one thread, and restore the
+    previous count when the last open block ends; nests, in one thread or
+    several, and does nothing when no OpenBLAS is found.  Every BLAS call
+    powcert makes is too small to use a second thread, and idle pool threads
+    cost CPU time.  Processes forked inside the block inherit the setting."""
+    api = _blas_threads()
+    if api is None:
+        yield
+        return
+    get, set_ = api
+    with _BlasHold.lock:
+        if _BlasHold.depth == 0:
+            _BlasHold.before = get()
+            set_(1)
+        _BlasHold.depth += 1
+    try:
+        yield
+    finally:
+        with _BlasHold.lock:
+            _BlasHold.depth -= 1
+            if _BlasHold.depth == 0:
+                set_(_BlasHold.before)
 
 
 def _gamma(k: int) -> float:
@@ -154,6 +227,13 @@ class IArr:
 
     def max_width(self) -> float:
         return float(np.max(self.width())) if self.lo.size else 0.0
+
+    def intersect(self, other) -> "IArr":
+        o = self._coerce(other)
+        lo, hi = np.maximum(self.lo, o.lo), np.minimum(self.hi, o.hi)
+        if np.any(lo > hi):
+            raise IntervalDomainError("empty intersection of interval arrays")
+        return IArr(lo, hi)
 
     def contains(self, pts) -> np.ndarray:
         pts = np.asarray(pts)
@@ -387,3 +467,32 @@ def iv_outer(a: IArr, b: IArr) -> IArr:
     av = IArr(a.lo.reshape(-1, 1), a.hi.reshape(-1, 1))
     bv = IArr(b.lo.reshape(1, -1), b.hi.reshape(1, -1))
     return av * bv
+
+
+def sin_cos_pi(residues) -> tuple[IArr, IArr]:
+    """Enclosures of sin(pi r) and cos(pi r) for every exact rational r of
+    residues, as two IArrs of len(residues).
+
+    r is reduced exactly, r = 2n + j/2 + s with |s| <= 1/4, so the only
+    rounding is in pi s and the Taylor cores at it; at a multiple of 1/2
+    (s = 0) both values are exact.  r and r + 2 give the same bits, and every
+    entry has the bits of its residue evaluated alone.  Each distinct residue
+    is evaluated once."""
+    keys = {}
+    at = np.array([keys.setdefault(Fraction(r) % 2, len(keys)) for r in residues], dtype=np.intp)
+    j = np.array([round(2 * r) for r in keys], dtype=np.intp)
+    s = [r - Fraction(int(k), 2) for r, k in zip(keys, j)]
+    rho = IArr.from_intervals([Interval.from_fraction(v) for v in s]) * PI
+    sin, cos = _sin_core(rho), _cos_core(rho)
+    exact = np.array([v == 0 for v in s], dtype=bool)
+    cycle = np.array([0.0, 1.0, 0.0, -1.0])  # at pi s = 0, exactly
+
+    def entry(k: np.ndarray) -> IArr:
+        # entry k mod 4 of the cycle (sin, cos, -sin, -cos) at pi s
+        lo, hi = np.where(k % 2, cos.lo, sin.lo), np.where(k % 2, cos.hi, sin.hi)
+        neg = k % 4 >= 2
+        lo, hi = np.where(neg, -hi, lo), np.where(neg, -lo, hi)
+        at_zero = cycle[k % 4]
+        return IArr(np.where(exact, at_zero, lo), np.where(exact, at_zero, hi))
+
+    return entry(j)[at], entry(j + 1)[at]

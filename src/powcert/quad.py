@@ -34,11 +34,13 @@ over groups of rectangles of one class and local box, which share every
 corner table; each rectangle gets the bits it would get evaluated alone.
 Leaves are folded, and errors raised, as a depth-first recursion over each
 base rectangle would, so the batching does not show in the results.  With
-more than one worker the grid rows of base rectangles are handed out to
-forked worker processes, each sweeping its row as a batch; contributions
-are summed in base-rectangle order regardless of the worker count, so
-results are reproducible.  Factor and corner tables depend only on their
-arguments and are built once per process.
+more than one worker each forked worker process sweeps one contiguous block
+of whole grid rows of base rectangles as one batch; contributions are summed
+in base-rectangle order regardless of the worker count, so results are
+reproducible.  Factor and corner tables depend only on their arguments and
+are built once per process; the factor tables a level lacks are built in
+one vectorized pass per kind of table.  The sweep runs with one BLAS
+thread, which its workers inherit.
 
 One sweep engine evaluates every rectangle, and two functions run it:
 
@@ -62,8 +64,8 @@ import numpy as np
 from . import ivarray
 from .errors import IntervalDomainError, PositivityError, UsageError
 from .galerkin import FourierApproximation
-from .interval import PI, Interval, iv_pow, sin_cos_pi
-from .ivarray import IArr, iv_conv2d_batch, iv_matmul, iv_outer
+from .interval import PI, Interval, iv_pow
+from .ivarray import IArr, iv_conv2d_batch, iv_matmul, iv_outer, sin_cos_pi
 from .psa import ElemFn, PowerSeries2D, ps_compose
 
 # The benchmark's tracer (perfbench/tracing.py) wraps quad.iv_matmul,
@@ -260,11 +262,14 @@ def _local_edge(a: Fraction, b: Fraction, van: bool) -> tuple[Fraction, Fraction
 
 # A table depends only on its arguments, so one table serves every sweep in
 # the process, and forked workers inherit those built before the fork.  A
-# default verify builds 231 factor and 24 corner tables (about 0.9 MB), the
-# benchmark's certify configuration 42 and 15; the bound keeps several
-# sweeps of that size without evicting.  The arrays are shared between
-# callers, hence read-only.
+# default verify at workers=1 builds 231 factor tables in 14 batches and 24
+# corner tables (about 0.9 MB), the benchmark's certify configuration 42 in
+# 8 batches and 15; the bound keeps several sweeps of that size without
+# evicting.  The arrays are shared between callers, hence read-only.
 _TABLES = 1024
+
+# factor tables by (freqs, a, b, van, phase, reduced, degree), oldest first
+_trig_cache: dict = {}
 
 
 def _read_only(t: IArr) -> IArr:
@@ -273,13 +278,15 @@ def _read_only(t: IArr) -> IArr:
     return t
 
 
-@lru_cache(maxsize=_TABLES)
-def _trig_table(freqs: tuple, a: Fraction, b: Fraction, van: bool, phase: int, reduced: bool, degree: int) -> IArr:
-    """Coefficient matrix (degree+1, len(freqs)) of the Taylor models, in
-    the local coordinate t of the edge [a, b] (_local_edge), of
+def _build_trig_tables(freqs: tuple, edges: list, phase: int, reduced: bool, degree: int) -> IArr:
+    """The factor tables of the edges (a, b, van), as one stack (len(edges),
+    degree+1, len(freqs)); each has the bits of its edge built alone.
+
+    The table of an edge [a, b] is the coefficient matrix of the Taylor
+    models, in its local coordinate t (_local_edge), of
     sin(f pi (x0 + t) + phase pi/2) for every frequency f: phase 0 gives
     sines, phase 1 cosines.  reduced gives sin(f pi t)/t instead, which
-    needs phase 0 and a vanishing edge (x0 = 0).
+    needs phase 0 and vanishing edges (x0 = 0).
 
     The k-th derivative of sin(theta + phase pi/2) is entry k + phase of the
     cycle (sin, cos, -sin, -cos) at theta = f pi x0, enclosed by sin_cos_pi
@@ -287,18 +294,19 @@ def _trig_table(freqs: tuple, a: Fraction, b: Fraction, van: bool, phase: int, r
     row k is cycle entry k + phase + shift times (f pi)^(k+shift)/(k+shift)!,
     exactly 0 or +-(f pi)^(k+shift)/(k+shift)! where the entry is exactly 0
     or +-1.  The Lagrange remainder is resorbed into the top row."""
-    if reduced and (phase or not van):
+    if reduced and (phase or not all(van for _, _, van in edges)):
         raise UsageError("the reduced sine table needs phase 0 on a vanishing edge")
-    x0, lo, hi = _local_edge(a, b, van)
-    dom = _frac_interval(lo, hi)
+    local = [_local_edge(a, b, van) for a, b, van in edges]
+    dom = IArr.from_intervals([_frac_interval(lo, hi) for _, lo, hi in local])[:, None]
     n, shift = degree, int(reduced)
-    out = IArr.zeros((n + 1, len(freqs)))
-    out.lo[0] = out.hi[0] = [float(phase) if f == 0 else 0.0 for f in freqs]  # sin 0, cos 0
+    out = IArr.zeros((len(edges), n + 1, len(freqs)))
+    out.lo[:, 0] = out.hi[:, 0] = [float(phase) if f == 0 else 0.0 for f in freqs]  # sin 0, cos 0
     live = [col for col, f in enumerate(freqs) if f != 0]
     f = [freqs[col] for col in live]
-    sin_cos = [sin_cos_pi(fi * x0 % 2) for fi in f]
-    sin = IArr.from_intervals([s for s, _ in sin_cos])
-    cos = IArr.from_intervals([c for _, c in sin_cos])
+    # axes (row k, edge, frequency)
+    sin, cos = sin_cos_pi([fi * x0 % 2 for x0, _, _ in local for fi in f])
+    sin = IArr(sin.lo.reshape(len(edges), len(f)), sin.hi.reshape(len(edges), len(f)))
+    cos = IArr(cos.lo.reshape(sin.shape), cos.hi.reshape(sin.shape))
     # row k is formed as ((cycle entry) (f pi)^j) (1/j!), j = k + shift,
     # with (f pi)^j the running product w (w (w ...)); the term of j = 0 is
     # exactly 1
@@ -307,10 +315,10 @@ def _trig_table(freqs: tuple, a: Fraction, b: Fraction, van: bool, phase: int, r
     powers = [IArr.exact(np.ones(len(f))), w]
     for _ in range(n - 1 + shift):
         powers.append(powers[-1] * w)
-    powers = IArr.stack(powers[shift:])
+    powers = IArr.stack(powers[shift:])[:, None]
     fact = IArr.from_intervals(
         [Interval.from_fraction(Fraction(1, math.factorial(j))) for j in range(shift, n + 1 + shift)]
-    )[:, None]
+    )[:, None, None]
     rows, terms = cycle * powers * fact, powers * fact
     if not shift:
         rows[0], terms[0] = cycle[0], powers[0]
@@ -330,8 +338,33 @@ def _trig_table(freqs: tuple, a: Fraction, b: Fraction, van: bool, phase: int, r
         for m in w.mag().tolist()
     ])
     rows[n] = rows[n] + IArr(-r, r) * extra
-    out[:, live] = rows
-    return _read_only(out)
+    out[:, :, live] = IArr(rows.lo.transpose(1, 0, 2), rows.hi.transpose(1, 0, 2))
+    return out
+
+
+def _trig_tables(freqs: tuple, edges: list, phase: int, reduced: bool, degree: int) -> list:
+    """The factor tables (_build_trig_tables) of the edges (a, b, van),
+    reduced on the vanishing edges when reduced.  Each comes from the
+    process's cache, and those missing are built in one pass per kind,
+    reduced or not, and cached."""
+    keys = [(freqs, a, b, van, phase, reduced and van, degree) for a, b, van in edges]
+    found = {key: _trig_cache.get(key) for key in keys}
+    for kind in (False, True):
+        missing = [key for key, t in found.items() if t is None and key[5] == kind]
+        if missing:
+            built = _build_trig_tables(freqs, [key[1:4] for key in missing], phase, kind, degree)
+            for i, key in enumerate(missing):
+                found[key] = _trig_cache[key] = _read_only(built[i])
+    while len(_trig_cache) > _TABLES:
+        del _trig_cache[next(iter(_trig_cache))]
+    return [found[key] for key in keys]
+
+
+def _trig_table(freqs: tuple, a: Fraction, b: Fraction, van: bool, phase: int, reduced: bool, degree: int) -> IArr:
+    """The factor table of one edge [a, b] (_build_trig_tables)."""
+    if reduced and not van:
+        raise UsageError("the reduced sine table needs phase 0 on a vanishing edge")
+    return _trig_tables(freqs, [(a, b, van)], phase, reduced, degree)[0]
 
 
 @lru_cache(maxsize=_TABLES)
@@ -541,7 +574,7 @@ class _Engine:
         f_i the sine of mode i in local coordinates, divided by t on a
         vanishing edge when reduced.  The product of a table with a_iv is
         formed once per edge, all edges as the rows of one matrix."""
-        t = IArr.stack([_trig_table(self.eta.modes, a, b, van, 0, reduced and van, self.n) for a, b, van in edges.keys])
+        t = IArr.stack(_trig_tables(self.eta.modes, edges.keys, 0, reduced, self.n))
         y = t[edges.iy]
         y_t = IArr(np.swapaxes(y.lo, 1, 2), np.swapaxes(y.hi, 1, 2))
         ta = iv_matmul(IArr(t.lo.reshape(-1, t.shape[2]), t.hi.reshape(-1, t.shape[2])), a_iv)
@@ -642,7 +675,7 @@ class _Engine:
                 u_rng[g.items] = mon * red[g.items]
         t = res = None
         if req.gram_freqs is not None:
-            cos = IArr.stack([_trig_table(req.gram_freqs, a, b, van, 1, False, self.n) for a, b, van in edges.keys])
+            cos = IArr.stack(_trig_tables(req.gram_freqs, edges.keys, 1, False, self.n))
             t = self._gram_tables(groups, w, cos[edges.ix], cos[edges.iy])
         if req.residual_p is not None:
             lap = self._tensor_models(edges, self.eta.lap, False, v_red.domain)
@@ -796,26 +829,29 @@ class _Engine:
             raise first_error[1]
         return [_fold(leaves, (i,)) for i in range(len(rects))]
 
+    @ivarray.single_blas_thread()
     def run(self) -> _RectOut:
         rects = self.sub.rects()
         m = self.sub.grid_m
-        rows = [rects[i : i + m] for i in range(0, len(rects), m)]
-        workers = min(self.cfg.workers, len(rows))
+        workers = min(self.cfg.workers, m)
         ctx = _fork_context() if workers > 1 else None
         if ctx is None:
             results = self.sweep(rects)
         else:
             from concurrent.futures import ProcessPoolExecutor
 
-            # map hands out one grid row at a time, each swept as its own
-            # batch, and yields the results in row order, so the first
-            # failing row in that order raises, as in the serial sweep, and
-            # cancels those not started.
+            # each worker sweeps one block of ceil(M / workers) whole grid
+            # rows as one batch; map yields the blocks in order, so the
+            # first failing block in that order raises, as in the serial
+            # sweep, and cancels those not started.  The workers inherit the
+            # one BLAS thread.
             # The executor's shutdown lets its workers exit; Pool.terminate
             # kills them, and a worker killed while it sends a result leaves
             # the result queue locked, which hangs the pool.
-            with ProcessPoolExecutor(workers, ctx, _init_worker, (self,)) as pool:
-                results = [out for row in pool.map(_worker_sweep, rows) for out in row]
+            size = -(-m // workers) * m
+            blocks = [rects[i : i + size] for i in range(0, len(rects), size)]
+            with ProcessPoolExecutor(len(blocks), ctx, _init_worker, (self,)) as pool:
+                results = [out for block in pool.map(_worker_sweep, blocks) for out in block]
         # The three other quadrants mirror this one and give the same leaf
         # results bit for bit.  Merging the list once per quadrant, in the
         # order a four-quadrant sweep would, reproduces that sweep's

@@ -2,13 +2,13 @@
 
 import pytest
 
-from powcert import interval, quad
+from powcert import quad
 
 
 def clear_tables():
-    """Empty the process's factor table, corner table and residue caches."""
-    for cache in (quad._trig_table, quad._corner_table, interval.sin_cos_pi):
-        cache.cache_clear()
+    """Empty the process's factor and corner table caches."""
+    quad._trig_cache.clear()
+    quad._corner_table.cache_clear()
 
 
 @pytest.fixture(autouse=True)

@@ -9,6 +9,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from test_ivarray import BLAS, needs_blas
 
 from powcert import cli, quad
 from powcert.certify import ProofCertificate
@@ -100,6 +101,29 @@ class TestPipelineTiny:
         c2 = run_pipeline(tiny_config(workers=1))
         c3 = run_pipeline(tiny_config(workers=3))
         assert c1.body_dict() == c2.body_dict() == c3.body_dict()
+
+    @needs_blas
+    def test_one_blas_thread_while_computing(self, monkeypatch, tmp_path):
+        # Galerkin runs with one BLAS thread, and the count is restored
+        # after a certificate, valid or failed
+        get, set_ = BLAS
+        seen = []
+        real = cli.newton_solve
+
+        def spying(*args, **kw):
+            seen.append(get())
+            return real(*args, **kw)
+
+        monkeypatch.setattr(cli, "newton_solve", spying)
+        before = get()
+        set_(2)
+        try:
+            code, _ = run_verify(tiny_config(out=str(tmp_path / "cert.json")))
+            assert code == EXIT_STAGE and seen == [1] and get() == 2
+            code, _ = run_verify(RunConfig(**SMALL_VALID))
+            assert code == EXIT_OK and seen == [1, 1] and get() == 2
+        finally:
+            set_(before)
 
     def test_coeff_roundtrip_through_files(self, tmp_path):
         coeffs = tmp_path / "u.json"
@@ -319,8 +343,17 @@ class TestSubcommands:
         with pytest.raises(UsageError, match=match):
             tiny_config(**kw)
 
-    def test_zero_workers_means_one_per_cpu(self):
-        assert tiny_config(workers=0).workers == (os.cpu_count() or 1)
+    def test_zero_workers_means_one_per_cpu(self, monkeypatch):
+        # the CPUs this process may run on, where the platform says so
+        if hasattr(os, "sched_getaffinity"):
+            assert tiny_config(workers=0).workers == len(os.sched_getaffinity(0))
+        monkeypatch.setattr(os, "cpu_count", lambda: 8)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {2, 5}, raising=False)
+        assert tiny_config(workers=0).workers == 2
+        monkeypatch.delattr(os, "sched_getaffinity")
+        assert tiny_config(workers=0).workers == 8
+        monkeypatch.setattr(os, "cpu_count", lambda: None)
+        assert tiny_config(workers=0).workers == 1
 
     def test_certificate_config_replays(self, tmp_path, capsys):
         out = tmp_path / "cert.json"
@@ -387,15 +420,15 @@ class TestStageFailures:
         assert "midpoint eigendecomposition failed" in cert.failure
 
     def test_non_finite_factor_table_fails_integration(self, monkeypatch):
-        real = quad._trig_table
+        real = quad._build_trig_tables
 
-        def poisoned(freqs, a, b, van, phase, reduced, degree):
-            out = real(freqs, a, b, van, phase, reduced, degree).copy()
+        def poisoned(freqs, edges, phase, reduced, degree):
+            out = real(freqs, edges, phase, reduced, degree)
             if phase == 1:  # the cosine tables of the gram sweep
-                out.lo[0, 0] = math.nan
+                out.lo[:, 0, 0] = math.nan
             return out
 
-        monkeypatch.setattr(quad, "_trig_table", poisoned)
+        monkeypatch.setattr(quad, "_build_trig_tables", poisoned)
         cert = run_pipeline(tiny_config())
         assert cert.status == "failed: integration"
         assert "non-finite gram table on" in cert.failure

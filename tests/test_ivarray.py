@@ -1,5 +1,8 @@
 """Array interval layer: matmul/conv/corr against scalar references."""
 
+import subprocess
+import sys
+import threading
 from fractions import Fraction
 
 import numpy as np
@@ -8,8 +11,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from powcert import interval, ivarray
 from powcert.errors import IntervalDomainError
-from powcert.interval import Interval
+from powcert.interval import PI, Interval
 from powcert.ivarray import (
     _CHUNK,
     IArr,
@@ -20,7 +24,13 @@ from powcert.ivarray import (
     iv_corr2d,
     iv_matmul,
     iv_outer,
+    sin_cos_pi,
+    single_blas_thread,
 )
+
+# the thread-count controls of the OpenBLAS numpy loaded, or None
+BLAS = ivarray._blas_threads()
+needs_blas = pytest.mark.skipif(BLAS is None, reason="no OpenBLAS thread control found")
 
 
 # ----------------------------------------------------------------------
@@ -460,3 +470,99 @@ class TestConvBatch:
             iv_conv2d_full(U[0], V[0])
         # the guard's own size passes
         assert iv_conv2d_full(IArr.exact(np.ones((1, 4096))), V[0]).shape == (2, 4097)
+
+
+class TestSinCosPi:
+    def test_entries_have_bits_of_residue_alone(self):
+        # duplicates, r and r + 2, exact multiples of 1/2 and every quadrant
+        rs = [Fraction(n, d) for d in (1, 2, 3, 8, 12, 113) for n in range(-2 * d, 2 * d + 1)]
+        rs += [Fraction(1, 3), Fraction(7, 3), Fraction(-5, 3), Fraction(1, 2)]
+        s, c = sin_cos_pi(rs)
+        assert s.shape == c.shape == (len(rs),)
+        for k, r in enumerate(rs):
+            alone = sin_cos_pi([r])
+            assert same_bits(s[k : k + 1], alone[0]) and same_bits(c[k : k + 1], alone[1]), r
+            ss, cc = interval.sin_cos_pi(r)
+            assert (ss.lo, ss.hi, cc.lo, cc.hi) == (s.lo[k], s.hi[k], c.lo[k], c.hi[k]), r
+
+    def test_empty(self):
+        s, c = sin_cos_pi([])
+        assert s.shape == c.shape == (0,)
+
+    def test_taylor_cores_entry_by_entry(self):
+        # one Taylor core serves an Interval and an IArr, with the same bits
+        rng = np.random.default_rng(5)
+        rho = IArr.exact(rng.uniform(-0.8, 0.8, 40)) * PI * Interval(0.25)
+        for core in (interval._sin_core, interval._cos_core):
+            got = core(rho)
+            for k in range(len(rho)):
+                want = core(Interval(rho.lo[k], rho.hi[k]))
+                assert (got.lo[k], got.hi[k]) == (want.lo, want.hi)
+
+    def test_intersect(self):
+        a = IArr([-2.0, 0.5], [0.5, 3.0])
+        out = a.intersect(Interval(-1.0, 1.0))
+        assert same_bits(out, IArr([-1.0, 0.5], [0.5, 1.0]))
+        with pytest.raises(IntervalDomainError):
+            a.intersect(Interval(4.0, 5.0))
+
+
+class TestSingleBlasThread:
+    @needs_blas
+    def test_one_thread_inside_and_restored_when_nested(self):
+        get, set_ = BLAS
+        before = get()
+        set_(2)
+        try:
+            with single_blas_thread():
+                assert get() == 1
+                with single_blas_thread():
+                    assert get() == 1
+                assert get() == 1
+            assert get() == 2
+            with pytest.raises(RuntimeError), single_blas_thread():
+                raise RuntimeError("inside the block")
+            assert get() == 2
+        finally:
+            set_(before)
+
+    @needs_blas
+    def test_restored_after_blocks_in_threads(self):
+        # blocks of several threads overlap; the count before the first is
+        # restored after the last, and none runs with more than one thread
+        get, set_ = BLAS
+        before, interval = get(), sys.getswitchinterval()
+        set_(2)
+        seen = set()
+
+        def enter_often():
+            for _ in range(300):
+                with single_blas_thread():
+                    seen.add(get())
+
+        threads = [threading.Thread(target=enter_often) for _ in range(6)]
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+            assert not any(t.is_alive() for t in threads)
+            assert seen == {1} and get() == 2
+        finally:
+            sys.setswitchinterval(interval)
+            set_(before)
+
+    def test_nothing_without_library(self, monkeypatch):
+        monkeypatch.setattr(ivarray, "_blas_threads", lambda: None)
+        before = BLAS[0]() if BLAS else None
+        with single_blas_thread():
+            assert (BLAS[0]() if BLAS else None) == before
+
+    def test_lookup_once_and_lazily(self):
+        # the lookup is cached for the process, and importing powcert in a
+        # fresh process makes none
+        assert ivarray._blas_threads() is ivarray._blas_threads()
+        code = "from powcert import cli, ivarray; print(ivarray._blas_threads.cache_info().misses)"
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+        assert out.stdout.strip() == "0"

@@ -1,8 +1,8 @@
 """Verified quadrature: monomial order, rectangle models, oracle containment."""
 
-import functools
 import math
 import multiprocessing
+import os
 import subprocess
 import sys
 import textwrap
@@ -11,7 +11,7 @@ from fractions import Fraction
 import mpmath
 import numpy as np
 import pytest
-from test_ivarray import same_bits
+from test_ivarray import BLAS, needs_blas, same_bits
 
 from powcert import quad
 from powcert.errors import IntervalDomainError, PositivityError, UsageError
@@ -429,32 +429,34 @@ class TestSweepEngine:
 
 @pytest.fixture
 def table_builds(monkeypatch):
-    """The arguments of every factor table built in this process: the
-    builder, counting, behind a cache of its own."""
+    """The arguments (freqs, a, b, van, phase, reduced, degree) of every
+    factor table built in this process, one entry per edge of each batch
+    the builder makes, behind the process's table cache."""
     builds = []
-    build = quad._trig_table.__wrapped__
+    build = quad._build_trig_tables
 
-    def counting(*args):
-        builds.append(args)
-        return build(*args)
+    def counting(freqs, edges, phase, reduced, degree):
+        builds.extend((freqs, a, b, van, phase, reduced, degree) for a, b, van in edges)
+        return build(freqs, edges, phase, reduced, degree)
 
-    monkeypatch.setattr(quad, "_trig_table", functools.lru_cache(maxsize=None)(counting))
+    monkeypatch.setattr(quad, "_build_trig_tables", counting)
     return builds
 
 
 def poison_tables(monkeypatch, when, side, at, value):
     """Give every factor table whose edge and phase pass when(a, b, van,
-    phase) the value at index at of its lo or hi endpoints (side)."""
-    real = quad._trig_table
+    phase) the value at index at of its lo or hi endpoints (side): the
+    builder poisons the tables of its batch, before the cache keeps them."""
+    real = quad._build_trig_tables
 
-    def poisoned(freqs, a, b, van, phase, reduced, degree):
-        out = real(freqs, a, b, van, phase, reduced, degree)
-        if when(a, b, van, phase):
-            out = out.copy()
-            getattr(out, side)[at] = value
+    def poisoned(freqs, edges, phase, reduced, degree):
+        out = real(freqs, edges, phase, reduced, degree)
+        for i, (a, b, van) in enumerate(edges):
+            if when(a, b, van, phase):
+                getattr(out, side)[i][at] = value
         return out
 
-    monkeypatch.setattr(quad, "_trig_table", poisoned)
+    monkeypatch.setattr(quad, "_build_trig_tables", poisoned)
 
 
 def mid_at(a, b, van, *points):
@@ -487,13 +489,14 @@ class TestWorkerProcesses:
     reach the caller as the serial sweep raises them."""
 
     def test_pipeline_sweep_same_bits(self):
+        # blocks of 2 and 1 grid rows, of one row, and more workers than rows
         u = fourier_from_dict(5, {(1, 1): 5.0, (3, 1): 0.2, (1, 5): -0.1})
         digests = [
             sweep_digest(u, QuadConfig(degree=6, grid_m=3, workers=w), res_width=200.0, gram_width=1e-4)
-            for w in (1, 2, 3)
+            for w in (1, 2, 3, 5)
         ]
         assert digests[0][-1]["rects"] > 36  # the budgets bisect
-        assert digests[0] == digests[1] == digests[2]
+        assert all(d == digests[0] for d in digests[1:])
 
     def test_entry_points_same_bits(self):
         u = fourier_from_dict(3, {(1, 1): 2.0, (3, 1): 0.05})
@@ -545,6 +548,62 @@ class TestWorkerProcesses:
         with pytest.raises(UsageError, match="^refused composition$"):
             integral_power(u, None, Fraction(1, 2), QuadConfig(degree=4, grid_m=2, workers=2))
 
+    @pytest.mark.parametrize("grid_m, workers, sizes", [(4, 2, [8, 8]), (4, 3, [8, 8]), (4, 9, [4, 4, 4, 4]), (5, 2, [15, 10])])
+    def test_one_block_of_whole_rows_per_worker(self, monkeypatch, grid_m, workers, sizes):
+        from concurrent.futures import ProcessPoolExecutor
+
+        handed = []
+        real = ProcessPoolExecutor.map
+
+        def recording(pool, fn, *iterables, **kw):
+            handed.extend(len(block) for block in iterables[0])
+            return real(pool, fn, *iterables, **kw)
+
+        monkeypatch.setattr(ProcessPoolExecutor, "map", recording)
+        u = fourier_from_dict(3, {(1, 1): 5.0, (3, 1): 0.1})
+        integral_power(u, None, Fraction(1, 2), QuadConfig(degree=4, grid_m=grid_m, workers=workers))
+        assert handed == sizes
+
+    @pytest.mark.parametrize("workers", [2, 3, 5])
+    @pytest.mark.parametrize("max_depth", [0, 1])
+    def test_first_error_in_a_later_block(self, workers, max_depth):
+        # u < 0 for x in (0.435, 1/2] only: the positivity check first
+        # fails at x >= 1/4, in the second half of the grid rows, so the
+        # first block sweeps without an error and a later one raises the
+        # serial sweep's first error
+        u = fourier_from_dict(3, {(1, 1): 1.0, (3, 1): 1.2})
+        errors = []
+        for w in (1, workers):
+            cfg = QuadConfig(degree=6, grid_m=4, max_depth=max_depth, workers=w)
+            with pytest.raises(PositivityError) as exc:
+                sweep_outputs(u, cfg=cfg)
+            errors.append(exc.value)
+        serial, forked = errors
+        assert serial.rect.x0 >= Fraction(1, 4) and serial.rect.depth == max_depth
+        assert str(forked) == str(serial)
+        assert forked.rect == serial.rect
+        assert (forked.rng.lo, forked.rng.hi) == (serial.rng.lo, serial.rng.hi)
+
+    @needs_blas
+    def test_forked_worker_has_one_blas_thread(self, monkeypatch):
+        get, set_ = BLAS
+        parent = os.getpid()
+        real = quad._Engine.sweep
+
+        def checking(self, rects):
+            if os.getpid() == parent or get() != 1:
+                raise UsageError(f"pid {os.getpid()} (parent {parent}), {get()} BLAS threads")
+            return real(self, rects)
+
+        monkeypatch.setattr(quad._Engine, "sweep", checking)
+        u = fourier_from_dict(3, {(1, 1): 5.0, (3, 1): 0.1})
+        before = get()
+        set_(2)
+        try:
+            integral_power(u, None, Fraction(1, 2), QuadConfig(degree=4, grid_m=2, workers=2))
+            assert get() == 2  # restored in the calling process
+        finally:
+            set_(before)
 
     def test_failing_sweeps_end(self):
         # the first error ends the sweep while the other worker may still be
@@ -831,6 +890,57 @@ class TestTrigTables:
         from powcert import interval
 
         assert quad.iv_sin is interval.iv_sin and quad.iv_cos is interval.iv_cos
+
+
+class TestBatchedTables:
+    @pytest.mark.parametrize("degree", [6, 10])
+    def test_batch_has_bits_of_each_edge_alone(self, degree):
+        # vanishing and interior edges mixed in one batch; sines, cosines,
+        # frequency 0 and reduced tables
+        modes, freqs = tuple(map(int, odd_modes(15))), (0, 2, 4, 6, 12, 28)
+        edges = list(grid_edges((1, 3, 8)))
+        vanishing = [e for e in edges if e[2]]
+        for fs, phase, reduced, batch in (
+            (modes, 0, False, edges),
+            (freqs, 0, False, edges),
+            (freqs, 1, False, edges),
+            (modes, 0, True, vanishing),
+            (freqs, 0, True, vanishing),
+        ):
+            got = quad._build_trig_tables(fs, batch, phase, reduced, degree)
+            assert got.shape == (len(batch), degree + 1, len(fs))
+            for i, edge in enumerate(batch):
+                alone = quad._build_trig_tables(fs, [edge], phase, reduced, degree)
+                assert same_bits(got[i], alone[0]), (phase, reduced, edge)
+
+    def test_level_tables_built_once_in_batches(self, monkeypatch):
+        # reduced tables on the vanishing edges and full ones elsewhere,
+        # from one call: each built once, in one batch per kind
+        batches = []
+        real = quad._build_trig_tables
+
+        def recording(freqs, edges, phase, reduced, degree):
+            batches.append((reduced, list(edges)))
+            return real(freqs, edges, phase, reduced, degree)
+
+        monkeypatch.setattr(quad, "_build_trig_tables", recording)
+        modes, degree = (1, 3, 5), 6
+        edges = list(grid_edges((4,)))
+        got = quad._trig_tables(modes, edges + edges[:2], 0, True, degree)
+        assert sorted(reduced for reduced, _ in batches) == [False, True]
+        assert sorted(e for _, batch in batches for e in batch) == sorted(edges)
+        again = quad._trig_tables(modes, edges, 0, True, degree)
+        assert len(batches) == 2 and all(a is b for a, b in zip(got, again))
+        for (a, b, van), table in zip(edges, got):
+            assert same_bits(table, real(modes, [(a, b, van)], 0, van, degree)[0]), (a, b)
+            assert table is quad._trig_table(modes, a, b, van, 0, van, degree)
+
+    def test_reduced_table_needs_vanishing_edge(self):
+        h = Fraction(1, 4)
+        with pytest.raises(UsageError, match="vanishing edge"):
+            quad._trig_table((1, 3), h, 2 * h, False, 0, True, 6)
+        with pytest.raises(UsageError, match="vanishing edge"):
+            quad._trig_table((1, 3), Fraction(0), h, True, 1, True, 6)
 
 
 # ----------------------------------------------------------------------
