@@ -378,10 +378,11 @@ class ElemFn:
         return out
 
 
-def ps_compose(f: ElemFn, u: PowerSeries) -> PowerSeries:
+def ps_compose(f: ElemFn, u: PowerSeries, rng: IArr | None = None) -> PowerSeries:
     """f applied to every model of the batch u: Taylor polynomial of f at u0
     (midpoint of the constant coefficient) plus a Lagrange remainder with
-    f^(m) enclosed over hull(u0, range(u)).
+    f^(m) enclosed over hull(u0, range(u)); rng is u.range() if the caller
+    has formed it.
 
     The remainder order m <= degree is chosen per model to minimize the
     bound |f^(m)(hull)| rZ^m / m!.  When the Taylor ratio is contractive this
@@ -395,7 +396,8 @@ def ps_compose(f: ElemFn, u: PowerSeries) -> PowerSeries:
     that take it and kept from the others by selection, since adding a zero
     interval would still nudge every coefficient outward."""
     batch, n = u.batch, u.degree
-    rng, c0 = u.range(), u.const_coeff()
+    rng = u.range() if rng is None else rng
+    c0 = u.const_coeff()
     u0 = np.empty(batch)
     hull = IArr.zeros(batch)
     for b in range(batch):

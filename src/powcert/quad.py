@@ -28,19 +28,25 @@ its share of the caller's width budget, are bisected along their longer
 edge (tie: x) down to a depth limit.  The sweep runs level by level: the
 rectangles of one refinement level are evaluated as one batch of Taylor
 models, with one composition for all of them, and those bisected make up
-the next level.  Their contributions -- gram tables, residual and power
-integrals, range bounds -- are computed as stacked arrays once per level,
-over groups of rectangles of one class and local box, which share every
-corner table; each rectangle gets the bits it would get evaluated alone.
-Leaves are folded, and errors raised, as a depth-first recursion over each
-base rectangle would, so the batching does not show in the results.  With
-more than one worker each forked worker process sweeps one contiguous block
-of whole grid rows of base rectangles as one batch; contributions are summed
-in base-rectangle order regardless of the worker count, so results are
-reproducible.  Factor and corner tables depend only on their arguments and
-are built once per process; the factor tables a level lacks are built in
-one vectorized pass per kind of table.  The sweep runs with one BLAS
-thread, which its workers inherit.
+the next level.  Each level is laid out once: its rectangles are sorted
+with those on a vanishing edge first, then by class and local box, and its
+distinct edges, each rectangle's edges and local domains and the groups of
+rectangles of one class and local box are found in that order.  The
+reduced models, the positivity check, the composition and the
+contributions -- gram tables, residual and power integrals, range bounds,
+computed as stacked arrays over the groups, which share every corner
+table -- all take that layout, and the results go back to rectangle order
+once, at the end; each rectangle gets the bits it would get evaluated
+alone.  Leaves are folded, and errors raised, as a depth-first recursion
+over each base rectangle would, so the batching does not show in the
+results.  With more than one worker each forked worker process sweeps one
+contiguous block of whole grid rows of base rectangles as one batch;
+contributions are summed in base-rectangle order regardless of the worker
+count, so results are reproducible.  Factor and corner tables depend only
+on their arguments and are built once per process; the factor tables a
+level lacks are built in one vectorized pass per kind of table: reduced
+sines, plain sines and gram cosines.  The sweep runs with one BLAS thread,
+which its workers inherit.
 
 One sweep engine evaluates every rectangle, and two functions run it:
 
@@ -137,12 +143,6 @@ class Rect:
     @property
     def van_y(self) -> bool:
         return self.cls in (RectClass.S11, RectClass.S01)
-
-    def expansion_x(self) -> Fraction:
-        return _local_edge(self.x0, self.x1, self.van_x)[0]
-
-    def expansion_y(self) -> Fraction:
-        return _local_edge(self.y0, self.y1, self.van_y)[0]
 
     def local_x(self) -> tuple[Fraction, Fraction]:
         return _local_edge(self.x0, self.x1, self.van_x)[1:]
@@ -262,9 +262,9 @@ def _local_edge(a: Fraction, b: Fraction, van: bool) -> tuple[Fraction, Fraction
 
 # A table depends only on its arguments, so one table serves every sweep in
 # the process, and forked workers inherit those built before the fork.  A
-# default verify at workers=1 builds 231 factor tables in 14 batches and 24
+# default verify at workers=1 builds 231 factor tables in 11 batches and 24
 # corner tables (about 0.9 MB), the benchmark's certify configuration 42 in
-# 8 batches and 15; the bound keeps several sweeps of that size without
+# 6 batches and 15; the bound keeps several sweeps of that size without
 # evicting.  The arrays are shared between callers, hence read-only.
 _TABLES = 1024
 
@@ -342,13 +342,13 @@ def _build_trig_tables(freqs: tuple, edges: list, phase: int, reduced: bool, deg
     return out
 
 
-def _trig_tables(freqs: tuple, edges: list, phase: int, reduced: bool, degree: int) -> list:
-    """The factor tables (_build_trig_tables) of the edges (a, b, van),
-    reduced on the vanishing edges when reduced.  Each comes from the
-    process's cache, and those missing are built in one pass per kind,
-    reduced or not, and cached."""
-    keys = [(freqs, a, b, van, phase, reduced and van, degree) for a, b, van in edges]
-    found = {key: _trig_cache.get(key) for key in keys}
+def _trig_tables(freqs: tuple, edges: list, phase: int, kinds: tuple, degree: int) -> list:
+    """Per kind in kinds, the factor tables (_build_trig_tables) of the
+    edges (a, b, van), reduced on the vanishing edges when the kind is True.
+    Each comes from the process's cache, and those missing for any kind are
+    built in one pass per kind of table, reduced or not, and cached."""
+    keys = [[(freqs, a, b, van, phase, kind and van, degree) for a, b, van in edges] for kind in kinds]
+    found = {key: _trig_cache.get(key) for row in keys for key in row}
     for kind in (False, True):
         missing = [key for key, t in found.items() if t is None and key[5] == kind]
         if missing:
@@ -357,14 +357,14 @@ def _trig_tables(freqs: tuple, edges: list, phase: int, reduced: bool, degree: i
                 found[key] = _trig_cache[key] = _read_only(built[i])
     while len(_trig_cache) > _TABLES:
         del _trig_cache[next(iter(_trig_cache))]
-    return [found[key] for key in keys]
+    return [[found[key] for key in row] for row in keys]
 
 
 def _trig_table(freqs: tuple, a: Fraction, b: Fraction, van: bool, phase: int, reduced: bool, degree: int) -> IArr:
     """The factor table of one edge [a, b] (_build_trig_tables)."""
     if reduced and not van:
         raise UsageError("the reduced sine table needs phase 0 on a vanishing edge")
-    return _trig_tables(freqs, [(a, b, van)], phase, reduced, degree)[0]
+    return _trig_tables(freqs, [(a, b, van)], phase, (reduced,), degree)[0][0]
 
 
 @lru_cache(maxsize=_TABLES)
@@ -381,93 +381,75 @@ def _corner_table(v: Fraction, qoff: Fraction, count: int) -> IArr:
 # one refinement level as stacks
 # ----------------------------------------------------------------------
 
-class _Edges:
-    """The distinct edges (a, b, vanishing) of a list of rectangles, x and
-    y edges alike -- the tables of one interval are one table -- and each
-    rectangle's index into them for its x edge and for its y edge."""
+class _Layout:
+    """The rectangles of one refinement level in the order their
+    contributions take them: those on a vanishing edge first, then by class
+    and local box, so that the rectangles of one class and local box, which
+    share every corner table, are consecutive.
 
-    def __init__(self, keys: list, ix: np.ndarray, iy: np.ndarray):
-        self.keys = keys
-        self.ix = ix
-        self.iy = iy
+    order[j] is the position in the level of the j-th rectangle.  edges are
+    the distinct edges (a, b, vanishing), x and y edges alike -- the tables
+    of one interval are one table --, ix and iy each rectangle's index into
+    them, domain its local x and y intervals and box the number of its class
+    and local box.  The engine adds the stacks of the edges' factor tables
+    (_Engine.layout)."""
 
-    @classmethod
-    def of(cls, rects) -> "_Edges":
-        keys = {}
-        ix = [keys.setdefault((r.x0, r.x1, r.van_x), len(keys)) for r in rects]
-        iy = [keys.setdefault((r.y0, r.y1, r.van_y), len(keys)) for r in rects]
-        return cls(list(keys), np.array(ix, dtype=np.intp), np.array(iy, dtype=np.intp))
+    def __init__(self, rects):
+        edges = {}
+        ix = [edges.setdefault((r.x0, r.x1, r.van_x), len(edges)) for r in rects]
+        iy = [edges.setdefault((r.y0, r.y1, r.van_y), len(edges)) for r in rects]
+        self.edges = list(edges)
+        ends = [_local_edge(*k)[1:] for k in self.edges]
+        local = {}
+        lid = [local.setdefault((k[2],) + e, len(local)) for k, e in zip(self.edges, ends)]
+        boxes = {}
+        box = [boxes.setdefault((lid[i], lid[j]), len(boxes)) for i, j in zip(ix, iy)]
+        self.order = sorted(range(len(rects)), key=lambda b: (not (rects[b].van_x or rects[b].van_y), box[b]))
+        self.rects = [rects[b] for b in self.order]
+        self.ix, self.iy, self.box = (np.array(v, dtype=np.intp)[self.order] for v in (ix, iy, box))
+        dom = IArr.from_intervals([_frac_interval(*e) for e in ends])
+        self.domain = (dom[self.ix], dom[self.iy])
+        self.reduced = self.plain = self.cos = None
 
-    def take(self, order) -> "_Edges":
-        """The edges of the rectangles in the given order."""
-        return _Edges(self.keys, self.ix[order], self.iy[order])
-
-    def domains(self) -> tuple[IArr, IArr]:
-        """Each rectangle's local x and y intervals."""
-        dom = IArr.from_intervals([_frac_interval(*_local_edge(*k)[1:]) for k in self.keys])
-        return dom[self.ix], dom[self.iy]
-
-
-class _Group:
-    """The batch items [start, stop) of one class and one local box, which
-    share every corner table; rect is one of them."""
-
-    def __init__(self, start: int, stop: int, rect: Rect):
-        self.items = slice(start, stop)
-        self.rect = rect
-
-    def corners(self, e: Fraction, nx: int, ny: int) -> list:
-        """Signed corner tables of a tensor antiderivative over the local
-        box: (X outer Y, sign) for the corner tables X of x^(i+qx) at each x
-        end and Y of y^(j+qy) at each y end, negative at the two mixed
-        corners, where qx = e on a vanishing x edge and 0 otherwise (qy
-        alike).  A lower end at the expansion point contributes zero and is
-        skipped."""
-        r = self.rect
-        qx = e if r.van_x else Fraction(0)
-        qy = e if r.van_y else Fraction(0)
-        (lx0, lx1), (ly0, ly1) = r.local_x(), r.local_y()
-        xends = ((lx1, 1),) if lx0 == 0 else ((lx1, 1), (lx0, -1))
-        yends = ((ly1, 1),) if ly0 == 0 else ((ly1, 1), (ly0, -1))
-        return [
-            (iv_outer(_corner_table(xe, qx, nx), _corner_table(ye, qy, ny)), xs * ys)
-            for xe, xs in xends
-            for ye, ys in yends
-        ]
+    def groups(self, items: list) -> list:
+        """The runs of one class and local box among the rectangles at the
+        positions items (ascending): (slice of items, one rectangle)."""
+        box = self.box[items]
+        cut = [0, *(np.flatnonzero(box[1:] != box[:-1]) + 1).tolist(), len(box)]
+        return [(slice(a, b), self.rects[items[a]]) for a, b in zip(cut, cut[1:])]
 
 
-def _groups(rects, edges: _Edges) -> tuple[list, list]:
-    """An order of the rectangles in which those of one class and local box
-    are consecutive, rectangles on a vanishing edge first, and the groups
-    of that order."""
-    local = {}
-    lid = [local.setdefault((k[2],) + _local_edge(*k)[1:], len(local)) for k in edges.keys]
-    boxes = {}
-    gid = [boxes.setdefault((lid[i], lid[j]), len(boxes)) for i, j in zip(edges.ix, edges.iy)]
-    inner = [not (r.van_x or r.van_y) for r in rects]
-    order = sorted(range(len(rects)), key=lambda b: (inner[b], gid[b]))
-    groups = []
-    for j, b in enumerate(order):
-        if j == 0 or gid[b] != gid[order[j - 1]]:
-            groups.append([j, j + 1, rects[b]])
-        else:
-            groups[-1][1] = j + 1
-    return order, [_Group(*g) for g in groups]
+def _corners(rect: Rect, e: Fraction, nx: int, ny: int) -> list:
+    """Signed corner tables of a tensor antiderivative over the rectangle's
+    local box: (X outer Y, sign) for the corner tables X of x^(i+qx) at each
+    x end and Y of y^(j+qy) at each y end, negative at the two mixed
+    corners, where qx = e on a vanishing x edge and 0 otherwise (qy alike).
+    A lower end at the expansion point contributes zero and is skipped."""
+    qx = e if rect.van_x else Fraction(0)
+    qy = e if rect.van_y else Fraction(0)
+    (lx0, lx1), (ly0, ly1) = rect.local_x(), rect.local_y()
+    xends = ((lx1, 1),) if lx0 == 0 else ((lx1, 1), (lx0, -1))
+    yends = ((ly1, 1),) if ly0 == 0 else ((ly1, 1), (ly0, -1))
+    return [
+        (iv_outer(_corner_table(xe, qx, nx), _corner_table(ye, qy, ny)), xs * ys)
+        for xe, xs in xends
+        for ye, ys in yends
+    ]
 
 
 def _integrals(coeffs: IArr, groups: list, e: Fraction) -> IArr:
-    """For every item of the consecutive groups, counted from the first
-    group's start: sum_ij coeffs[b, i, j] * integral of x^(i+qx) y^(j+qy)
-    over the item's local box (qx, qy as in _Group.corners).  The
-    coefficient enters each corner term, since intervals do not distribute,
-    and the terms are added from zero in corner order."""
-    base = groups[0].items.start
-    out = IArr.zeros(groups[-1].items.stop - base)
-    for g in groups:
-        at = slice(g.items.start - base, g.items.stop - base)
+    """For every item of the consecutive groups (_Layout.groups), counted
+    from the first group's start: sum_ij coeffs[b, i, j] * integral of
+    x^(i+qx) y^(j+qy) over the item's local box (qx, qy as in _corners).
+    The coefficient enters each corner term, since intervals do not
+    distribute, and the terms are added from zero in corner order."""
+    base = groups[0][0].start
+    out = IArr.zeros(groups[-1][0].stop - base)
+    for items, rect in groups:
+        at = slice(items.start - base, items.stop - base)
         c = coeffs[at]
         acc = IArr.zeros(len(c))
-        for itab, sign in g.corners(e, *c.shape[1:]):
+        for itab, sign in _corners(rect, e, *c.shape[1:]):
             term = (c * itab).sum(axis=(1, 2))
             acc = acc + (term if sign > 0 else -term)
         out[at] = acc
@@ -566,119 +548,130 @@ class _Engine:
         self.q = q
         # one t^q for every rectangle, so its derivative constants are built once
         self.pow_q = ElemFn.pow_q(self.q)
+        # the residual's Laplacian and a sine-series xi take the plain sines
+        self.plain = req.residual_p is not None or any(isinstance(xi, _EtaFourier) for xi in req.powers)
 
     # -------------------- one refinement level --------------------
 
-    def _tensor_models(self, edges: _Edges, a_iv: IArr, reduced: bool, domain) -> PowerSeries2D:
-        """sum_ij a_ij f_i(x) f_j(y) on every rectangle, one batch item each:
-        f_i the sine of mode i in local coordinates, divided by t on a
-        vanishing edge when reduced.  The product of a table with a_iv is
-        formed once per edge, all edges as the rows of one matrix."""
-        t = IArr.stack(_trig_tables(self.eta.modes, edges.keys, 0, reduced, self.n))
-        y = t[edges.iy]
+    def layout(self, rects) -> _Layout:
+        """The rectangles laid out (_Layout), with the stacks of their edges'
+        factor tables the level needs: the sines, reduced on the vanishing
+        edges, and the plain sines when the residual or a sine-series xi
+        needs them, fetched together, and the gram cosines."""
+        lay = _Layout(rects)
+        kinds = (True, False) if self.plain else (True,)
+        sines = [IArr.stack(t) for t in _trig_tables(self.eta.modes, lay.edges, 0, kinds, self.n)]
+        lay.reduced, lay.plain = sines[0], (sines[1] if self.plain else None)
+        if self.req.gram_freqs is not None:
+            lay.cos = IArr.stack(_trig_tables(self.req.gram_freqs, lay.edges, 1, (False,), self.n)[0])
+        return lay
+
+    def _tensor_models(self, t: IArr, a_iv: IArr, ix, iy, domain) -> PowerSeries2D:
+        """sum_ij a_ij f_i(x) f_j(y) on every rectangle whose x and y edges
+        are ix and iy, one batch item each, with f_i in the stack t of the
+        edges' sine tables.  The product of a table with a_iv is formed once
+        per edge, all edges as the rows of one matrix."""
+        y = t[iy]
         y_t = IArr(np.swapaxes(y.lo, 1, 2), np.swapaxes(y.hi, 1, 2))
         ta = iv_matmul(IArr(t.lo.reshape(-1, t.shape[2]), t.hi.reshape(-1, t.shape[2])), a_iv)
         ta = IArr(ta.lo.reshape(t.shape), ta.hi.reshape(t.shape))
-        return PowerSeries2D(ivarray.iv_matmul(ta[edges.ix], y_t), domain)
+        return PowerSeries2D(ivarray.iv_matmul(ta[ix], y_t), domain)
 
-    def reduced_models(self, rects) -> PowerSeries2D:
+    def reduced_models(self, lay: _Layout) -> PowerSeries2D:
         """Taylor models, in each rectangle's local coordinates, of eta
         divided by the monomial of its class: x*y on S11, y on S01, x on S10,
-        1 on S00; one batch item per rectangle."""
-        edges = _Edges.of(rects)
-        return self._tensor_models(edges, self.eta.coeffs, True, edges.domains())
+        1 on S00; one batch item per rectangle, in the layout's order."""
+        return self._tensor_models(lay.reduced, self.eta.coeffs, lay.ix, lay.iy, lay.domain)
 
     def eval_level(self, rects) -> list:
-        """Evaluate rectangles as one batch: their reduced models, the
-        positivity check, one composition and their contributions for all.
-        Per rectangle, in order: (its contributions, whether every one of
-        them fits its share of the width budgets), or the PositivityError or
-        IntervalDomainError that evaluating it alone raises, the latter
-        naming the rectangle."""
-        v_red = self.reduced_models(rects)
+        """Evaluate rectangles as one batch, laid out once: their reduced
+        models, the positivity check, one composition and their
+        contributions for all.  Per rectangle, in order: (its contributions,
+        whether every one of them fits its share of the width budgets), or
+        the PositivityError or IntervalDomainError that evaluating it alone
+        raises, the latter naming the rectangle."""
+        lay = self.layout(rects)
+        v_red = self.reduced_models(lay)
         red = v_red.range()
-        results = [None] * len(rects)
+        results = [None] * len(rects)  # in the layout's order
         live = []
-        for b, rect in enumerate(rects):
+        for j, rect in enumerate(lay.rects):
             try:
-                red_range = Interval(red.lo[b], red.hi[b])
+                red_range = Interval(red.lo[j], red.hi[j])
             except IntervalDomainError as exc:
-                results[b] = exc
+                results[j] = exc
                 continue
             if red_range.lo <= 0.0:
-                results[b] = PositivityError(
+                results[j] = PositivityError(
                     f"positivity check failed on {rect.describe()}",
                     rng=red_range,
                     rect=rect,
                 )
             else:
-                live.append(b)
+                live.append(j)
         if live:
-            w, errors = self._compose(v_red[live])
+            w, errors = self._compose(v_red[live], red[live])
             ok = []
-            for b, exc in zip(live, errors):
+            for j, exc in zip(live, errors):
                 if exc is None:
-                    ok.append(b)
+                    ok.append(j)
                 else:
-                    results[b] = exc
+                    results[j] = exc
             if ok:
-                outs = self.contributions([rects[b] for b in ok], v_red[ok], w, red[ok])
-                for b, res in zip(ok, outs):
-                    results[b] = res
-        return [
-            _on_rect(res, rect) if isinstance(res, IntervalDomainError) else res
-            for res, rect in zip(results, rects)
-        ]
+                for j, res in zip(ok, self.contributions(lay, ok, v_red[ok], w, red[ok])):
+                    results[j] = res
+        out = [None] * len(rects)
+        for b, rect, res in zip(lay.order, lay.rects, results):
+            out[b] = _on_rect(res, rect) if isinstance(res, IntervalDomainError) else res
+        return out
 
-    def _compose(self, v_red: PowerSeries2D):
+    def _compose(self, v_red: PowerSeries2D, red: IArr):
         """t^q of the models the composition accepts, as one batch, and per
-        model the error the composition raises on it alone, or None."""
+        model the error the composition raises on it alone, or None; from
+        the models and their ranges."""
         try:
-            return ps_compose(self.pow_q, v_red), [None] * v_red.batch
+            return ps_compose(self.pow_q, v_red, red), [None] * v_red.batch
         except (PositivityError, IntervalDomainError):
             pass
         errors = []
         for b in range(v_red.batch):
             try:
-                ps_compose(self.pow_q, v_red[b])
+                ps_compose(self.pow_q, v_red[b], red[b : b + 1])
                 errors.append(None)
             except (PositivityError, IntervalDomainError) as exc:
                 errors.append(exc)
         ok = [b for b, exc in enumerate(errors) if exc is None]
-        return (ps_compose(self.pow_q, v_red[ok]) if ok else None), errors
+        return (ps_compose(self.pow_q, v_red[ok], red[ok]) if ok else None), errors
 
-    def contributions(self, rects, v_red: PowerSeries2D, w: PowerSeries2D, red: IArr) -> list:
-        """Each rectangle's contributions, and whether every one of them fits
-        its share of the width budgets, or the IntervalDomainError that
-        evaluating it alone raises; from the batches of the rectangles'
-        reduced models, their compositions and their reduced ranges.
+    def contributions(self, lay: _Layout, items: list, v_red: PowerSeries2D, w: PowerSeries2D, red: IArr) -> list:
+        """The contributions of the rectangles at the positions items
+        (ascending) of the layout, and whether every one of them fits its
+        share of the width budgets, or the IntervalDomainError that
+        evaluating it alone raises; from the batches of their reduced
+        models, their compositions and their reduced ranges.
 
-        The contributions are computed as stacks, over consecutive groups of
+        The contributions are computed as stacks, over the runs of
         rectangles of one class and local box that share their corner
         tables; every rectangle's contributions have the bits of the
         rectangle evaluated alone."""
-        edges = _Edges.of(rects)
-        order, groups = _groups(rects, edges)
-        edges = edges.take(order)
-        v_red, w, red = v_red[order], w[order], red[order]
+        groups = lay.groups(items)
+        ix, iy = lay.ix[items], lay.iy[items]
         req = self.req
         # u = (class monomial) * eta_reduced over the rectangle
         u_rng = red.copy()
-        for g in groups:
-            r = g.rect
+        for at, r in groups:
             if r.van_x or r.van_y:
-                mon = IArr.exact(np.ones(g.items.stop - g.items.start))
+                mon = IArr.exact(np.ones(at.stop - at.start))
                 if r.van_x:
-                    mon = mon * v_red.domain[0][g.items]
+                    mon = mon * v_red.domain[0][at]
                 if r.van_y:
-                    mon = mon * v_red.domain[1][g.items]
-                u_rng[g.items] = mon * red[g.items]
+                    mon = mon * v_red.domain[1][at]
+                u_rng[at] = mon * red[at]
         t = res = None
-        if req.gram_freqs is not None:
-            cos = IArr.stack(_trig_tables(req.gram_freqs, edges.keys, 1, False, self.n))
-            t = self._gram_tables(groups, w, cos[edges.ix], cos[edges.iy])
+        if lay.cos is not None:
+            t = self._gram_tables(groups, w, lay.cos[ix], lay.cos[iy])
         if req.residual_p is not None:
-            lap = self._tensor_models(edges, self.eta.lap, False, v_red.domain)
+            lap = self._tensor_models(lay.plain, self.eta.lap, ix, iy, v_red.domain)
             res = self._residuals(groups, v_red, w, lap)
         powers = []
         for xi in req.powers:
@@ -687,11 +680,10 @@ class _Engine:
             elif isinstance(xi, Interval):
                 prod = w.coeffs * xi
             else:
-                xi_model = self._tensor_models(edges, xi.coeffs, False, v_red.domain)
+                xi_model = self._tensor_models(lay.plain, xi.coeffs, ix, iy, v_red.domain)
                 prod = iv_conv2d_batch(w.coeffs, xi_model.coeffs)
             powers.append(_integrals(prod, groups, self.q))
-        outs = self._rect_outs(groups, u_rng, v_red.const_coeff(), t, res, powers)
-        return [outs[j] for j in np.argsort(order)]
+        return self._rect_outs(groups, u_rng, v_red.const_coeff(), t, res, powers)
 
     def _rect_outs(self, groups: list, u_rng: IArr, c0: IArr, t, res, powers: list) -> list:
         """Per batch item: its _RectOut and whether every contribution fits
@@ -707,10 +699,10 @@ class _Engine:
             t_finite = np.isfinite(t.lo).all(axis=(1, 2)) & np.isfinite(t.hi).all(axis=(1, 2))
             t_width = np.max(t.width(), axis=(1, 2), initial=0.0)
         outs = []
-        for g in groups:
-            area = g.rect.area
-            inner = not (g.rect.van_x or g.rect.van_y)
-            for j in range(g.items.start, g.items.stop):
+        for at, rect in groups:
+            area = rect.area
+            inner = not (rect.van_x or rect.van_y)
+            for j in range(at.start, at.stop):
                 try:
                     u = Interval(u_rng.lo[j], u_rng.hi[j])
                     out = _RectOut(rect_count=1, rng_min=u.lo, rng_max=u.hi, witness_lo=u.lo)
@@ -747,10 +739,9 @@ class _Engine:
         cx_t = IArr(np.swapaxes(cx.lo, 1, 2), np.swapaxes(cx.hi, 1, 2))
         nf = cy.shape[2]
         out = IArr.zeros((len(cy), nf, nf))
-        for g in groups:
-            at = g.items
+        for at, rect in groups:
             t = None
-            for itab, sign in g.corners(self.q, size, size):
+            for itab, sign in _corners(rect, self.q, size, size):
                 corr = ivarray.iv_corr2d(itab, w.coeffs[at])
                 f = ivarray.iv_matmul(ivarray.iv_matmul(cx_t[at], corr), cy[at])
                 f = f if sign > 0 else -f
@@ -765,17 +756,17 @@ class _Engine:
         p = self.req.residual_p
         u_pow = w * v_red  # u^(1+q) = u^p inside, [eta]^p on an edge rectangle
         out = IArr.zeros(v_red.batch)
-        edge = [g for g in groups if g.rect.van_x or g.rect.van_y]
+        edge = [g for g in groups if g[1].van_x or g[1].van_y]
         inner = groups[len(edge):]
         if inner:
             # single model of Delta u + u^p; widths couple to the small
             # residual instead of the huge separate pieces
-            at = slice(inner[0].items.start, inner[-1].items.stop)
+            at = slice(inner[0][0].start, inner[-1][0].stop)
             r = lap.coeffs[at] + u_pow.coeffs[at]
             out[at] = _integrals(iv_conv2d_batch(r, r), inner, Fraction(0))
         if edge:
             # local three-piece expansion
-            at = slice(edge[0].items.start, edge[-1].items.stop)
+            at = slice(edge[0][0].start, edge[-1][0].stop)
             lp = lap.coeffs[at]
             piece1 = _integrals(iv_conv2d_batch(lp, lp), edge, Fraction(0))
             piece2 = _integrals(iv_conv2d_batch(u_pow.coeffs[at], lp), edge, p)

@@ -1,5 +1,6 @@
 """Fixtures shared by every test module."""
 
+import mpmath
 import pytest
 
 from powcert import quad
@@ -18,3 +19,12 @@ def fresh_tables():
     clear_tables()
     yield
     clear_tables()
+
+
+@pytest.fixture(autouse=True)
+def mpmath_precision_kept():
+    # a test that changes mpmath's working precision must restore it, or
+    # the oracles of the tests after it run at the wrong precision
+    dps = mpmath.mp.dps
+    yield
+    assert mpmath.mp.dps == dps, f"the test left mpmath.mp.dps at {mpmath.mp.dps}, not {dps}"

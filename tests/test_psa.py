@@ -482,7 +482,8 @@ def ref_range_batch(self):
     return IArr.from_intervals([RefModel.item(self, b).range() for b in range(self.batch)])
 
 
-def ref_ps_compose_batch(f, u):
+def ref_ps_compose_batch(f, u, rng=None):
+    # the reference forms each model's range itself
     return batch_of([ref_ps_compose(f, RefModel.item(u, b)) for b in range(u.batch)])
 
 

@@ -63,13 +63,13 @@ def one_rect_engine(u, degree, q=Fraction(1, 2), **cfg):
 def with_reduced_model(engine, model):
     """The engine with a given reduced model (a batch of one) on every
     rectangle, in place of the one it builds from eta."""
-    engine.reduced_models = lambda rects: model[[0] * len(rects)]
+    engine.reduced_models = lambda lay: model[[0] * len(lay.rects)]
     return engine
 
 
 def reduced_model(engine, rect):
     """The engine's reduced model of eta on one rectangle, a batch of one."""
-    return engine.reduced_models([rect])
+    return engine.reduced_models(engine.layout([rect]))
 
 
 def sweep_outputs(u, indices=((1, 1),), cfg=None, **budgets):
@@ -167,8 +167,8 @@ class TestEncloseOnRect:
             Rect.make(Fraction(1, 4), Fraction(3, 8), Fraction(1, 4), Fraction(3, 8)),
         ):
             model = reduced_model(engine, rect)
-            cx = rect.expansion_x()
-            cy = rect.expansion_y()
+            cx = quad._local_edge(rect.x0, rect.x1, rect.van_x)[0]
+            cy = quad._local_edge(rect.y0, rect.y1, rect.van_y)[0]
             for _ in range(40):
                 x = rng.uniform(float(rect.x0), float(rect.x1))
                 y = rng.uniform(float(rect.y0), float(rect.y1))
@@ -354,16 +354,16 @@ class TestSpecExamples:
         u = fourier_from_dict(1, {(1, 1): 1.0})
         rect = Rect.make(Fraction(1, 4), Fraction(3, 8), Fraction(1, 4), Fraction(3, 8))
         val = one_rect_engine(u, 8).sweep([rect])[0].powers[0]
-        mpmath.mp.dps = 20
-        oracle = float(
-            mpmath.quad(
-                lambda x, y: mpmath.sqrt(
-                    mpmath.sin(mpmath.pi * x) * mpmath.sin(mpmath.pi * y)
-                ),
-                [0.25, 0.375],
-                [0.25, 0.375],
+        with mpmath.workdps(20):
+            oracle = float(
+                mpmath.quad(
+                    lambda x, y: mpmath.sqrt(
+                        mpmath.sin(mpmath.pi * x) * mpmath.sin(mpmath.pi * y)
+                    ),
+                    [0.25, 0.375],
+                    [0.25, 0.375],
+                )
             )
-        )
         assert val.contains(oracle)
         assert val.width < 1e-8
 
@@ -430,13 +430,15 @@ class TestSweepEngine:
 @pytest.fixture
 def table_builds(monkeypatch):
     """The arguments (freqs, a, b, van, phase, reduced, degree) of every
-    factor table built in this process, one entry per edge of each batch
-    the builder makes, behind the process's table cache."""
+    factor table built in this process and the number of the builder's
+    pass that built it, one entry per edge of each batch the builder makes,
+    behind the process's table cache."""
     builds = []
     build = quad._build_trig_tables
 
     def counting(freqs, edges, phase, reduced, degree):
-        builds.extend((freqs, a, b, van, phase, reduced, degree) for a, b, van in edges)
+        n = builds[-1][-1] + 1 if builds else 0
+        builds.extend((freqs, a, b, van, phase, reduced, degree, n) for a, b, van in edges)
         return build(freqs, edges, phase, reduced, degree)
 
     monkeypatch.setattr(quad, "_build_trig_tables", counting)
@@ -914,8 +916,9 @@ class TestBatchedTables:
                 assert same_bits(got[i], alone[0]), (phase, reduced, edge)
 
     def test_level_tables_built_once_in_batches(self, monkeypatch):
-        # reduced tables on the vanishing edges and full ones elsewhere,
-        # from one call: each built once, in one batch per kind
+        # reduced tables on the vanishing edges and full ones elsewhere, and
+        # full ones everywhere, from one call: each built once, in one batch
+        # per kind
         batches = []
         real = quad._build_trig_tables
 
@@ -926,14 +929,18 @@ class TestBatchedTables:
         monkeypatch.setattr(quad, "_build_trig_tables", recording)
         modes, degree = (1, 3, 5), 6
         edges = list(grid_edges((4,)))
-        got = quad._trig_tables(modes, edges + edges[:2], 0, True, degree)
+        got = quad._trig_tables(modes, edges + edges[:2], 0, (True, False), degree)
+        assert [len(row) for row in got] == [len(edges) + 2] * 2
         assert sorted(reduced for reduced, _ in batches) == [False, True]
-        assert sorted(e for _, batch in batches for e in batch) == sorted(edges)
-        again = quad._trig_tables(modes, edges, 0, True, degree)
-        assert len(batches) == 2 and all(a is b for a, b in zip(got, again))
-        for (a, b, van), table in zip(edges, got):
-            assert same_bits(table, real(modes, [(a, b, van)], 0, van, degree)[0]), (a, b)
-            assert table is quad._trig_table(modes, a, b, van, 0, van, degree)
+        vanishing = [e for e in edges if e[2]]
+        assert sorted(e for _, batch in batches for e in batch) == sorted(edges + vanishing)
+        again = quad._trig_tables(modes, edges, 0, (True, False), degree)
+        assert len(batches) == 2
+        for kind, row, row_again in zip((True, False), got, again):
+            for (a, b, van), table, table_again in zip(edges, row, row_again):
+                reduced = kind and van
+                assert same_bits(table, real(modes, [(a, b, van)], 0, reduced, degree)[0]), (a, b)
+                assert table is table_again is quad._trig_table(modes, a, b, van, 0, reduced, degree)
 
     def test_reduced_table_needs_vanishing_edge(self):
         h = Fraction(1, 4)
@@ -1113,21 +1120,22 @@ class TestLevelBatchedContributions:
         rects = mixed_rects()
         assert {r.cls for r in rects} == set(RectClass) and {r.depth for r in rects} == {0, 1, 2}
 
-        v_red = engine.reduced_models(rects)
-        red = v_red.range()
         got = engine.eval_level(rects)
         flags = set()
         for b, rect in enumerate(rects):
-            v = v_red[b]
+            v = reduced_model(engine, rect)
+            red = v.range()
             assert same_bits(v.coeffs[0], ref_tensor_model(engine, rect, engine.eta.coeffs, True, v.domain).coeffs[0])
             w = quad.ps_compose(engine.pow_q, v)
             lap = ref_tensor_model(engine, rect, engine.eta.lap, False, v.domain)
             xis = [None, req.powers[1], ref_tensor_model(engine, rect, req.powers[2].coeffs, False, v.domain)]
-            ref = ref_rect_out(engine, rect, Interval(red.lo[b], red.hi[b]), v, w, lap, xis)
+            ref = ref_rect_out(engine, rect, red[0].item(), v, w, lap, xis)
             assert rect_out_digest(got[b]) == rect_out_digest(ref), rect.describe()
             flags.add(ref[1])
         assert flags == {True, False}  # some rectangles fit the budgets, some do not
 
+    # the poisoned tables make NaN on purpose
+    @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
     @pytest.mark.parametrize("workers", [1, 2])
     def test_non_finite_gram_table_matches_depth_first(self, monkeypatch, workers):
         # the cosine tables of [1/6, 1/3] and [1/12, 1/6] are poisoned: base
@@ -1146,6 +1154,63 @@ class TestLevelBatchedContributions:
         assert isinstance(level, IntervalDomainError)
         assert str(level) == str(dfs)
         assert str(level) == "non-finite gram table on S10 [0,1/12]x[1/12,1/6] depth=2"
+
+    def test_level_laid_out_once_with_a_table_pass_per_kind(self, monkeypatch, table_builds):
+        # reduced sines for eta, plain sines for the Laplacian and xi, and
+        # gram cosines: one layout and one builder pass per kind of table
+        layouts = []
+        real = quad._Layout.__init__
+
+        def counting(lay, rects):
+            layouts.append(len(rects))
+            real(lay, rects)
+
+        monkeypatch.setattr(quad._Layout, "__init__", counting)
+        u = fourier_from_dict(3, {(1, 1): 5.0, (3, 1): 0.2, (1, 3): -0.1})
+        xi = fourier_from_dict(3, {(1, 1): 1.0, (3, 3): 0.3})
+        req = quad._Request(
+            residual_p=Fraction(3, 2),
+            gram_freqs=tuple(gram_indices_freqs([(1, 1), (1, 3)])),
+            powers=(quad._EtaFourier(xi),),
+        )
+        engine = quad._Engine(quad._EtaFourier(u), Fraction(1, 2), QuadConfig(degree=6, grid_m=3), req)
+        rects = mixed_rects()
+        assert not any(isinstance(res, Exception) for res in engine.eval_level(rects))
+        assert layouts == [len(rects)]
+        kinds = {}
+        for entry in table_builds:
+            kinds.setdefault(entry[-1], set()).add(entry[4:6])  # (phase, reduced) per pass
+        assert sorted(kind for pass_kinds in kinds.values() for kind in pass_kinds) == [(0, False), (0, True), (1, False)]
+        assert len(kinds) == 3
+
+    def test_positivity_failure_inside_a_group(self, monkeypatch):
+        # u < 0 for x in (0.435, 1/2]: on the 4 x 4 grid the check fails on
+        # S00 [1/4,3/8]x[1/8,1/4], between two rectangles of its class and
+        # local box that pass it, and on four other rectangles
+        u = fourier_from_dict(3, {(1, 1): 1.0, (3, 1): 1.2})
+        req = quad._Request(residual_p=Fraction(3, 2), gram_freqs=tuple(gram_indices_freqs([(1, 1), (1, 3)])))
+        engine = quad._Engine(quad._EtaFourier(u), Fraction(1, 2), QuadConfig(degree=6, grid_m=4), req)
+        rects = Subdivision(4).rects()
+        lay = engine.layout(rects)
+        got = engine.eval_level(rects)
+        failed = [isinstance(got[b], PositivityError) for b in lay.order]
+        assert sum(failed) == 5
+        j = lay.rects.index(Rect.make(Fraction(1, 4), Fraction(3, 8), Fraction(1, 8), Fraction(1, 4)))
+        assert failed[j - 1 : j + 2] == [False, True, False] and lay.box[j - 1] == lay.box[j] == lay.box[j + 1]
+        for rect, res in zip(rects, got):
+            (alone,) = engine.eval_level([rect])
+            if isinstance(alone, PositivityError):
+                assert str(res) == str(alone) and (res.rng.lo, res.rng.hi) == (alone.rng.lo, alone.rng.hi)
+            else:
+                assert rect_out_digest(res) == rect_out_digest(alone), rect.describe()
+        # the sweep raises the first failure in rectangle order, as the
+        # depth-first sweep does serially
+        errors = []
+        for workers in (1, 2):
+            cfg = QuadConfig(degree=6, grid_m=4, max_depth=0, workers=workers)
+            errors += both_sweeps(monkeypatch, lambda: sweep_outputs(u, cfg=cfg))
+        assert all(isinstance(exc, PositivityError) for exc in errors)
+        assert len({(str(exc), exc.rect, exc.rng.lo, exc.rng.hi) for exc in errors}) == 1
 
 
 class TestTablesPerProcess:
