@@ -4,16 +4,17 @@ An IArr bundles two equal-shape float64 arrays (lo, hi).  Entrywise
 operations nudge endpoints outward with np.nextafter, which dominates the
 <= 1/2 ulp round-to-nearest error of each flop in all ranges.
 
-Accumulating operations (matmul, correlation, convolution, sums) go through
-a midpoint-radius representation (Rump, "Fast and parallel interval
-arithmetic", BIT 39, 1999) with a Higham-style gamma_k * |A||B| inflation of
-the dot-product rounding error plus a tiny absolute guard for underflow.
-Correlation takes midpoint and radius of its operands before windowing
-(both commute with it); the convolution of model products runs on stacks of
-models in two stages, each bounded by its own (1 + gamma_m) factor.  Zero
-rows/columns stay exactly zero: when every contributing product has a
-factor exactly 0.0 the float result is exact and no guard is added, which
-the Taylor-model code relies on for factoring out vanishing-edge monomials.
+Every product -- the matrix product, the correlation built on it and both
+stages of the batched convolution of model products -- runs in
+midpoint-radius form (Rump, "Fast and parallel interval arithmetic", BIT
+39, 1999) under one rounding bound, M +- [(G P + R) H + guard] for the
+float products M of the midpoints, P of their magnitudes and R of the
+radius terms, with G and H floats above Higham's gamma_k factors (Accuracy
+and Stability of Numerical Algorithms, section 3.1; _conv_factors) and a
+tiny absolute guard for underflow.  Zero rows/columns stay exactly zero:
+when every contributing product has a factor exactly 0.0 the float result
+is exact and no guard is added, which the Taylor-model code relies on for
+factoring out vanishing-edge monomials.
 """
 
 from __future__ import annotations
@@ -30,10 +31,9 @@ from numpy.lib.stride_tricks import sliding_window_view
 from .errors import IntervalDomainError
 from .interval import PI, Interval, _cos_core, _sin_core
 
-_U = 2.0**-53          # unit roundoff, round-to-nearest binary64
-_K_INFL = 1.0 + 2.0**-40   # swallows (1+u)^m accumulation factors
+_U = Fraction(1, 2**53)    # unit roundoff, round-to-nearest binary64
 _ABS_GUARD = 2.0**-960     # >> n * (underflow absolute error) for any sane n
-_MAX_INNER = 4096          # inner dimensions the guard and _K_INFL are sized for
+_MAX_INNER = 4096          # inner dimensions the guard is sized for
 _CHUNK = 16                # models per pass of iv_conv2d_batch; more buy memory, not time
 
 _NEG_INF = -math.inf
@@ -111,9 +111,16 @@ def single_blas_thread():
                 set_(_BlasHold.before)
 
 
-def _gamma(k: int) -> float:
-    g = k * _U / (1.0 - k * _U)
-    return g * _K_INFL
+def _gamma(k: int) -> Fraction:
+    """gamma_k = k u / (1 - k u), exactly (Higham, section 3.1)."""
+    return k * _U / (1 - k * _U)
+
+
+@lru_cache(maxsize=None)
+def _sum_factor(n: int) -> float:
+    """A float above g / (1 - g), g = gamma_(n-1): see IArr.sum."""
+    g = _gamma(max(n - 1, 1))
+    return math.nextafter(float(g / (1 - g)), math.inf)
 
 
 def _dn(a: np.ndarray) -> np.ndarray:
@@ -189,12 +196,9 @@ class IArr:
         return IArr(self.lo[idx], self.hi[idx])
 
     def __setitem__(self, idx, value):
-        if isinstance(value, Interval):
-            self.lo[idx] = value.lo
-            self.hi[idx] = value.hi
-        else:
-            self.lo[idx] = value.lo
-            self.hi[idx] = value.hi
+        # an Interval or an IArr
+        self.lo[idx] = value.lo
+        self.hi[idx] = value.hi
 
     def item(self) -> Interval:
         return Interval(float(self.lo), float(self.hi))
@@ -295,7 +299,9 @@ class IArr:
     def sum(self, axis=None) -> "IArr":
         """Sum over all entries, one axis or a tuple of axes.  A tuple of
         axes is moved to the end and flattened, so that each item is summed
-        as one row, in the order .sum() sums a C-contiguous item alone."""
+        as one row, in the order .sum() sums a C-contiguous item alone.  The
+        rounding is at most g = gamma_(n-1) times the sum of magnitudes
+        (Higham, section 4.2), which is at most its float value / (1 - g)."""
         lo, hi = self.lo, self.hi
         if isinstance(axis, tuple):
             last = range(-len(axis), 0)
@@ -306,7 +312,7 @@ class IArr:
         n = lo.size if axis is None else lo.shape[axis]
         if n == 0:
             return IArr.zeros(np.sum(lo, axis=axis).shape)
-        g = _gamma(max(n - 1, 1))
+        g = _sum_factor(n)
         slo = np.sum(lo, axis=axis)
         shi = np.sum(hi, axis=axis)
         alo = np.sum(np.abs(lo), axis=axis)
@@ -325,21 +331,22 @@ def iv_matmul(A: IArr, B: IArr) -> IArr:
 
 
 def _mr_matmul(Am, Ar, Bm, Br) -> IArr:
-    """Product of A in [Am +- Ar] and B in [Bm +- Br]:
-        C  in  fl(Am Bm) +- [ |Am| Br + Ar |Bm| + Ar Br
-                              + gamma_k |Am||Bm| + underflow guard ]
-    computed in RTN and inflated by _K_INFL; entries whose every
-    contributing magnitude is exactly zero stay exactly zero.
-    """
+    """Product of A in [Am +- Ar] and B in [Bm +- Br], inner dimension k:
+    AB lies in Am Bm +- [Ar |Bm| + (|Am| + Ar) Br], M = fl(Am Bm) in
+    Am Bm +- gamma_k |Am||Bm|, and the float products P = fl(|Am||Bm|) and
+    R = fl(Ar |Bm| + fl(|Am| + Ar) Br) are at most a factor 1 - gamma_(2k+1)
+    below their exact values, so the result is M +- [(G P + R) H + guard],
+    G and H from _conv_factors(k, 1), as one stage of iv_conv2d_batch.
+    Entries whose every contributing magnitude is exactly zero stay 0."""
     k = Am.shape[-1] if Am.ndim else 1
     if k > _MAX_INNER:
         raise IntervalDomainError("inner dimension too large for the stock inflation factor")
+    G, H = _conv_factors(k, 1)
     Cm = Am @ Bm
     absA = np.abs(Am)
     absB = np.abs(Bm)
     P = absA @ absB
-    R = absA @ Br + Ar @ absB + Ar @ Br
-    raw = (R + _gamma(k + 4) * P) * _K_INFL
+    R = Ar @ absB + (absA + Ar) @ Br
     # an output entry is exactly zero iff its row of A or column of B is
     # identically zero (then every contributing product is exactly 0.0);
     # testing the inputs keeps this sound under underflow.  Rows and
@@ -347,21 +354,8 @@ def _mr_matmul(Am, Ar, Bm, Br) -> IArr:
     arow = np.max(absA + Ar, axis=-1)
     bcol = np.max(absB + Br, axis=-2)
     zero = (arow[..., :, None] == 0.0) | (bcol[..., None, :] == 0.0)
-    Cr = np.where(zero, 0.0, _up(raw + _ABS_GUARD))
+    Cr = np.where(zero, 0.0, (G * P + R) * H + _ABS_GUARD)
     return IArr(np.where(zero, 0.0, _dn(Cm - Cr)), np.where(zero, 0.0, _up(Cm + Cr)))
-
-
-@lru_cache(maxsize=64)
-def _window_index(P: int, Q: int, p: int, q: int) -> np.ndarray:
-    """Flat indices into a C-ordered (P, Q) array of its (P-p+1)(Q-q+1)
-    windows of shape (p, q), one window per row, row-major in both.  A
-    Taylor-model degree uses two or three shapes; the arrays are shared
-    between callers, hence read-only."""
-    starts = (np.arange(P - p + 1)[:, None] * Q + np.arange(Q - q + 1)).reshape(-1, 1)
-    taps = (np.arange(p)[:, None] * Q + np.arange(q)).reshape(1, -1)
-    idx = starts + taps
-    idx.flags.writeable = False
-    return idx
 
 
 def iv_corr2d(T: IArr, K: IArr) -> IArr:
@@ -372,13 +366,9 @@ def iv_corr2d(T: IArr, K: IArr) -> IArr:
     T's midpoints and radii, and each item has the bits of its correlation
     alone."""
     (Tm, Tr), (Km, Kr) = T.mid_rad(), K.mid_rad()
-    p, q = Km.shape[-2:]
-    P, Q = Tm.shape
-    idx = _window_index(P, Q, p, q)
-    stack = Km.shape[:-2]
-    out = _mr_matmul(
-        Tm.ravel()[idx], Tr.ravel()[idx], Km.reshape(stack + (p * q, 1)), Kr.reshape(stack + (p * q, 1))
-    )
+    (P, Q), (p, q), stack = Tm.shape, Km.shape[-2:], Km.shape[:-2]
+    Wm, Wr = (sliding_window_view(a, (p, q)).reshape(-1, p * q) for a in (Tm, Tr))
+    out = _mr_matmul(Wm, Wr, Km.reshape(stack + (p * q, 1)), Kr.reshape(stack + (p * q, 1)))
     shape = stack + (P - p + 1, Q - q + 1)
     return IArr(out.lo.reshape(shape), out.hi.reshape(shape))
 
@@ -389,9 +379,8 @@ def _conv_factors(b: int, terms: int) -> tuple[float, float]:
     H = 1 / ((1 - g(2b + 1)) (1 - g(L - 1)) (1 - u)^4), g(k) = k u / (1 - k u)
     (Higham, Accuracy and Stability of Numerical Algorithms, section 3.1),
     for rows of b entries and L = terms row products per output entry."""
-    u = Fraction(1, 2**53)
-    g1, g2, g3 = (k * u / (1 - k * u) for k in (b, terms - 1, 2 * b + 1))
-    exact = (g1 + g2 * (1 + g1), 1 / ((1 - g3) * (1 - g2) * (1 - u) ** 4))
+    g1, g2, g3 = (_gamma(k) for k in (b, terms - 1, 2 * b + 1))
+    exact = (g1 + g2 * (1 + g1), 1 / ((1 - g3) * (1 - g2) * (1 - _U) ** 4))
     return tuple(math.nextafter(float(x), math.inf) for x in exact)
 
 

@@ -66,6 +66,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from . import ivarray
 from .errors import IntervalDomainError, PositivityError, UsageError
@@ -76,10 +77,10 @@ from .psa import ElemFn, PowerSeries2D, ps_compose
 
 # The benchmark's tracer (perfbench/tracing.py) wraps quad.iv_matmul,
 # quad.iv_corr2d, quad.iv_conv2d_full, quad.iv_sin and quad.iv_cos, and its
-# cost hooks read 2-D operands.  The sweep's one 2-D product, a level's
-# factor tables times the coefficients, calls quad.iv_matmul; stacked
-# products go through ivarray, model products through iv_conv2d_batch, and
-# the factor tables take sines and cosines from sin_cos_pi.
+# cost hooks read 2-D operands.  The sweep calls only quad.iv_matmul, for its
+# one 2-D product (factor tables times coefficients); stacked products, the
+# gram tables' too, call ivarray.iv_matmul, model products iv_conv2d_batch,
+# and the factor tables take sin_cos_pi.  The rest is for the tracer alone.
 from .interval import iv_cos, iv_sin  # noqa: F401
 from .ivarray import iv_conv2d_full, iv_corr2d  # noqa: F401
 
@@ -360,13 +361,6 @@ def _trig_tables(freqs: tuple, edges: list, phase: int, kinds: tuple, degree: in
     return [[found[key] for key in row] for row in keys]
 
 
-def _trig_table(freqs: tuple, a: Fraction, b: Fraction, van: bool, phase: int, reduced: bool, degree: int) -> IArr:
-    """The factor table of one edge [a, b] (_build_trig_tables)."""
-    if reduced and not van:
-        raise UsageError("the reduced sine table needs phase 0 on a vanishing edge")
-    return _trig_tables(freqs, [(a, b, van)], phase, (reduced,), degree)[0][0]
-
-
 @lru_cache(maxsize=_TABLES)
 def _corner_table(v: Fraction, qoff: Fraction, count: int) -> IArr:
     """v^(e+1) / (e+1) for the exponents e = i + qoff, i < count."""
@@ -421,17 +415,18 @@ class _Layout:
 
 def _corners(rect: Rect, e: Fraction, nx: int, ny: int) -> list:
     """Signed corner tables of a tensor antiderivative over the rectangle's
-    local box: (X outer Y, sign) for the corner tables X of x^(i+qx) at each
-    x end and Y of y^(j+qy) at each y end, negative at the two mixed
-    corners, where qx = e on a vanishing x edge and 0 otherwise (qy alike).
-    A lower end at the expansion point contributes zero and is skipped."""
+    local box: (X, Y, sign), the table of x^(i+qx) y^(j+qy) being X outer Y,
+    for the corner tables X of x^(i+qx) at each x end and Y of y^(j+qy) at
+    each y end, negative at the two mixed corners, where qx = e on a
+    vanishing x edge and 0 otherwise (qy alike).  A lower end at the
+    expansion point contributes zero and is skipped."""
     qx = e if rect.van_x else Fraction(0)
     qy = e if rect.van_y else Fraction(0)
     (lx0, lx1), (ly0, ly1) = rect.local_x(), rect.local_y()
     xends = ((lx1, 1),) if lx0 == 0 else ((lx1, 1), (lx0, -1))
     yends = ((ly1, 1),) if ly0 == 0 else ((ly1, 1), (ly0, -1))
     return [
-        (iv_outer(_corner_table(xe, qx, nx), _corner_table(ye, qy, ny)), xs * ys)
+        (_corner_table(xe, qx, nx), _corner_table(ye, qy, ny), xs * ys)
         for xe, xs in xends
         for ye, ys in yends
     ]
@@ -449,8 +444,8 @@ def _integrals(coeffs: IArr, groups: list, e: Fraction) -> IArr:
         at = slice(items.start - base, items.stop - base)
         c = coeffs[at]
         acc = IArr.zeros(len(c))
-        for itab, sign in _corners(rect, e, *c.shape[1:]):
-            term = (c * itab).sum(axis=(1, 2))
+        for X, Y, sign in _corners(rect, e, *c.shape[1:]):
+            term = (c * iv_outer(X, Y)).sum(axis=(1, 2))
             acc = acc + (term if sign > 0 else -term)
         out[at] = acc
     return out
@@ -540,6 +535,10 @@ class _Engine:
                 "gram frequencies must be even: use odd mode indices only, "
                 f"got frequencies {list(req.gram_freqs)}"
             )
+        for xi in req.powers:
+            if isinstance(xi, _EtaFourier) and xi.modes != eta.modes:
+                msg = f"xi has modes {list(xi.modes)}, eta {list(eta.modes)}"
+                raise UsageError(f"a sine-series xi must have eta's modes: {msg}")
         self.eta = eta
         self.cfg = cfg
         self.req = req
@@ -731,18 +730,29 @@ class _Engine:
 
     def _gram_tables(self, groups: list, w: PowerSeries2D, cx: IArr, cy: IArr) -> IArr:
         """Each item's cosine-pair table T[fx, fy], the integral of
-        w cos(fx pi x) cos(fy pi y) over its local box, from the stacks cx
-        and cy of its x and y cosine factor tables: per corner, the
-        correlation of the corner table with w between the two tables, the
-        corner terms added in corner order."""
-        size = 2 * self.n + 1
+        w cos(fx pi x) cos(fy pi y) over its local box, from the stacks cx and
+        cy of its cosine factor tables: per corner (X, Y, sign), added in
+        corner order, cx^T ((Hx w) Hy) cy with Hx[a, i] = X[a + i] (Hy alike,
+        and symmetric), Hx w Hy being the correlation of X outer Y with w.
+
+        Soundness: the top rows of w and of the factor tables hold remainders
+        that vary pointwise.  On a corner quadrant x^a y^b has one sign and
+        the weight, what w encloses times x^qx y^qy, is >= 0, so by the mean
+        value theorem for integrals entry [a, b] of Hx w Hy (X and Y are
+        exact) encloses the integral of x^a y^b times the weight, and
+        cx[a] cy[b] may be taken out of it.  (cx^T Hx) w (Hy cy) would take
+        w's coefficients out of an integrand that changes sign.  The last
+        product takes cy's top row out of the sum over a, which needs the
+        integral over x of cos(fx pi x) times the weight to keep one sign in
+        y on the quadrant; the sweep does not verify that."""
+        n = self.n
         cx_t = IArr(np.swapaxes(cx.lo, 1, 2), np.swapaxes(cx.hi, 1, 2))
-        nf = cy.shape[2]
-        out = IArr.zeros((len(cy), nf, nf))
+        out = IArr.zeros((len(cy),) + (cy.shape[2],) * 2)
         for at, rect in groups:
             t = None
-            for itab, sign in _corners(rect, self.q, size, size):
-                corr = ivarray.iv_corr2d(itab, w.coeffs[at])
+            for X, Y, sign in _corners(rect, self.q, 2 * n + 1, 2 * n + 1):
+                hx, hy = (IArr(*(sliding_window_view(a, n + 1) for a in (v.lo, v.hi))) for v in (X, Y))
+                corr = ivarray.iv_matmul(ivarray.iv_matmul(hx, w.coeffs[at]), hy)
                 f = ivarray.iv_matmul(ivarray.iv_matmul(cx_t[at], corr), cy[at])
                 f = f if sign > 0 else -f
                 t = f if t is None else t + f

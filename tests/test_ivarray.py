@@ -17,7 +17,6 @@ from powcert.interval import PI, Interval
 from powcert.ivarray import (
     _CHUNK,
     IArr,
-    _window_index,
     iv_conv1d_full,
     iv_conv2d_batch,
     iv_conv2d_full,
@@ -376,13 +375,6 @@ class TestSameBitsAsReference:
         moved = IArr(np.moveaxis(A.lo, 0, 2), np.moveaxis(A.hi, 0, 2))
         assert same_bits(moved.sum(axis=(0, 1)), s)
 
-    def test_window_index_cached_read_only(self):
-        idx = _window_index(5, 6, 2, 3)
-        assert idx is _window_index(5, 6, 2, 3)
-        assert idx.shape == (4 * 4, 2 * 3)
-        with pytest.raises(ValueError):
-            idx[0, 0] = 1
-
 
 def random_items(rng, count, shape):
     """count interval arrays [m - r, m + r] drawn as iarrs draws them: both
@@ -407,6 +399,53 @@ def exact_conv2d(u, v):
             if u[i, j]:
                 out[i : i + c, j : j + d] += u[i, j] * v
     return out
+
+
+def as_fractions(a):
+    return np.vectorize(Fraction, otypes=[object])(a)
+
+
+def drawn_points(data, A):
+    """A point of each interval of A, an endpoint drawn per entry, as
+    Fractions."""
+    pick = data.draw(hnp.arrays(np.bool_, A.shape, elements=st.booleans()))
+    return as_fractions(np.where(pick, A.lo, A.hi))
+
+
+def encloses(C, exact) -> bool:
+    return bool(np.all(as_fractions(C.lo) <= exact) and np.all(exact <= as_fractions(C.hi)))
+
+
+class TestContainsExact:
+    @settings(max_examples=40, deadline=None)
+    @given(st.data(), st.integers(1, 3), st.integers(2, 6), st.integers(1, 6), st.integers(1, 6))
+    def test_matmul(self, data, g, m, k, n):
+        # stacks of g items and their first items alone; in every item row 0
+        # of A cancels against B to an exact 0 on point intervals (its
+        # entries in opposite pairs against pairs of equal rows of B), and
+        # row 1 is zero
+        A = IArr.stack([data.draw(iarrs((m, 2 * k))) for _ in range(g)])
+        B = IArr.stack([data.draw(iarrs((2 * k, n))) for _ in range(g)])
+        A.lo[:, 0, 1::2], A.hi[:, 0, 1::2] = -A.hi[:, 0, ::2], -A.lo[:, 0, ::2]
+        B.lo[:, 1::2], B.hi[:, 1::2] = B.lo[:, ::2], B.hi[:, ::2]
+        A.lo[:, 1] = A.hi[:, 1] = 0.0
+        for left, right in ((A, B), (A[0], B), (A[0], B[0])):
+            C = iv_matmul(left, right)
+            assert (C.lo[..., 1, :] == 0.0).all() and (C.hi[..., 1, :] == 0.0).all()
+            for _ in range(2):
+                assert encloses(C, drawn_points(data, left) @ drawn_points(data, right))
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.data(), st.integers(1, 3), st.integers(1, 20))
+    def test_sum(self, data, g, n):
+        # every row's second half is its first half negated: a sum that
+        # cancels to an exact 0 on point intervals
+        A = data.draw(iarrs((g, 2 * n)))
+        A.lo[:, n:], A.hi[:, n:] = -A.hi[:, :n], -A.lo[:, :n]
+        rows, total = A.sum(axis=1), A.sum()
+        for _ in range(2):
+            pts = drawn_points(data, A)
+            assert encloses(rows, pts.sum(axis=1)) and encloses(total, pts.sum())
 
 
 class TestConvBatch:
@@ -450,16 +489,8 @@ class TestConvBatch:
         U = data.draw(iarrs((n + 1, n + 1)))
         V = data.draw(iarrs((n + 1, n + 1)))
         C = iv_conv2d_full(U, V)
-        clo = np.vectorize(Fraction, otypes=[object])(C.lo)
-        chi = np.vectorize(Fraction, otypes=[object])(C.hi)
-
-        def endpoints(A):
-            pick = data.draw(hnp.arrays(np.bool_, A.shape, elements=st.booleans()))
-            return np.vectorize(Fraction, otypes=[object])(np.where(pick, A.lo, A.hi))
-
         for _ in range(2):
-            exact = exact_conv2d(endpoints(U), endpoints(V))
-            assert np.all(clo <= exact) and np.all(exact <= chi)
+            assert encloses(C, exact_conv2d(drawn_points(data, U), drawn_points(data, V)))
 
     def test_inner_dimension_guard(self):
         U = IArr.exact(np.ones((1, 1, 4097)))

@@ -17,12 +17,12 @@ from test_ivarray import (
     model_shapes,
     ref_conv2d_full,
     ref_conv2d_items,
-    ref_corr2d,
     ref_mul,
     same_bits,
 )
+from test_quad import window_gram_tables
 
-from powcert import ivarray, psa, quad
+from powcert import psa, quad
 from powcert.errors import PositivityError, UsageError
 from powcert.galerkin import GalerkinConfig, newton_solve
 from powcert.interval import Interval, iv_pow
@@ -533,12 +533,6 @@ def items_same_bits(batch: PowerSeries2D, refs) -> bool:
     )
 
 
-def ref_corr2d_items(T, K):
-    """ref_corr2d of T with each kernel of a stack, item by item."""
-    out = [ref_corr2d(T, K[b]) for b in range(len(K))]
-    return IArr(np.stack([c.lo for c in out]), np.stack([c.hi for c in out]))
-
-
 class TestSameBitsAsReference:
     @settings(max_examples=40, deadline=None)
     @given(st.data(), model_shapes())
@@ -688,10 +682,11 @@ class TestSameBitsAsReference:
             f.deriv_table(t, range(8))
 
     def test_pipeline_sweep_with_reference_kernels(self, monkeypatch):
-        # every kernel but the convolution gives the reference's bits; the
-        # two-stage convolution encloses inside the window kernel, so the
-        # residual and the gram matrix lie inside the reference's, and the
-        # ranges, which take no product, are equal
+        # every kernel but the convolution and the gram tables gives the
+        # reference's bits; the two-stage convolution and the Hankel products
+        # enclose inside the window kernels, so the residual and the gram
+        # matrix lie inside the reference's, and the ranges, which take no
+        # product, are equal
         u = newton_solve(GalerkinConfig(n_modes=6, p=Fraction(3, 2), tol=1e-10))
         idx = symmetric_indices(4)
         cfg = quad.QuadConfig(degree=6, grid_m=2, workers=1)
@@ -703,7 +698,7 @@ class TestSameBitsAsReference:
         clear_tables()  # rebuilt with the reference kernels
         monkeypatch.setattr(IArr, "__mul__", ref_mul)
         monkeypatch.setattr(IArr, "__rmul__", ref_mul)
-        monkeypatch.setattr(ivarray, "iv_corr2d", ref_corr2d_items)
+        monkeypatch.setattr(quad._Engine, "_gram_tables", window_gram_tables)
         monkeypatch.setattr(quad, "iv_conv2d_batch", ref_conv2d_items)
         monkeypatch.setattr(psa, "iv_conv2d_batch", ref_conv2d_items)
         monkeypatch.setitem(globals(), "iv_conv2d_full", ref_conv2d_full)  # RefModel.__mul__

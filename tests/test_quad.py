@@ -3,6 +3,7 @@
 import math
 import multiprocessing
 import os
+import re
 import subprocess
 import sys
 import textwrap
@@ -11,13 +12,13 @@ from fractions import Fraction
 import mpmath
 import numpy as np
 import pytest
-from test_ivarray import BLAS, needs_blas, same_bits
+from test_ivarray import BLAS, inside_no_wider, needs_blas, ref_corr2d, same_bits
 
 from powcert import quad
 from powcert.errors import IntervalDomainError, PositivityError, UsageError
 from powcert.galerkin import FourierApproximation, odd_modes
 from powcert.interval import Interval, iv_pow
-from powcert.ivarray import IArr, iv_conv2d_full, iv_corr2d, iv_matmul, iv_outer
+from powcert.ivarray import IArr, iv_conv2d_full, iv_matmul, iv_outer
 from powcert.psa import PowerSeries2D
 from powcert.quad import (
     MonomialTerm,
@@ -51,6 +52,12 @@ def fourier_from_dict(n_max, coeffs_dict):
     for (i, j), a in coeffs_dict.items():
         c[modes.index(i), modes.index(j)] = a
     return FourierApproximation(n_max, c)
+
+
+def trig_table(freqs, a, b, van, phase, reduced, degree):
+    """The process's factor table of one edge [a, b], reduced on a
+    vanishing edge when reduced (quad._trig_tables)."""
+    return quad._trig_tables(freqs, [(a, b, van)], phase, (reduced,), degree)[0][0]
 
 
 def one_rect_engine(u, degree, q=Fraction(1, 2), **cfg):
@@ -262,6 +269,17 @@ class TestIntegralPower:
             f = mp_eta(d)
             oracle = float(mpmath.quad(lambda x, y: f(x, y) ** mpmath.mpf(0.5), [0, 1], [0, 1]))
             assert val.contains(oracle), (trial, val, oracle)
+
+    def test_sine_series_xi_needs_eta_modes(self, table_builds):
+        # xi's tensor models take eta's factor tables: other modes are
+        # refused before any table is built
+        eta = fourier_from_dict(3, {(1, 1): 2.0, (3, 1): 0.05})
+        cfg = QuadConfig(degree=6, grid_m=4)
+        for n_max, modes in ((1, "[1]"), (5, "[1, 3, 5]")):
+            xi = fourier_from_dict(n_max, {(1, 1): 1.0})
+            with pytest.raises(UsageError, match=re.escape(f"xi has modes {modes}, eta [1, 3]")):
+                integral_power(eta, xi, Fraction(1, 2), cfg)
+        assert table_builds == []
 
     def test_refinement_improves_widths(self):
         u = fourier_from_dict(3, {(1, 1): 1.5, (3, 3): 0.05})
@@ -832,14 +850,14 @@ class TestTrigTablesSameBits:
             x0, lo, hi = quad._local_edge(a, b, van)
             dom = quad._frac_interval(lo, hi)
             for phase, fs, ref in ((0, modes, ref_sine_full), (1, freqs, ref_cosine)):
-                got = quad._trig_table(fs, a, b, van, phase, False, degree)
+                got = trig_table(fs, a, b, van, phase, False, degree)
                 ref = ref(fs, x0, dom, degree)
                 where = (degree, a, b, phase)
                 assert np.all(got.lo <= ref.hi) and np.all(ref.lo <= got.hi), where
                 assert np.all(got.hi - got.lo <= ref.hi - ref.lo), where
             for d in range(3 if van else 0):  # the edge and its first bisections
                 e = b / 2**d
-                got = quad._trig_table(modes, Fraction(0), e, True, 0, True, degree)
+                got = trig_table(modes, Fraction(0), e, True, 0, True, degree)
                 ref = ref_sine_reduced(modes, quad._frac_interval(Fraction(0), e), degree)
                 assert same_bits(got, ref), (degree, e)
 
@@ -849,7 +867,7 @@ class TestTrigTables:
         # cos(f pi (1/4 + t)) for even f: f/4 is a multiple of 1/2, so the
         # cycle entries are exactly 0 and +-1, and so are the rows' factors
         n, freqs = 6, (2, 4, 6)
-        got = quad._trig_table(freqs, Fraction(0), Fraction(1, 2), False, 1, False, n)
+        got = trig_table(freqs, Fraction(0), Fraction(1, 2), False, 1, False, n)
         # the first derivatives at f pi/4: (0, -f pi), (-1, 0) and (0, f pi)
         assert same_bits(got[0], IArr.exact([0.0, -1.0, 0.0]))
         term = IArr.exact(freqs) * quad.PI * Interval(1.0)
@@ -869,7 +887,7 @@ class TestTrigTables:
             if reduced and not van:
                 continue
             x0, lo, hi = quad._local_edge(a, b, van)
-            got = quad._trig_table(fs, a, b, van, phase, reduced, n)
+            got = trig_table(fs, a, b, van, phase, reduced, n)
             for col, f in enumerate(fs):
                 w = f * mpmath.pi
                 for k in range(n):
@@ -892,6 +910,23 @@ class TestTrigTables:
         from powcert import interval
 
         assert quad.iv_sin is interval.iv_sin and quad.iv_cos is interval.iv_cos
+
+    def test_quad_iv_matmul_gets_matrices(self, monkeypatch):
+        # the tracer's cost hook for quad.iv_matmul unpacks 2-D operands, so
+        # the stacked products, the gram tables' included, call
+        # ivarray.iv_matmul
+        real, shapes = quad.iv_matmul, set()
+
+        def recording(a, b):
+            shapes.add((a.ndim, b.ndim))
+            return real(a, b)
+
+        monkeypatch.setattr(quad, "iv_matmul", recording)
+        u = fourier_from_dict(3, {(1, 1): 5.0, (3, 1): 0.2})
+        cfg = QuadConfig(degree=6, grid_m=2)
+        sweep_outputs(u, [(1, 1), (1, 3)], cfg)
+        integral_power(u, u, Fraction(1, 2), cfg)
+        assert shapes == {(2, 2)}
 
 
 class TestBatchedTables:
@@ -940,14 +975,14 @@ class TestBatchedTables:
             for (a, b, van), table, table_again in zip(edges, row, row_again):
                 reduced = kind and van
                 assert same_bits(table, real(modes, [(a, b, van)], 0, reduced, degree)[0]), (a, b)
-                assert table is table_again is quad._trig_table(modes, a, b, van, 0, reduced, degree)
+                assert table is table_again is trig_table(modes, a, b, van, 0, reduced, degree)
 
     def test_reduced_table_needs_vanishing_edge(self):
         h = Fraction(1, 4)
         with pytest.raises(UsageError, match="vanishing edge"):
-            quad._trig_table((1, 3), h, 2 * h, False, 0, True, 6)
+            quad._build_trig_tables((1, 3), [(h, 2 * h, False)], 0, True, 6)
         with pytest.raises(UsageError, match="vanishing edge"):
-            quad._trig_table((1, 3), Fraction(0), h, True, 1, True, 6)
+            quad._build_trig_tables((1, 3), [(Fraction(0), h, True)], 1, True, 6)
 
 
 # ----------------------------------------------------------------------
@@ -959,8 +994,8 @@ class TestBatchedTables:
 def ref_tensor_model(engine, rect, a_iv, reduced, domain):
     """sum_ij a_ij f_i(x) f_j(y) on one rectangle, a batch of one."""
     n, modes = engine.n, engine.eta.modes
-    x = quad._trig_table(modes, rect.x0, rect.x1, rect.van_x, 0, reduced and rect.van_x, n)
-    y = quad._trig_table(modes, rect.y0, rect.y1, rect.van_y, 0, reduced and rect.van_y, n)
+    x = trig_table(modes, rect.x0, rect.x1, rect.van_x, 0, reduced and rect.van_x, n)
+    y = trig_table(modes, rect.y0, rect.y1, rect.van_y, 0, reduced and rect.van_y, n)
     return PowerSeries2D(iv_matmul(iv_matmul(x, a_iv), IArr(y.lo.T, y.hi.T)), domain)
 
 
@@ -973,25 +1008,49 @@ def ref_corner_terms(rect, qx, qy, nx, ny, reduce):
     for xe, xsign in xends:
         xtab = quad._corner_table(xe, qx, nx)
         for ye, ysign in yends:
-            f = reduce(iv_outer(xtab, quad._corner_table(ye, qy, ny)))
+            f = reduce(xtab, quad._corner_table(ye, qy, ny))
             terms.append(f if xsign * ysign > 0 else -f)
     return terms
 
 
 def ref_poly_integral(coeffs, rect, qx, qy):
-    terms = ref_corner_terms(rect, qx, qy, *coeffs.shape, lambda itab: (coeffs * itab).sum().item())
+    terms = ref_corner_terms(rect, qx, qy, *coeffs.shape, lambda X, Y: (coeffs * iv_outer(X, Y)).sum().item())
     return sum(terms, Interval(0.0))
 
 
-def ref_gram_tables(engine, w_coeffs, cx, cy, rect, qx, qy):
+def hankel_corr(X, Y, w):
+    """The correlation of the corner table X outer Y with w, as the Hankel
+    products Hx w Hy, Hx[a, i] = X[a + i] (Hy alike)."""
+    at = np.add.outer(np.arange(len(w)), np.arange(len(w)))
+    return iv_matmul(iv_matmul(IArr(X.lo[at], X.hi[at]), w), IArr(Y.lo[at], Y.hi[at]))
+
+
+def window_corr(X, Y, w):
+    """The same correlation through the window matrix of X outer Y."""
+    return ref_corr2d(iv_outer(X, Y), w)
+
+
+def ref_gram_tables(engine, w_coeffs, cx, cy, rect, qx, qy, corr=hankel_corr):
     size = 2 * engine.n + 1
     cx_t = IArr(cx.lo.T, cx.hi.T)
 
-    def reduce(itab):
-        return iv_matmul(iv_matmul(cx_t, iv_corr2d(itab, w_coeffs)), cy)
+    def reduce(X, Y):
+        return iv_matmul(iv_matmul(cx_t, corr(X, Y, w_coeffs)), cy)
 
     terms = ref_corner_terms(rect, qx, qy, size, size, reduce)
     return sum(terms[1:], terms[0])
+
+
+def window_gram_tables(engine, groups, w, cx, cy):
+    """_Engine._gram_tables item by item through the window kernel
+    (window_corr): the form the Hankel products replaced."""
+    out = []
+    for at, rect in groups:
+        qx = engine.q if rect.van_x else Fraction(0)
+        qy = engine.q if rect.van_y else Fraction(0)
+        for b in range(at.start, at.stop):
+            out.append(ref_gram_tables(engine, w.coeffs[b], cx[b], cy[b], rect, qx, qy, window_corr))
+    return IArr.stack(out)
 
 
 def ref_residual_piece(engine, rect, v_red, w, v_lap):
@@ -1052,8 +1111,8 @@ def ref_rect_out(engine, rect, red_range, v_red, w, v_lap, xis):
     w_coeffs = w.coeffs[0]
     ok = True
     if req.gram_freqs is not None:
-        cx = quad._trig_table(req.gram_freqs, rect.x0, rect.x1, van_x, 1, False, engine.n)
-        cy = quad._trig_table(req.gram_freqs, rect.y0, rect.y1, van_y, 1, False, engine.n)
+        cx = trig_table(req.gram_freqs, rect.x0, rect.x1, van_x, 1, False, engine.n)
+        cy = trig_table(req.gram_freqs, rect.y0, rect.y1, van_y, 1, False, engine.n)
         t_rect = ref_gram_tables(engine, w_coeffs, cx, cy, rect, qx, qy)
         if not (np.isfinite(t_rect.lo).all() and np.isfinite(t_rect.hi).all()):
             raise IntervalDomainError("non-finite gram table")
@@ -1133,6 +1192,21 @@ class TestLevelBatchedContributions:
             assert rect_out_digest(got[b]) == rect_out_digest(ref), rect.describe()
             flags.add(ref[1])
         assert flags == {True, False}  # some rectangles fit the budgets, some do not
+
+    @pytest.mark.parametrize("degree", [6, 10])
+    def test_hankel_gram_inside_window_form(self, monkeypatch, degree):
+        # every gram table of the Hankel products lies inside the one of the
+        # window kernel and is no wider, on rectangles of all four classes
+        u = fourier_from_dict(3, {(1, 1): 5.0, (3, 1): 0.2, (1, 3): -0.1})
+        req = quad._Request(gram_freqs=tuple(gram_indices_freqs([(1, 1), (1, 3), (3, 1), (3, 3)])))
+        engine = quad._Engine(quad._EtaFourier(u), Fraction(1, 2), QuadConfig(degree=degree, grid_m=3), req)
+        rects = mixed_rects()
+        got = engine.eval_level(rects)
+        monkeypatch.setattr(quad._Engine, "_gram_tables", window_gram_tables)
+        ref = engine.eval_level(rects)
+        for rect, (out, _), (ref_out, _) in zip(rects, got, ref):
+            assert inside_no_wider(out.t_table, ref_out.t_table), rect.describe()
+        assert not all(same_bits(a[0].t_table, b[0].t_table) for a, b in zip(got, ref))
 
     # the poisoned tables make NaN on purpose
     @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
@@ -1230,8 +1304,8 @@ class TestTablesPerProcess:
     def test_tables_read_only(self):
         h = Fraction(1, 8)
         for table in (
-            quad._trig_table((1, 3), Fraction(0), h, True, 0, True, 6),
-            quad._trig_table((0, 2), h, 2 * h, False, 1, False, 6),
+            trig_table((1, 3), Fraction(0), h, True, 0, True, 6),
+            trig_table((0, 2), h, 2 * h, False, 1, False, 6),
             quad._corner_table(h, Fraction(1, 2), 7),
         ):
             with pytest.raises(ValueError):
