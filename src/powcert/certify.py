@@ -126,31 +126,14 @@ def pointwise_bound_constants() -> tuple[Interval, Interval, Interval]:
 class VerificationConstants:
     p: Fraction
     c2: Interval
-    c4: Interval
-    c_n: Interval | None
-    lambda1: Interval
     linf_c0: Interval
     linf_c1: Interval
     linf_c2: Interval
-    holder: tuple = (4, 4, 2)
 
     @classmethod
-    def for_problem(cls, p: Fraction, eig_n: int | None = None, holder=(4, 4, 2)):
-        from .spectral import projection_constant
-
-        p = Fraction(p)
+    def for_problem(cls, p: Fraction):
         c0, c1, c2 = pointwise_bound_constants()
-        return cls(
-            p=p,
-            c2=poincare_c2(),
-            c4=embedding_constant(Fraction(4)),
-            c_n=projection_constant(eig_n) if eig_n else None,
-            lambda1=lambda1_interval(),
-            linf_c0=c0,
-            linf_c1=c1,
-            linf_c2=c2,
-            holder=tuple(Fraction(h) for h in holder),
-        )
+        return cls(p=Fraction(p), c2=poincare_c2(), linf_c0=c0, linf_c1=c1, linf_c2=c2)
 
 
 def check_holder(p: Fraction, triple) -> tuple:
@@ -311,7 +294,7 @@ def positivity_check(r2: Interval, p: Fraction, ranges: tuple) -> PositivityResu
     interior witness rectangle where u_hat - r2 is verifiably positive;
     ranges are the sweep's range bounds of u_hat (quad.pipeline_sweep)."""
     p = Fraction(p)
-    rng_min, _, witness_lo, _, _ = ranges
+    rng_min, _, witness_lo, _ = ranges
     lam1 = lambda1_interval()
     # min over the closure is <= 0 (boundary) and >= rng_min
     mabs = Interval(0.0, max(0.0, -rng_min))
@@ -327,7 +310,7 @@ def positivity_check(r2: Interval, p: Fraction, ranges: tuple) -> PositivityResu
 def amplitude_enclosure(r2: Interval, ranges: tuple) -> Interval:
     """Amplitude band of the verified solution: the peak of u_hat bracketed
     by the sweep's rectangle ranges, widened by the L-infinity radius."""
-    _, rng_max, _, center_lo, _ = ranges
+    _, rng_max, _, center_lo = ranges
     lo = math.nextafter(center_lo - r2.hi, -math.inf)
     hi = math.nextafter(rng_max + r2.hi, math.inf)
     return Interval(lo, hi)

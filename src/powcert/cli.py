@@ -100,9 +100,8 @@ class RunConfig:
                 raise UsageError(f"{name} must be finite and > 0, got {value!r}")
         self.holder = check_holder(self.p, self.holder)
         try:
-            # the constants of the delta and existence-test stages, which
-            # would otherwise reject an out-of-scope triple after the sweep
-            VerificationConstants.for_problem(self.p, self.eig_n, self.holder)
+            # the existence-test stage's coefficient, which would otherwise
+            # reject an out-of-scope triple after the sweep
             g_coefficient(self.p, self.holder)
         except UnsupportedError as exc:
             triple = ",".join(map(str, self.holder))
@@ -189,7 +188,7 @@ def run_pipeline(cfg: RunConfig, log=None) -> ProofCertificate:
         )
 
         stage = "delta"
-        consts = VerificationConstants.for_problem(cfg.p, cfg.eig_n, cfg.holder)
+        consts = VerificationConstants.for_problem(cfg.p)
         delta = delta_from_residual(res_norm, consts.c2)
         say(f"delta: {delta}")
 

@@ -27,7 +27,6 @@ __all__ = [
     "iv_arith",
     "iv_pow",
     "iv_elem",
-    "sin_cos_pi",
     "gamma_half",
     "PI",
     "TWO_PI",
@@ -420,15 +419,6 @@ def iv_sin(x: Interval) -> Interval:
 
 def iv_cos(x: Interval) -> Interval:
     return _trig_range(x, 1)
-
-
-def sin_cos_pi(r) -> tuple[Interval, Interval]:
-    """Enclosures of sin(pi r) and cos(pi r) for an exact rational r: the
-    array form ivarray.sin_cos_pi on a batch of one."""
-    from .ivarray import sin_cos_pi as batch  # ivarray imports this module
-
-    s, c = batch([r])
-    return s[0].item(), c[0].item()
 
 
 # ----------------------------------------------------------------------

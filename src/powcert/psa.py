@@ -33,10 +33,12 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import PositivityError, UsageError
-from .interval import Interval, iv_cos, iv_exp, iv_log, iv_pow, iv_sin
+from .interval import Interval, iv_log, iv_pow
 from .ivarray import IArr, iv_conv1d_full, iv_conv2d_batch
 
-# the benchmark's tracer wraps psa.iv_conv2d_full, priced on 2-D operands
+# the benchmark's tracer wraps psa.iv_conv2d_full, priced on 2-D operands,
+# and psa.iv_sin and psa.iv_cos, which psa does not call
+from .interval import iv_cos, iv_sin  # noqa: F401
 from .ivarray import iv_conv2d_full  # noqa: F401
 
 __all__ = [
@@ -242,7 +244,7 @@ class ElemFn:
     """A smooth f with verified derivative enclosures up to the model degree."""
 
     def __init__(self, tag: str, q: Fraction | None = None):
-        if tag not in ("pow_q", "log", "sin", "exp"):
+        if tag not in ("pow_q", "log"):
             raise UsageError(f"unsupported elementary function {tag!r}")
         if tag == "pow_q":
             if q is None:
@@ -261,14 +263,6 @@ class ElemFn:
     @classmethod
     def log(cls) -> "ElemFn":
         return cls("log")
-
-    @classmethod
-    def sin(cls) -> "ElemFn":
-        return cls("sin")
-
-    @classmethod
-    def exp(cls) -> "ElemFn":
-        return cls("exp")
 
     def check_domain(self, hull: Interval):
         if self.tag == "pow_q":
@@ -303,23 +297,12 @@ class ElemFn:
             if fac is None:
                 return Interval(0.0)
             return fac * iv_pow(t, e)
-        if self.tag == "log":
-            if i == 0:
-                return iv_log(t)
-            sign = 1 if i % 2 == 1 else -1
-            fac = Fraction(sign * math.factorial(i - 1))
-            return Interval.from_fraction(fac) * iv_pow(t, -i)
-        if self.tag == "exp":
-            return iv_exp(t)
-        # sin cycle
-        j = i % 4
-        if j == 0:
-            return iv_sin(t)
-        if j == 1:
-            return iv_cos(t)
-        if j == 2:
-            return -iv_sin(t)
-        return -iv_cos(t)
+        # log
+        if i == 0:
+            return iv_log(t)
+        sign = 1 if i % 2 == 1 else -1
+        fac = Fraction(sign * math.factorial(i - 1))
+        return Interval.from_fraction(fac) * iv_pow(t, -i)
 
     def deriv_table(self, t: IArr, orders) -> IArr:
         """deriv(i, t[b]) for every order i and item b, an IArr of shape

@@ -60,7 +60,7 @@ One sweep engine evaluates every rectangle, and two functions run it:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
@@ -495,32 +495,30 @@ class _Request:
 
 @dataclass
 class _RectOut:
-    res_sq: Interval = None
-    t_table: IArr = None
-    powers: list = None
-    rng_min: float = math.inf
-    rng_max: float = -math.inf
-    witness_lo: float = -math.inf
-    center_lo: float = -math.inf
-    center_hi: float = -math.inf
-    rect_count: int = 0
+    """The contributions of a leaf rectangle, or of a union of leaves.
+
+    sums holds every integral the request asks for, in one row: the
+    residual square, the integrals of eta^q xi, then the gram table row by
+    row.  The range bounds of u are the least lower and the greatest upper
+    end of the rectangle ranges, the greatest lower end of one rectangle
+    range (a positivity witness) and the greatest lower end of the constant
+    coefficient of an interior rectangle's model (-inf if none).  The counts
+    are of leaves and of leaves kept over budget."""
+
+    sums: IArr
+    rng_min: float
+    rng_max: float
+    witness_lo: float
+    center_lo: float
+    rect_count: int = 1
     over_budget: int = 0
 
     def merge(self, other: "_RectOut"):
-        if other.res_sq is not None:
-            self.res_sq = other.res_sq if self.res_sq is None else self.res_sq + other.res_sq
-        if other.t_table is not None:
-            self.t_table = other.t_table if self.t_table is None else self.t_table + other.t_table
-        if other.powers is not None:
-            if self.powers is None:
-                self.powers = list(other.powers)
-            else:
-                self.powers = [a + b for a, b in zip(self.powers, other.powers)]
+        self.sums = self.sums + other.sums
         self.rng_min = min(self.rng_min, other.rng_min)
         self.rng_max = max(self.rng_max, other.rng_max)
         self.witness_lo = max(self.witness_lo, other.witness_lo)
         self.center_lo = max(self.center_lo, other.center_lo)
-        self.center_hi = max(self.center_hi, other.center_hi)
         self.rect_count += other.rect_count
         self.over_budget += other.over_budget
         return self
@@ -643,36 +641,29 @@ class _Engine:
         return (ps_compose(self.pow_q, v_red[ok], red[ok]) if ok else None), errors
 
     def contributions(self, lay: _Layout, items: list, v_red: PowerSeries2D, w: PowerSeries2D, red: IArr) -> list:
-        """The contributions of the rectangles at the positions items
-        (ascending) of the layout, and whether every one of them fits its
-        share of the width budgets, or the IntervalDomainError that
-        evaluating it alone raises; from the batches of their reduced
-        models, their compositions and their reduced ranges.
+        """The contributions (_RectOut) of the rectangles at the positions
+        items (ascending) of the layout, and whether every integral fits its
+        share of the width budgets, or an IntervalDomainError if one of
+        them is not finite; from the batches of their reduced models, their
+        compositions and their reduced ranges.
 
-        The contributions are computed as stacks, over the runs of
-        rectangles of one class and local box that share their corner
-        tables; every rectangle's contributions have the bits of the
-        rectangle evaluated alone."""
+        The integrals are computed as stacks, over the runs of rectangles
+        of one class and local box that share their corner tables, and
+        joined into one row per rectangle; every rectangle's contributions
+        have the bits of the rectangle evaluated alone."""
         groups = lay.groups(items)
         ix, iy = lay.ix[items], lay.iy[items]
         req = self.req
-        # u = (class monomial) * eta_reduced over the rectangle
-        u_rng = red.copy()
-        for at, r in groups:
-            if r.van_x or r.van_y:
-                mon = IArr.exact(np.ones(at.stop - at.start))
-                if r.van_x:
-                    mon = mon * v_red.domain[0][at]
-                if r.van_y:
-                    mon = mon * v_red.domain[1][at]
-                u_rng[at] = mon * red[at]
-        t = res = None
-        if lay.cos is not None:
-            t = self._gram_tables(groups, w, lay.cos[ix], lay.cos[iy])
+        n = len(items)
+        cols, budget = [], []  # (n, k) stacks, and the width budget of each of their entries
+
+        def add(a: IArr, width):
+            cols.append(IArr(a.lo.reshape(n, -1), a.hi.reshape(n, -1)))
+            budget.extend([math.inf if width is None else width] * cols[-1].shape[1])
+
         if req.residual_p is not None:
             lap = self._tensor_models(lay.plain, self.eta.lap, ix, iy, v_red.domain)
-            res = self._residuals(groups, v_red, w, lap)
-        powers = []
+            add(self._residuals(groups, v_red, w, lap), req.res_width)
         for xi in req.powers:
             if xi is None:
                 prod = w.coeffs
@@ -681,52 +672,35 @@ class _Engine:
             else:
                 xi_model = self._tensor_models(lay.plain, xi.coeffs, ix, iy, v_red.domain)
                 prod = iv_conv2d_batch(w.coeffs, xi_model.coeffs)
-            powers.append(_integrals(prod, groups, self.q))
-        return self._rect_outs(groups, u_rng, v_red.const_coeff(), t, res, powers)
-
-    def _rect_outs(self, groups: list, u_rng: IArr, c0: IArr, t, res, powers: list) -> list:
-        """Per batch item: its _RectOut and whether every contribution fits
-        its share of the width budgets, or the IntervalDomainError of the
-        first non-finite output in the order ranges, gram table, residual,
-        integrals; from the stacks of u's range, the constant coefficients,
-        the gram tables, the residuals and one stack per integral."""
-        req = self.req
-        if t is not None:
-            # NaN fails every comparison, so the budget test below would
-            # pass it; the scalar outputs are Intervals, which reject
-            # non-finite endpoints when they are made
-            t_finite = np.isfinite(t.lo).all(axis=(1, 2)) & np.isfinite(t.hi).all(axis=(1, 2))
-            t_width = np.max(t.width(), axis=(1, 2), initial=0.0)
-        outs = []
-        for at, rect in groups:
-            area = rect.area
-            inner = not (rect.van_x or rect.van_y)
-            for j in range(at.start, at.stop):
-                try:
-                    u = Interval(u_rng.lo[j], u_rng.hi[j])
-                    out = _RectOut(rect_count=1, rng_min=u.lo, rng_max=u.hi, witness_lo=u.lo)
-                    if inner:
-                        c = Interval(c0.lo[j], c0.hi[j])
-                        out.center_lo, out.center_hi = c.lo, c.hi
-                    ok = True
-                    if t is not None:
-                        if not t_finite[j]:
-                            raise IntervalDomainError("non-finite gram table")
-                        out.t_table = t[j]
-                        if req.gram_width is not None and t_width[j] > req.gram_width * area:
-                            ok = False
-                    if res is not None:
-                        out.res_sq = Interval(res.lo[j], res.hi[j])
-                        if req.res_width is not None and out.res_sq.width > req.res_width * area:
-                            ok = False
-                    if req.powers:
-                        out.powers = [Interval(v.lo[j], v.hi[j]) for v in powers]
-                        if req.power_width is not None and any(v.width > req.power_width * area for v in out.powers):
-                            ok = False
-                    outs.append((out, ok))
-                except IntervalDomainError as exc:
-                    outs.append(exc)
-        return outs
+            add(_integrals(prod, groups, self.q), req.power_width)
+        if lay.cos is not None:
+            add(self._gram_tables(groups, w, lay.cos[ix], lay.cos[iy]), req.gram_width)
+        sums = IArr(*(np.concatenate([getattr(c, end) for c in cols], axis=1) for end in ("lo", "hi")))
+        # each entry's width, rounded up, against its share of its budget;
+        # NaN fails every comparison, so that test would pass it
+        finite = np.isfinite(sums.lo).all(axis=1) & np.isfinite(sums.hi).all(axis=1)
+        area = np.repeat([rect.area for _, rect in groups], [at.stop - at.start for at, _ in groups])
+        ok = ~(sums.width() > np.array(budget) * area[:, None]).any(axis=1)
+        # u = (class monomial) * eta_reduced over the rectangle, and the
+        # constant coefficient of an interior rectangle's model; both are
+        # finite, as red is (eval_level): the monomial is at most 1/2 on the
+        # quadrant, and red contains the constant coefficient
+        u_rng, c0, center = red.copy(), v_red.const_coeff(), np.full(n, -math.inf)
+        for at, r in groups:
+            if not (r.van_x or r.van_y):
+                center[at] = c0.lo[at]
+                continue
+            mon = IArr.exact(np.ones(at.stop - at.start))
+            if r.van_x:
+                mon = mon * v_red.domain[0][at]
+            if r.van_y:
+                mon = mon * v_red.domain[1][at]
+            u_rng[at] = mon * red[at]
+        return [
+            (_RectOut(sums[j], lo, hi, lo, c), bool(ok[j])) if finite[j]
+            else IntervalDomainError("non-finite integral")
+            for j, (lo, hi, c) in enumerate(zip(u_rng.lo.tolist(), u_rng.hi.tolist(), center.tolist()))
+        ]
 
     def _gram_tables(self, groups: list, w: PowerSeries2D, cx: IArr, cy: IArr) -> IArr:
         """Each item's cosine-pair table T[fx, fy], the integral of
@@ -859,10 +833,9 @@ class _Engine:
         # outward-rounded sums exactly (scaling by 4 instead does not keep
         # every gram-table entry equal or narrower) and counts rectangles
         # for the whole square.
-        total = _RectOut()
-        for _ in range(4):
-            for res in results:
-                total.merge(res)
+        total = replace(results[0])  # a copy: results[0] is merged again
+        for res in results[1:] + 3 * results:
+            total.merge(res)
         return total
 
 
@@ -935,7 +908,7 @@ def integral_power(
         raise UsageError(f"exponent q must lie in (0, 1], got {q}")
     req = _Request(powers=(_wrap_xi(xi),), power_width=width_target)
     engine = _Engine(_EtaFourier(eta), q, cfg, req)
-    return engine.run().powers[0]
+    return engine.run().sums[0].item()
 
 
 def gram_indices_freqs(indices):
@@ -950,26 +923,21 @@ def gram_indices_freqs(indices):
 def gram_from_tables(t: IArr, freqs, indices, p: Fraction) -> IArr:
     """Assemble (p |eta|^(p-1) phi_ij, phi_kl) from the cosine-pair tables
     T[fx, fy] = integral eta^(p-1) cos(fx pi x) cos(fy pi y)."""
-    fpos = {f: idx for idx, f in enumerate(freqs)}
-    dim = len(indices)
-    out = IArr.zeros((dim, dim))
+    fpos = np.zeros(max(freqs) + 1, dtype=np.intp)  # frequency -> position in freqs
+    fpos[list(freqs)] = np.arange(len(freqs))
+    i, j = (np.array(v)[:, None] for v in zip(*indices))
+    dx, sx, dy, sy = (fpos[v] for v in (abs(i - i.T), i + i.T, abs(j - j.T), j + j.T))
     quarter = Interval.from_fraction(Fraction(1, 4)) * Interval.from_fraction(Fraction(p))
-    for a, (i, j) in enumerate(indices):
-        for b, (k, l) in enumerate(indices):
-            val = (
-                t[fpos[abs(i - k)], fpos[abs(j - l)]].item()
-                - t[fpos[i + k], fpos[abs(j - l)]].item()
-                - t[fpos[abs(i - k)], fpos[j + l]].item()
-                + t[fpos[i + k], fpos[j + l]].item()
-            )
-            out[a, b] = val * quarter
-    return out
+    gram = (((t[dx, dy] - t[sx, dy]) - t[dx, sy]) + t[sx, sy]) * quarter
+    if not (np.isfinite(gram.lo).all() and np.isfinite(gram.hi).all()):
+        raise IntervalDomainError("non-finite gram matrix")
+    return gram
 
 
 def sup_weight(p: Fraction, ranges: tuple) -> Interval:
     """Enclosure of || p |u_hat|^(p-1) ||_inf from the sweep's range bounds
     of u_hat."""
-    lo, hi, _, center_lo, _ = ranges
+    lo, hi, _, center_lo = ranges
     p = Fraction(p)
     m = Interval(max(center_lo, 0.0), max(hi, abs(lo)))
     return Interval.from_fraction(p) * iv_pow(m, p - 1)
@@ -990,11 +958,12 @@ def pipeline_sweep(
     reused.
 
     Returns (res_norm, gram_matrix, ranges, stats).  ranges is (min_lo,
-    max_hi, witness_lo, center_lo, center_hi) over the square: the
-    rectangle-range extremes, the best single-rectangle guaranteed lower
-    bound (a positivity witness), and the best interior constant-coefficient
-    enclosure (a verified point value near the peak).  stats counts the
-    leaf rectangles of the whole square and those kept over budget."""
+    max_hi, witness_lo, center_lo) over the square: the rectangle-range
+    extremes, the best single-rectangle guaranteed lower bound (a positivity
+    witness), and the best lower bound of an interior rectangle's constant
+    coefficient (a verified lower bound of a point value near the peak).
+    stats counts the leaf rectangles of the whole square and those kept over
+    budget."""
     cfg = cfg or QuadConfig()
     p = Fraction(p)
     freqs = gram_indices_freqs(indices)
@@ -1006,16 +975,12 @@ def pipeline_sweep(
     )
     engine = _Engine(_EtaFourier(u_hat), p - 1, cfg, req)
     total = engine.run()
-    sq = total.res_sq
+    sq = total.sums[0].item()  # then the gram table
     lo = max(sq.lo, 0.0)
     res_norm = iv_pow(Interval(lo, max(sq.hi, lo)), Fraction(1, 2))
-    gram = gram_from_tables(total.t_table, freqs, indices, p)
-    ranges = (
-        total.rng_min,
-        total.rng_max,
-        total.witness_lo,
-        total.center_lo,
-        total.center_hi,
-    )
+    shape = (len(freqs), len(freqs))
+    t = IArr(total.sums.lo[1:].reshape(shape), total.sums.hi[1:].reshape(shape))
+    gram = gram_from_tables(t, freqs, indices, p)
+    ranges = (total.rng_min, total.rng_max, total.witness_lo, total.center_lo)
     stats = {"rects": total.rect_count, "over_budget": total.over_budget}
     return res_norm, gram, ranges, stats

@@ -183,11 +183,7 @@ def two_sided_bounds(disc_lo, disc_hi, c_n: Interval, sup_w: Interval) -> EigenE
     return EigenEnclosure(lo, disc_hi.copy(), disc_lo, disc_hi, c_n, sup_w)
 
 
-def compute_K(
-    enc: EigenEnclosure,
-    tail_threshold: float = 2.0,
-    require_tail: bool = True,
-) -> Interval:
+def compute_K(enc: EigenEnclosure, tail_threshold: float = 2.0) -> Interval:
     """K = 1/mu_0 with mu_0 = min over the point spectrum of |1 - 1/lambda|
     and 1.  Enclosed eigenvalues contribute their interval infima; the tail
     beyond the last enclosed eigenvalue contributes 1 - 1/lambda_last_lo,
@@ -208,18 +204,17 @@ def compute_K(
                 stage="inverse-bound",
             )
         mu_candidates.append(mu.mig)
-    if require_tail:
-        last_lo = float(enc.lam_lo[-1])
-        if last_lo < tail_threshold:
-            raise VerificationFailure(
-                f"largest enclosed eigenvalue lower bound {last_lo:.6g} below the "
-                f"tail threshold {tail_threshold}; enlarge the subspace",
-                stage="inverse-bound",
-            )
-        tail_mu = (one - one / Interval(last_lo)).lo
-        if tail_mu <= 0.0:
-            raise VerificationFailure("tail bound not positive", stage="inverse-bound")
-        mu_candidates.append(tail_mu)
+    last_lo = float(enc.lam_lo[-1])
+    if last_lo < tail_threshold:
+        raise VerificationFailure(
+            f"largest enclosed eigenvalue lower bound {last_lo:.6g} below the "
+            f"tail threshold {tail_threshold}; enlarge the subspace",
+            stage="inverse-bound",
+        )
+    tail_mu = (one - one / Interval(last_lo)).lo
+    if tail_mu <= 0.0:
+        raise VerificationFailure("tail bound not positive", stage="inverse-bound")
+    mu_candidates.append(tail_mu)
     mu0 = min(mu_candidates)
     if not mu0 > 0.0:
         raise VerificationFailure("mu_0 not verifiably positive", stage="inverse-bound")

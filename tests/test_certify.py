@@ -230,29 +230,29 @@ class TestL2Norm:
 
 
 class TestPositivityAmplitude:
-    def _ranges(self, min_lo, max_hi, witness, c_lo, c_hi):
-        return (min_lo, max_hi, witness, c_lo, c_hi)
+    def _ranges(self, min_lo, max_hi, witness, c_lo):
+        return (min_lo, max_hi, witness, c_lo)
 
     def test_positive_case(self):
-        ranges = self._ranges(-0.001, 10.0, 9.0, 9.9, 10.1)
+        ranges = self._ranges(-0.001, 10.0, 9.0, 9.9)
         res = positivity_check(Interval(1.0), Fraction(3, 2), ranges)
         assert res.verdict
         assert res.neg_part_bound.hi < lambda1_interval().lo
 
     def test_zero_r2_and_positive_model(self):
-        ranges = self._ranges(0.0, 10.0, 5.0, 9.9, 10.1)
+        ranges = self._ranges(0.0, 10.0, 5.0, 9.9)
         res = positivity_check(Interval(0.0), Fraction(3, 2), ranges)
         assert res.verdict
         assert res.neg_part_bound.contains(0.0)
 
     def test_negative_path(self):
         # artificially huge r2: bound exceeds lambda1 and witness fails
-        ranges = self._ranges(-0.5, 10.0, 9.0, 9.9, 10.1)
+        ranges = self._ranges(-0.5, 10.0, 9.0, 9.9)
         res = positivity_check(Interval(500.0), Fraction(3, 2), ranges)
         assert not res.verdict
 
     def test_amplitude(self):
-        ranges = self._ranges(0.0, 7.2, 6.0, 6.9, 7.1)
+        ranges = self._ranges(0.0, 7.2, 6.0, 6.9)
         amp = amplitude_enclosure(Interval(0.5), ranges)
         assert amp.contains(7.0)
         assert amp.lo <= 6.9 - 0.5 + 1e-12 and amp.hi >= 7.2 + 0.5 - 1e-12

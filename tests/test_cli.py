@@ -431,7 +431,7 @@ class TestStageFailures:
         monkeypatch.setattr(quad, "_build_trig_tables", poisoned)
         cert = run_pipeline(tiny_config())
         assert cert.status == "failed: integration"
-        assert "non-finite gram table on" in cert.failure
+        assert "non-finite integral on" in cert.failure
         # raised in a forked worker, the error names the same rectangle
         forked = run_pipeline(tiny_config(workers=2))
         assert (forked.status, forked.failure) == (cert.status, cert.failure)

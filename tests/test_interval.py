@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from powcert import interval
+from powcert import interval, ivarray
 from powcert.errors import IntervalDomainError, UnsupportedError
 from powcert.interval import (
     HALF_PI,
@@ -24,12 +24,18 @@ from powcert.interval import (
     iv_elem,
     iv_pow,
     iv_sin,
-    sin_cos_pi,
 )
 
 mpmath.mp.dps = 40
 
 ULP = 2.0**-52
+
+
+def sin_cos_pi(r):
+    """sin(pi r) and cos(pi r) as Intervals: ivarray.sin_cos_pi on a batch
+    of one."""
+    s, c = ivarray.sin_cos_pi([r])
+    return s[0].item(), c[0].item()
 
 
 def contains_mp(iv, mp_val):

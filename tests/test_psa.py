@@ -219,20 +219,6 @@ class TestCompose:
             assert got.lo >= target.lo - slack
             assert got.hi <= target.hi + slack
 
-    def test_sampled_containment_exp_sin(self):
-        rng = np.random.default_rng(2)
-        for tag in ("exp", "sin"):
-            f = ElemFn(tag)
-            npfun = {"exp": np.exp, "sin": np.sin}[tag]
-            for _ in range(25):
-                coeffs = rng.uniform(-0.8, 0.8, 6)
-                dom = Interval(-0.3, 0.3)
-                u = PowerSeries1D.from_floats(coeffs, dom)
-                w = ps_compose(f, u)
-                for x in rng.uniform(dom.lo, dom.hi, 20):
-                    val = float(npfun(np.polyval(coeffs[::-1], x)))
-                    assert only(w.eval_at(Interval(x))).contains(val)
-
 
 class TestTwoDimensional:
     def test_tensor_bilinearity(self):

@@ -200,7 +200,7 @@ class TestIntegrateRect:
         engine = with_reduced_model(
             one_rect_engine(u, 4), PowerSeries2D.constant(Interval(1.0), 4, dom)
         )
-        v = engine.sweep([Rect.make(0, 1, 0, 1)])[0].powers[0]
+        v = engine.sweep([Rect.make(0, 1, 0, 1)])[0].sums[0].item()
         assert v.contains(4.0 / 9.0)
 
     def test_zero_xi(self):
@@ -332,6 +332,40 @@ class TestGramAndRanges:
         assert G[1, 1].item().contains(expect)
         assert G[0, 1].item().contains(0.0)
 
+    def test_same_bits_as_entry_by_entry(self):
+        # gram_from_tables forms every entry at once; here each in Interval
+        # arithmetic, in the same order
+        indices = [(i, j) for i in (1, 3, 5, 7) for j in (1, 3, 5)]
+        freqs = gram_indices_freqs(indices)
+        rng = np.random.default_rng(3)
+        lo = rng.standard_normal((len(freqs),) * 2)
+        hi = lo + rng.uniform(0.0, 1e-3, lo.shape)
+        lo[0, 1] = hi[0, 1] = 0.0
+        t = IArr(lo, hi)
+        p = Fraction(3, 2)
+        fpos = {f: k for k, f in enumerate(freqs)}
+        quarter = Interval.from_fraction(Fraction(1, 4)) * Interval.from_fraction(p)
+        ref = IArr.zeros((len(indices),) * 2)
+        for a, (i, j) in enumerate(indices):
+            for b, (k, l) in enumerate(indices):
+                val = (
+                    t[fpos[abs(i - k)], fpos[abs(j - l)]].item()
+                    - t[fpos[i + k], fpos[abs(j - l)]].item()
+                    - t[fpos[abs(i - k)], fpos[j + l]].item()
+                    + t[fpos[i + k], fpos[j + l]].item()
+                )
+                ref[a, b] = val * quarter
+        assert same_bits(gram_from_tables(t, freqs, indices, p), ref)
+
+    def test_non_finite_table_rejected(self):
+        # a leaf's tables are finite, but their sum may overflow
+        indices = [(1, 1), (1, 3)]
+        freqs = gram_indices_freqs(indices)
+        t = IArr.zeros((len(freqs), len(freqs)))
+        t.hi[1, 0] = math.inf  # frequencies (2, 0), in entry (0, 0)
+        with pytest.raises(IntervalDomainError, match="non-finite gram matrix"):
+            gram_from_tables(t, freqs, indices, Fraction(3, 2))
+
     def test_mixed_parity_indices_rejected(self):
         # phi_21 is odd about x = 1/2: the frequency |2 - 1| = 1 has no
         # one-quadrant reduction (the true off-diagonal entry is 0)
@@ -357,12 +391,11 @@ class TestGramAndRanges:
 
     def test_range_bounds_sane(self):
         u = fourier_from_dict(1, {(1, 1): 9.0})
-        mn, mx, wit, clo, chi = sweep_outputs(u, cfg=QuadConfig(degree=6, grid_m=4))[2]
+        mn, mx, wit, clo = sweep_outputs(u, cfg=QuadConfig(degree=6, grid_m=4))[2]
         assert mn <= 0.0 <= wit <= 9.0 + 1e-9
         # best interior cell center at grid 4 sits at (7/16, 7/16)
         peak_cell = 9.0 * math.sin(7 * math.pi / 16) ** 2
-        assert abs(clo - peak_cell) < 1e-6 and abs(chi - peak_cell) < 1e-6
-        assert clo <= chi
+        assert clo <= peak_cell and abs(clo - peak_cell) < 1e-6
         assert mx >= 9.0
 
 
@@ -371,7 +404,7 @@ class TestSpecExamples:
         # one interior cell of phi11^(3/2) against an adaptive oracle
         u = fourier_from_dict(1, {(1, 1): 1.0})
         rect = Rect.make(Fraction(1, 4), Fraction(3, 8), Fraction(1, 4), Fraction(3, 8))
-        val = one_rect_engine(u, 8).sweep([rect])[0].powers[0]
+        val = one_rect_engine(u, 8).sweep([rect])[0].sums[0].item()
         with mpmath.workdps(20):
             oracle = float(
                 mpmath.quad(
@@ -1088,11 +1121,11 @@ def ref_power_piece(w_coeffs, xi, rect, qx, qy):
 
 def ref_rect_out(engine, rect, red_range, v_red, w, v_lap, xis):
     """One rectangle's contributions and whether all fit their budgets."""
-    out = quad._RectOut(rect_count=1)
     area = rect.area
     van_x, van_y = rect.van_x, rect.van_y
     req = engine.req
     u_range = red_range
+    center_lo = -math.inf
     if van_x or van_y:
         dx, dy = (d[0].item() for d in v_red.domain)
         mon_range = Interval(1.0)
@@ -1102,34 +1135,29 @@ def ref_rect_out(engine, rect, red_range, v_red, w, v_lap, xis):
             mon_range = mon_range * dy
         u_range = mon_range * red_range
     else:
-        c0 = v_red.const_coeff()[0].item()
-        out.center_lo, out.center_hi = c0.lo, c0.hi
-    out.rng_min = out.witness_lo = u_range.lo
-    out.rng_max = u_range.hi
+        center_lo = v_red.const_coeff()[0].item().lo
     qx = engine.q if van_x else Fraction(0)
     qy = engine.q if van_y else Fraction(0)
     w_coeffs = w.coeffs[0]
-    ok = True
+    # the row: residual square, integrals, gram table row by row
+    scalars, budgets = [], []
+    if req.residual_p is not None:
+        scalars.append(ref_residual_piece(engine, rect, v_red, w, v_lap))
+        budgets.append(req.res_width)
+    for xi in xis:
+        scalars.append(ref_power_piece(w_coeffs, xi, rect, qx, qy))
+        budgets.append(req.power_width)
+    row = IArr.from_intervals(scalars)
     if req.gram_freqs is not None:
         cx = trig_table(req.gram_freqs, rect.x0, rect.x1, van_x, 1, False, engine.n)
         cy = trig_table(req.gram_freqs, rect.y0, rect.y1, van_y, 1, False, engine.n)
         t_rect = ref_gram_tables(engine, w_coeffs, cx, cy, rect, qx, qy)
-        if not (np.isfinite(t_rect.lo).all() and np.isfinite(t_rect.hi).all()):
-            raise IntervalDomainError("non-finite gram table")
-        out.t_table = t_rect
-        if req.gram_width is not None and t_rect.max_width() > req.gram_width * area:
-            ok = False
-    if req.residual_p is not None:
-        out.res_sq = ref_residual_piece(engine, rect, v_red, w, v_lap)
-        if req.res_width is not None and out.res_sq.width > req.res_width * area:
-            ok = False
-    if req.powers:
-        out.powers = []
-        for xi in xis:
-            val = ref_power_piece(w_coeffs, xi, rect, qx, qy)
-            out.powers.append(val)
-            if req.power_width is not None and val.width > req.power_width * area:
-                ok = False
+        row = IArr(np.concatenate([row.lo, t_rect.lo.ravel()]), np.concatenate([row.hi, t_rect.hi.ravel()]))
+        budgets += [req.gram_width] * t_rect.lo.size
+    if not (np.isfinite(row.lo).all() and np.isfinite(row.hi).all()):
+        raise IntervalDomainError("non-finite integral")
+    ok = not any(b is not None and wd > b * area for wd, b in zip(row.width(), budgets))
+    out = quad._RectOut(row, u_range.lo, u_range.hi, u_range.lo, center_lo)
     return out, ok
 
 
@@ -1146,17 +1174,11 @@ def mixed_rects():
     return [rects[i] for i in order]
 
 
-def interval_digest(v):
-    return None if v is None else (v.lo, v.hi)
-
-
 def rect_out_digest(res):
     out, ok = res
-    table = None if out.t_table is None else (out.t_table.lo.tobytes(), out.t_table.hi.tobytes())
-    powers = None if out.powers is None else [interval_digest(v) for v in out.powers]
     return (
-        ok, interval_digest(out.res_sq), table, powers, out.rng_min, out.rng_max,
-        out.witness_lo, out.center_lo, out.center_hi, out.rect_count, out.over_budget,
+        ok, out.sums.lo.tobytes(), out.sums.hi.tobytes(), out.rng_min, out.rng_max,
+        out.witness_lo, out.center_lo, out.rect_count, out.over_budget,
     )
 
 
@@ -1205,8 +1227,9 @@ class TestLevelBatchedContributions:
         monkeypatch.setattr(quad._Engine, "_gram_tables", window_gram_tables)
         ref = engine.eval_level(rects)
         for rect, (out, _), (ref_out, _) in zip(rects, got, ref):
-            assert inside_no_wider(out.t_table, ref_out.t_table), rect.describe()
-        assert not all(same_bits(a[0].t_table, b[0].t_table) for a, b in zip(got, ref))
+            # the gram table alone makes up the row
+            assert inside_no_wider(out.sums, ref_out.sums), rect.describe()
+        assert not all(same_bits(a[0].sums, b[0].sums) for a, b in zip(got, ref))
 
     # the poisoned tables make NaN on purpose
     @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
@@ -1227,7 +1250,7 @@ class TestLevelBatchedContributions:
         level, dfs = both_sweeps(monkeypatch, lambda: sweep_outputs(u, cfg=cfg, res_width=1e-300))
         assert isinstance(level, IntervalDomainError)
         assert str(level) == str(dfs)
-        assert str(level) == "non-finite gram table on S10 [0,1/12]x[1/12,1/6] depth=2"
+        assert str(level) == "non-finite integral on S10 [0,1/12]x[1/12,1/6] depth=2"
 
     def test_level_laid_out_once_with_a_table_pass_per_kind(self, monkeypatch, table_builds):
         # reduced sines for eta, plain sines for the Laplacian and xi, and

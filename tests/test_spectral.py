@@ -179,7 +179,8 @@ class TestComputeK:
         assert 2.0 <= k.hi < 2.0 + 1e-12
 
     def test_lambda_below_one(self):
-        k = compute_K(self._enc([0.5], [0.6]), require_tail=False)
+        # the second eigenvalue clears the tail threshold and gives a larger mu
+        k = compute_K(self._enc([0.5, 4.0], [0.6, 4.0]))
         assert abs(k.hi - 1.5) < 1e-12
 
     def test_straddling_one_fails(self):
