@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from datetime import datetime, timezone
 from fractions import Fraction
 
@@ -27,7 +27,6 @@ from .interval import PI, SQRT2, Interval, gamma_half, iv_pow
 from .ivarray import IArr
 
 __all__ = [
-    "VerificationConstants",
     "AlphaSearch",
     "ProofCertificate",
     "poincare_c2",
@@ -64,17 +63,16 @@ def poincare_c2() -> Interval:
     return Interval(1.0) / (SQRT2 * PI)
 
 
-def embedding_constant(p: Fraction, area: Interval | None = None) -> Interval:
-    """C_p = |Omega|^((2-q)/(2q)) T_p for the embedding H^1_0 -> L^p in the
-    plane, q = 2p/(2+p), with T_p the best Sobolev constant.  Supported for
-    p > 2 whose gamma arguments (2+p)/p and (2p-2)/p are half-integers
-    (p = 4 gives the closed form 1/pi)."""
+def embedding_constant(p: Fraction) -> Interval:
+    """C_p = |Omega|^((2-q)/(2q)) T_p for the embedding H^1_0 -> L^p on the
+    unit square (|Omega| = 1), q = 2p/(2+p), with T_p the best Sobolev
+    constant.  Supported for p > 2 whose gamma arguments (2+p)/p and
+    (2p-2)/p are half-integers (p = 4 gives the closed form 1/pi)."""
     p = Fraction(p)
     if p <= 2:
         raise UsageError(
             f"embedding_constant requires p > 2 (got {p}); use poincare_c2 for p <= 2"
         )
-    area = _UNIT_AREA if area is None else area
     q = 2 * p / (2 + p)
     g1 = (2 + p) / p        # = 2/q
     g2 = (2 * p - 2) / p    # = 1 + 2 - 2/q
@@ -95,10 +93,10 @@ def embedding_constant(p: Fraction, area: Interval | None = None) -> Interval:
             Fraction(1, 2),
         )
     )
-    return iv_pow(area, (2 - q) / (2 * q)) * t_p
+    return iv_pow(_UNIT_AREA, (2 - q) / (2 * q)) * t_p
 
 
-def sobolev_constant(k: Fraction, area: Interval | None = None) -> Interval:
+def sobolev_constant(k: Fraction) -> Interval:
     """C_k with ||u||_L^k <= C_k ||u||_V on the unit square.  k in [1, 2]
     reduces to C2 by Holder (|Omega| = 1); k > 2 goes through the best
     Sobolev constant."""
@@ -107,7 +105,7 @@ def sobolev_constant(k: Fraction, area: Interval | None = None) -> Interval:
         raise UsageError(f"L^{k} is not a norm")
     if k <= 2:
         return poincare_c2()
-    return embedding_constant(k, area)
+    return embedding_constant(k)
 
 
 def pointwise_bound_constants() -> tuple[Interval, Interval, Interval]:
@@ -120,20 +118,6 @@ def pointwise_bound_constants() -> tuple[Interval, Interval, Interval]:
         Interval.from_fraction(Fraction(28, 5)), Fraction(1, 2)
     )
     return c0, c1, c2
-
-
-@dataclass(frozen=True)
-class VerificationConstants:
-    p: Fraction
-    c2: Interval
-    linf_c0: Interval
-    linf_c1: Interval
-    linf_c2: Interval
-
-    @classmethod
-    def for_problem(cls, p: Fraction):
-        c0, c1, c2 = pointwise_bound_constants()
-        return cls(p=Fraction(p), c2=poincare_c2(), linf_c0=c0, linf_c1=c1, linf_c2=c2)
 
 
 def check_holder(p: Fraction, triple) -> tuple:
@@ -246,13 +230,7 @@ def linf_exponents(p: Fraction) -> tuple:
     return Fraction(2) / (2 - p), 1 / (p - 1)
 
 
-def linf_bound(
-    eps: Interval,
-    u_norm_rp: Interval,
-    res_norm: Interval,
-    consts: VerificationConstants,
-    qr: tuple = (4, 2),
-) -> Interval:
+def linf_bound(eps: Interval, u_norm_rp: Interval, res_norm: Interval, p: Fraction) -> Interval:
     """The L-infinity radius
 
         r2 = c0 C2 eps + c1 eps
@@ -260,13 +238,13 @@ def linf_bound(
                     sqrt(||u||_{L^{rp'}}^{p'} + eps^{p'}/(p'+1) C_{rp'}^{p'})
                     + ||Delta u_hat + |u_hat|^(p-1) u_hat|| }
 
-    with p' = 2(p-1).  u_norm_rp must enclose ||u_hat||_{L^{rp'}} (the
-    default (q, r) = (4, 2) gives rp' = 2 at p = 3/2, the exact L2 norm)."""
-    p = consts.p
-    q, r = (Fraction(t) for t in qr)
+    with p' = 2(p-1), (c0, c1, c2) the pointwise_bound_constants and
+    (q, r) = linf_exponents(p), so that rp' = 2: u_norm_rp must enclose
+    the exact L2 norm of u_hat."""
+    p = Fraction(p)
+    q, r = linf_exponents(p)
     pp = 2 * (p - 1)
-    if q < 2 or r * (p - 1) < 1 or Fraction(2) / q + Fraction(1) / r != 1:
-        raise UsageError(f"(q, r) = {qr} violates the exponent conditions")
+    c0, c1, c2 = pointwise_bound_constants()
     c_q = sobolev_constant(q)
     c_rpp = sobolev_constant(r * pp)
     factor = Interval(1.0)
@@ -278,7 +256,7 @@ def linf_bound(
     bracket = factor * Interval.from_fraction(p) * eps * c_q * iv_pow(
         inner, Fraction(1, 2)
     ) + res_norm
-    return consts.linf_c0 * consts.c2 * eps + consts.linf_c1 * eps + consts.linf_c2 * bracket
+    return c0 * poincare_c2() * eps + c1 * eps + c2 * bracket
 
 
 @dataclass
@@ -320,34 +298,43 @@ def amplitude_enclosure(r2: Interval, ranges: tuple) -> Interval:
 # certificate
 # ----------------------------------------------------------------------
 
-def _iv_json(iv: Interval | None):
-    if iv is None:
-        return None
-    return {"lo": repr(iv.lo), "hi": repr(iv.hi)}
+# JSON codecs (dump, load) of the body fields; None is stored as null.  Interval
+# endpoints and r1 are repr() decimal strings, which parse back to the identical
+# binary64 values (outward rounding is then trivially preserved).
+_PLAIN = (lambda v: v, lambda v: v)
+_FRACTION = (str, Fraction)
+_FLOAT = (repr, float)
+_INTERVAL = (
+    lambda iv: {"lo": repr(iv.lo), "hi": repr(iv.hi)},
+    lambda obj: Interval(float(obj["lo"]), float(obj["hi"])),
+)
 
 
-def _iv_parse(obj) -> Interval | None:
-    if obj is None:
-        return None
-    return Interval(float(obj["lo"]), float(obj["hi"]))
+def _body(key: str, codec=_PLAIN, optional: bool = False, **kw):
+    """A certificate body field stored under key through codec; a body
+    read back may omit an optional key, which then takes the default."""
+    return field(metadata={"key": key, "codec": codec, "optional": optional}, **kw)
 
 
 @dataclass
 class ProofCertificate:
-    status: str                      # "valid" or "failed: <stage>"
-    p: Fraction
-    res_norm: Interval | None = None
-    delta: Interval | None = None
-    k_bound: Interval | None = None
-    g_coeff: Interval | None = None
-    alpha_r1: float | None = None
-    r2: Interval | None = None
-    neg_part_bound: Interval | None = None
-    positive: bool | None = None
-    amplitude: Interval | None = None
-    failure: str | None = None
-    config: dict = field(default_factory=dict)
-    timestamp: str = ""
+    """The certificate: each body field declares its JSON key and codec;
+    the timestamp goes to meta, outside the deterministic body."""
+
+    status: str = _body("status")   # "valid" or "failed: <stage>"
+    p: Fraction = _body("p", _FRACTION)
+    res_norm: Interval | None = _body("residual_norm", _INTERVAL, default=None)
+    delta: Interval | None = _body("delta", _INTERVAL, default=None)
+    k_bound: Interval | None = _body("K", _INTERVAL, default=None)
+    g_coeff: Interval | None = _body("g_coefficient", _INTERVAL, default=None)
+    alpha_r1: float | None = _body("r1", _FLOAT, default=None)
+    r2: Interval | None = _body("r2", _INTERVAL, default=None)
+    neg_part_bound: Interval | None = _body("neg_part_bound", _INTERVAL, default=None)
+    positive: bool | None = _body("positive", default=None)
+    amplitude: Interval | None = _body("amplitude", _INTERVAL, default=None)
+    failure: str | None = _body("failure", optional=True, default=None)
+    config: dict = _body("config", optional=True, default_factory=dict)
+    timestamp: str = field(default_factory=lambda: datetime.now(timezone.utc).isoformat())
 
     @property
     def valid(self) -> bool:
@@ -364,49 +351,41 @@ class ProofCertificate:
         return bool(margin.lo >= 0.0 and contraction.hi < 1.0 and self.positive)
 
     def body_dict(self) -> dict:
-        return {
-            "status": self.status,
-            "p": str(self.p),
-            "residual_norm": _iv_json(self.res_norm),
-            "delta": _iv_json(self.delta),
-            "K": _iv_json(self.k_bound),
-            "g_coefficient": _iv_json(self.g_coeff),
-            "r1": repr(self.alpha_r1) if self.alpha_r1 is not None else None,
-            "r2": _iv_json(self.r2),
-            "neg_part_bound": _iv_json(self.neg_part_bound),
-            "positive": self.positive,
-            "amplitude": _iv_json(self.amplitude),
-            "failure": self.failure,
-            "config": self.config,
-        }
+        body = {}
+        for f in _BODY_FIELDS:
+            value = getattr(self, f.name)
+            dump, _ = f.metadata["codec"]
+            body[f.metadata["key"]] = None if value is None else dump(value)
+        return body
 
     def to_json(self) -> str:
-        # interval endpoints are emitted as repr() decimal strings, which
-        # parse back to the identical binary64 values (outward rounding is
-        # then trivially preserved)
         doc = {"certificate": self.body_dict(), "meta": {"timestamp": self.timestamp}}
         return json.dumps(doc, indent=2, sort_keys=True)
 
     @classmethod
     def from_json(cls, text: str) -> "ProofCertificate":
+        """Parse a certificate document; a body that lacks a required key,
+        or holds a value its codec cannot read, is a UsageError naming it."""
         doc = json.loads(text)
-        body = doc["certificate"]
-        return cls(
-            status=body["status"],
-            p=Fraction(body["p"]),
-            res_norm=_iv_parse(body["residual_norm"]),
-            delta=_iv_parse(body["delta"]),
-            k_bound=_iv_parse(body["K"]),
-            g_coeff=_iv_parse(body["g_coefficient"]),
-            alpha_r1=float(body["r1"]) if body["r1"] is not None else None,
-            r2=_iv_parse(body["r2"]),
-            neg_part_bound=_iv_parse(body["neg_part_bound"]),
-            positive=body["positive"],
-            amplitude=_iv_parse(body["amplitude"]),
-            failure=body.get("failure"),
-            config=body.get("config", {}),
-            timestamp=doc.get("meta", {}).get("timestamp", ""),
-        )
+        body = doc.get("certificate") if isinstance(doc, dict) else None
+        if not isinstance(body, dict):
+            raise UsageError('certificate JSON: expected an object with a "certificate" body')
+        kw = {}
+        for f in _BODY_FIELDS:
+            key = f.metadata["key"]
+            if key not in body:
+                if f.metadata["optional"]:
+                    continue
+                raise UsageError(f"certificate body lacks the key {key!r}")
+            _, load = f.metadata["codec"]
+            try:
+                kw[f.name] = None if body[key] is None else load(body[key])
+            except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
+                raise UsageError(f"certificate body key {key!r}: {exc!r}") from exc
+        return cls(**kw, timestamp=doc.get("meta", {}).get("timestamp", ""))
+
+
+_BODY_FIELDS = [f for f in fields(ProofCertificate) if "key" in f.metadata]
 
 
 def build_certificate(
@@ -434,25 +413,15 @@ def build_certificate(
         positive=positivity.verdict,
         amplitude=amplitude,
         config=dict(config),
-        timestamp=datetime.now(timezone.utc).isoformat(),
     )
-    if not alpha.verified:
-        cert.status = "failed: existence-test"
-        cert.failure = "alpha not verified"
-    elif not positivity.verdict:
-        cert.status = "failed: positivity"
-        cert.failure = "negative-part bound or witness failed"
+    if not positivity.verdict:
+        cert.status, cert.failure = "failed: positivity", "negative-part bound or witness failed"
     elif not cert.recheck():
-        cert.status = "failed: self-check"
-        cert.failure = "stored intervals do not re-verify"
+        cert.status, cert.failure = "failed: self-check", "stored intervals do not re-verify"
     return cert
 
 
 def failed_certificate(p: Fraction, config: dict, stage: str, detail: str) -> ProofCertificate:
     return ProofCertificate(
-        status=f"failed: {stage}",
-        p=Fraction(p),
-        failure=detail,
-        config=dict(config),
-        timestamp=datetime.now(timezone.utc).isoformat(),
+        status=f"failed: {stage}", p=Fraction(p), failure=detail, config=dict(config)
     )

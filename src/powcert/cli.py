@@ -18,7 +18,6 @@ from fractions import Fraction
 import numpy as np
 
 from .certify import (
-    VerificationConstants,
     ProofCertificate,
     amplitude_enclosure,
     build_certificate,
@@ -66,7 +65,6 @@ class RunConfig:
     grid_m: int = 16            # rectangles per quadrant edge
     degree: int = 10            # PSA degree for the pipeline models
     holder: tuple = (4, 4, 2)
-    linf_qr: tuple | None = None  # (q, r) of the L-infinity bound; p fixes it
     workers: int = 0            # 0 = one per CPU this process may use
     max_depth: int = 12
     res_width: float = 0.02     # width budget for the residual-norm square
@@ -106,16 +104,8 @@ class RunConfig:
         except UnsupportedError as exc:
             triple = ",".join(map(str, self.holder))
             raise UsageError(f"Holder triple {triple}: {exc}") from exc
-        qr = linf_exponents(self.p)
-        if self.linf_qr is not None and tuple(map(Fraction, self.linf_qr)) != qr:
-            given = ",".join(map(str, self.linf_qr))
-            raise UsageError(
-                f"(q,r) = ({given}): p = {self.p} fixes (q,r) = ({qr[0]},{qr[1]}), "
-                "the pair with r p' = 2 (the exact L2 norm of u_hat) and 2/q + 1/r = 1"
-            )
-        self.linf_qr = qr
         try:
-            sobolev_constant(qr[0])  # the linf-bound stage's C_q
+            sobolev_constant(linf_exponents(self.p)[0])  # the linf-bound stage's C_q
         except UnsupportedError as exc:
             raise UsageError(f"p = {self.p}: {exc}") from exc
 
@@ -127,7 +117,7 @@ class RunConfig:
             "grid_m": self.grid_m,
             "degree": self.degree,
             "holder": [str(h) for h in self.holder],
-            "linf_qr": [str(v) for v in self.linf_qr],
+            "linf_qr": [str(v) for v in linf_exponents(self.p)],
             "max_depth": self.max_depth,
             "res_width": self.res_width,
             "gram_width": self.gram_width,
@@ -188,13 +178,12 @@ def run_pipeline(cfg: RunConfig, log=None) -> ProofCertificate:
         )
 
         stage = "delta"
-        consts = VerificationConstants.for_problem(cfg.p)
-        delta = delta_from_residual(res_norm, consts.c2)
+        delta = delta_from_residual(res_norm, poincare_c2())
         say(f"delta: {delta}")
 
         stage = "inverse-bound"
         sup_w = sup_weight(cfg.p, ranges)
-        k_bound, enc, pencil = spectral_K_from_gram(
+        k_bound, pencil = spectral_K_from_gram(
             gram, indices, cfg.eig_n, sup_w, tail_threshold=cfg.tail_threshold
         )
         say(f"K: {k_bound}")
@@ -209,7 +198,7 @@ def run_pipeline(cfg: RunConfig, log=None) -> ProofCertificate:
 
         stage = "linf-bound"
         u_l2 = exact_l2_norm(u_hat)
-        r2 = linf_bound(Interval(alpha.alpha), u_l2, res_norm, consts, cfg.linf_qr)
+        r2 = linf_bound(Interval(alpha.alpha), u_l2, res_norm, cfg.p)
         say(f"r2: {r2}")
 
         stage = "positivity"
@@ -430,13 +419,22 @@ def _config_from_args(args) -> RunConfig:
                 merged[key] = tuple(Fraction(str(v)) for v in merged[key])
             except (TypeError, ValueError, ZeroDivisionError) as exc:
                 raise UsageError(f"{key}: not a list of rational numbers: {exc}") from exc
-    return RunConfig(
+    # a certificate's config echoes the L-infinity exponents, which p fixes
+    qr = merged.pop("linf_qr", None)
+    cfg = RunConfig(
         **merged,
         out=args.out,
         coeffs_in=args.coeffs_in,
         coeffs_out=args.coeffs_out,
         pencil_out=args.pencil_out,
     )
+    q, r = linf_exponents(cfg.p)
+    if qr is not None and qr != (q, r):
+        raise UsageError(
+            f"linf_qr: p = {cfg.p} fixes (q,r) = ({q},{r}), the pair with r p' = 2 "
+            "(the exact L2 norm of u_hat) and 2/q + 1/r = 1"
+        )
+    return cfg
 
 
 def main(argv=None) -> int:

@@ -229,9 +229,6 @@ class IArr:
     def width(self) -> np.ndarray:
         return _up(self.hi - self.lo)
 
-    def max_width(self) -> float:
-        return float(np.max(self.width())) if self.lo.size else 0.0
-
     def intersect(self, other) -> "IArr":
         o = self._coerce(other)
         lo, hi = np.maximum(self.lo, o.lo), np.minimum(self.hi, o.hi)

@@ -159,10 +159,6 @@ def verified_discrete_eigs(pencil: Pencil):
 class EigenEnclosure:
     lam_lo: np.ndarray   # true eigenvalues, lower bounds
     lam_hi: np.ndarray   # true eigenvalues, upper bounds (Rayleigh-Ritz)
-    disc_lo: np.ndarray  # discrete eigenvalue enclosures
-    disc_hi: np.ndarray
-    c_n: Interval
-    sup_w: Interval
 
     @property
     def dim(self) -> int:
@@ -180,7 +176,7 @@ def two_sided_bounds(disc_lo, disc_hi, c_n: Interval, sup_w: Interval) -> EigenE
     for k in range(len(disc_lo)):
         t = Interval(disc_lo[k])
         lo[k] = (t / (t * cw + Interval(1.0))).lo
-    return EigenEnclosure(lo, disc_hi.copy(), disc_lo, disc_hi, c_n, sup_w)
+    return EigenEnclosure(lo, disc_hi.copy())
 
 
 def compute_K(enc: EigenEnclosure, tail_threshold: float = 2.0) -> Interval:
@@ -235,12 +231,10 @@ def spectral_K_from_gram(
     sup_w: Interval,
     tail_threshold: float = 2.0,
 ):
-    """K from a precomputed weighted gram matrix (the pipeline path, which
-    shares one integration sweep across residual and gram)."""
+    """(K, pencil) from a precomputed weighted gram matrix (the pipeline
+    path, which shares one integration sweep across residual and gram)."""
     pencil = Pencil(list(indices), stiffness_intervals(indices), b)
     disc_lo, disc_hi = verified_discrete_eigs(pencil)
-    c_n = projection_constant(eig_n)
-    enc = two_sided_bounds(disc_lo, disc_hi, c_n, sup_w)
-    k = compute_K(enc, tail_threshold=tail_threshold)
-    return k, enc, pencil
+    enc = two_sided_bounds(disc_lo, disc_hi, projection_constant(eig_n), sup_w)
+    return compute_K(enc, tail_threshold=tail_threshold), pencil
 

@@ -1,5 +1,6 @@
 """Constants, existence test, L-inf bound, positivity, certificate."""
 
+import json
 import math
 from fractions import Fraction
 
@@ -11,12 +12,13 @@ from powcert.errors import UnsupportedError, UsageError, VerificationFailure
 from powcert.certify import (
     AlphaSearch,
     ProofCertificate,
-    VerificationConstants,
+    PositivityResult,
     amplitude_enclosure,
     build_certificate,
     delta_from_residual,
     embedding_constant,
     exact_l2_norm,
+    failed_certificate,
     find_alpha,
     g_coefficient,
     lambda1_interval,
@@ -52,13 +54,6 @@ class TestConstants:
         assert abs(c4.mid - float(inv_pi)) < 1e-9
         # reported upper bound to reproduce
         assert 0.3183098 <= c4.hi <= 0.318309887 + 1e-7
-
-    def test_c4_area_scaling(self):
-        c4 = embedding_constant(Fraction(4))
-        c4_big = embedding_constant(Fraction(4), Interval(4.0))
-        q = Fraction(8, 6)
-        scale = 4.0 ** float((2 - q) / (2 * q))
-        assert abs(c4_big.mid - scale * c4.mid) < 1e-12
 
     def test_embedding_domain_errors(self):
         with pytest.raises(UsageError):
@@ -189,15 +184,13 @@ class TestDelta:
 
 class TestLinfBound:
     def test_zero_inputs_vanish(self):
-        consts = VerificationConstants.for_problem(Fraction(3, 2))
-        r2 = linf_bound(Interval(0.0), Interval(5.0), Interval(0.0), consts)
+        r2 = linf_bound(Interval(0.0), Interval(5.0), Interval(0.0), Fraction(3, 2))
         assert abs(r2.hi) < 1e-14
 
     def test_prefactor_is_one_for_small_p(self):
         # p <= 3/2 means p' <= 1 and the max(1, 2^((p'-1)/2)) factor is 1
-        consts = VerificationConstants.for_problem(Fraction(3, 2))
         eps = Interval(0.4)
-        a = linf_bound(eps, Interval(272.0), Interval(0.83), consts)
+        a = linf_bound(eps, Interval(272.0), Interval(0.83), Fraction(3, 2))
         # manual recomputation
         c0, c1, c2 = pointwise_bound_constants()
         from powcert.interval import iv_pow
@@ -214,11 +207,6 @@ class TestLinfBound:
         )
         assert a.overlaps(manual)
         assert abs(a.mid - manual.mid) < 1e-9
-
-    def test_bad_qr(self):
-        consts = VerificationConstants.for_problem(Fraction(3, 2))
-        with pytest.raises(UsageError):
-            linf_bound(Interval(0.1), Interval(1.0), Interval(0.1), consts, qr=(3, 2))
 
 
 class TestL2Norm:
@@ -259,11 +247,14 @@ class TestPositivityAmplitude:
 
 
 class TestCertificate:
+    BODY_KEYS = {
+        "status", "p", "residual_norm", "delta", "K", "g_coefficient", "r1", "r2",
+        "neg_part_bound", "positive", "amplitude", "failure", "config",
+    }
+
     def _fake_valid(self):
         c = g_coefficient(Fraction(3, 2))
         alpha = find_alpha(Interval(0.18), Interval(2.0), c, Fraction(3, 2))
-        from powcert.certify import PositivityResult
-
         pos = PositivityResult(True, Interval(1.0, 1.1), lambda1_interval(), 100.0)
         return build_certificate(
             Fraction(3, 2),
@@ -294,9 +285,43 @@ class TestCertificate:
         assert c1.body_dict() == c2.body_dict()
 
     def test_failed_stage(self):
-        from powcert.certify import failed_certificate
-
         cert = failed_certificate(Fraction(3, 2), {}, "inverse-bound", "eigs too wide")
         assert cert.status == "failed: inverse-bound"
         assert not cert.valid
         assert not cert.recheck()
+
+    @pytest.mark.parametrize("kind", ["valid", "failed"])
+    def test_json_roundtrip_is_identity(self, kind):
+        if kind == "valid":
+            cert = self._fake_valid()
+        else:
+            cert = failed_certificate(Fraction(3, 2), {"n_modes": 4}, "delta", "boom")
+        assert set(cert.body_dict()) == self.BODY_KEYS
+        back = ProofCertificate.from_json(cert.to_json())
+        assert back == cert
+        assert back.to_json() == cert.to_json()
+
+    def test_missing_key_is_usage_error(self):
+        doc = json.loads(self._fake_valid().to_json())
+        for key in self.BODY_KEYS - {"failure", "config"}:
+            body = {k: v for k, v in doc["certificate"].items() if k != key}
+            with pytest.raises(UsageError, match=repr(key)):
+                ProofCertificate.from_json(json.dumps({"certificate": body}))
+
+    def test_optional_keys_default(self):
+        doc = json.loads(self._fake_valid().to_json())
+        del doc["certificate"]["failure"], doc["certificate"]["config"], doc["meta"]
+        back = ProofCertificate.from_json(json.dumps(doc))
+        assert back.failure is None and back.config == {} and back.timestamp == ""
+        assert back.recheck()
+
+    @pytest.mark.parametrize("text", ["[]", '{"meta": {}}', '{"certificate": 3}'])
+    def test_not_a_certificate_is_usage_error(self, text):
+        with pytest.raises(UsageError):
+            ProofCertificate.from_json(text)
+
+    def test_unreadable_interval_is_usage_error(self):
+        doc = json.loads(self._fake_valid().to_json())
+        doc["certificate"]["delta"] = {"lo": "0.1"}
+        with pytest.raises(UsageError, match="'delta'"):
+            ProofCertificate.from_json(json.dumps(doc))

@@ -50,10 +50,6 @@ class TestRunConfig:
         with pytest.raises(UsageError):
             RunConfig(p=Fraction(5, 2))
 
-    def test_qr_validation(self):
-        with pytest.raises(UsageError):
-            RunConfig(p=Fraction(5, 4), linf_qr=(4, 2))  # r p' != 2
-
     @pytest.mark.parametrize("triple", [(4, 4, 3), (4, 4, 4), (0, 4, 2), (2, 2, 0)])
     def test_holder_validation(self, triple):
         with pytest.raises(UsageError):
@@ -62,16 +58,19 @@ class TestRunConfig:
     def test_holder_below_one_for_p(self):
         # q(p-1) = 2 * 1/4 < 1 at p = 5/4
         with pytest.raises(UsageError, match=r"q\(p-1\)"):
-            RunConfig(p=Fraction(5, 4), holder=(2, 4, 4), linf_qr=(4, 4))
+            RunConfig(p=Fraction(5, 4), holder=(2, 4, 4))
 
-    def test_p_fixes_linf_qr(self):
-        assert RunConfig().linf_qr == (4, 2)
-        assert RunConfig(linf_qr=("4", 2)).linf_qr == (4, 2)
-        with pytest.raises(UsageError, match="fixes"):
-            RunConfig(linf_qr=(3, 2))
+    def test_p_fixes_linf_qr(self, tmp_path, capsys, monkeypatch):
+        assert RunConfig().echo()["linf_qr"] == ["4", "2"]
         # the pair p = 5/4 fixes needs C_8/3, which is out of scope
         with pytest.raises(UsageError, match="C_8/3 is out of scope"):
             RunConfig(p=Fraction(5, 4))
+        # a config file may echo the pair p fixes, and no other
+        monkeypatch.setattr(cli, "newton_solve", refuse_solve)
+        cfgfile = tmp_path / "cfg.json"
+        cfgfile.write_text(json.dumps({"linf_qr": ["3", "2"]}))
+        assert main(["verify", "--config", str(cfgfile), "--quiet"]) == EXIT_USAGE
+        assert "fixes (q,r) = (4,2)" in capsys.readouterr().err
 
     def test_echo_round(self):
         cfg = tiny_config()

@@ -171,7 +171,7 @@ class TestComputeK:
     def _enc(self, lo, hi):
         lo = np.asarray(lo, dtype=float)
         hi = np.asarray(hi, dtype=float)
-        return EigenEnclosure(lo, hi, lo, hi, Interval(0.1), Interval(1.0))
+        return EigenEnclosure(lo, hi)
 
     def test_single_lambda_two(self):
         k = compute_K(self._enc([2.0], [2.0]))
