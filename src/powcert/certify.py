@@ -364,12 +364,16 @@ class ProofCertificate:
 
     @classmethod
     def from_json(cls, text: str) -> "ProofCertificate":
-        """Parse a certificate document; a body that lacks a required key,
-        or holds a value its codec cannot read, is a UsageError naming it."""
-        doc = json.loads(text)
-        body = doc.get("certificate") if isinstance(doc, dict) else None
-        if not isinstance(body, dict):
-            raise UsageError('certificate JSON: expected an object with a "certificate" body')
+        """Parse a certificate document; text that is not such a document is
+        a UsageError, which names the key a body lacks or cannot read."""
+        try:
+            doc = json.loads(text)
+        except ValueError as exc:
+            raise UsageError(f"certificate JSON: {exc}") from exc
+        doc = doc if isinstance(doc, dict) else {}
+        body, meta = doc.get("certificate"), doc.get("meta", {})
+        if not isinstance(body, dict) or not isinstance(meta, dict):
+            raise UsageError('certificate JSON: expected a "certificate" body and "meta" object')
         kw = {}
         for f in _BODY_FIELDS:
             key = f.metadata["key"]
@@ -382,7 +386,7 @@ class ProofCertificate:
                 kw[f.name] = None if body[key] is None else load(body[key])
             except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
                 raise UsageError(f"certificate body key {key!r}: {exc!r}") from exc
-        return cls(**kw, timestamp=doc.get("meta", {}).get("timestamp", ""))
+        return cls(**kw, timestamp=meta.get("timestamp", ""))
 
 
 _BODY_FIELDS = [f for f in fields(ProofCertificate) if "key" in f.metadata]

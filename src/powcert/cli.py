@@ -12,7 +12,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field, fields
 from fractions import Fraction
 
 import numpy as np
@@ -21,7 +21,6 @@ from .certify import (
     ProofCertificate,
     amplitude_enclosure,
     build_certificate,
-    check_holder,
     delta_from_residual,
     embedding_constant,
     exact_l2_norm,
@@ -57,88 +56,116 @@ def _available_cpus() -> int:
     return os.cpu_count() or 1
 
 
+def _rational(name: str, value) -> Fraction:
+    try:
+        return Fraction(str(value))  # a flag's text, or a JSON number or string
+    except (ValueError, ZeroDivisionError):
+        raise UsageError(f"{name}: not a rational number: {value!r}") from None
+
+
+def _rationals(name: str, value) -> tuple:
+    # exponent lists as a certificate's config echoes them: ["4", "2"]
+    if not isinstance(value, (list, tuple)):
+        raise UsageError(f"{name}: expected a list, got {value!r}")
+    return tuple(_rational(name, v) for v in value)
+
+
+def _count(name: str, value) -> int:
+    # bool is a subclass of int, so a JSON true would pass for 1
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise UsageError(f"{name} must be an integer, got {value!r}")
+    return value
+
+
+def _positive(name: str, value) -> float:
+    if isinstance(value, bool) or not (isinstance(value, (int, float)) and 0 < value < math.inf):
+        raise UsageError(f"{name} must be finite and > 0, got {value!r}")
+    return value
+
+
+def _width(name: str, value) -> float | None:
+    return None if value is None else _positive(name, value)  # None: no width budget
+
+
+def _setting(default, check=None, local=False):
+    """A verify setting: check(name, value) returns it normalized or raises a
+    UsageError naming it.  The certificate echoes all but the local settings;
+    a setting without a check is a path, which only a flag gives."""
+    return field(default=default, metadata={"check": check, "local": local})
+
+
 @dataclass
 class RunConfig:
-    p: Fraction = Fraction(3, 2)
-    n_modes: int = 60           # N_u
-    eig_n: int = 14             # eigenvalue subspace cutoff N
-    grid_m: int = 16            # rectangles per quadrant edge
-    degree: int = 10            # PSA degree for the pipeline models
-    holder: tuple = (4, 4, 2)
-    workers: int = 0            # 0 = one per CPU this process may use
-    max_depth: int = 12
-    res_width: float = 0.02     # width budget for the residual-norm square
-    gram_width: float = 1e-5    # width budget per gram table entry
-    tail_threshold: float = 2.0
-    galerkin_tol: float = 1e-11
-    out: str | None = None
-    coeffs_in: str | None = None
-    coeffs_out: str | None = None
-    pencil_out: str | None = None
+    """The settings of one verify run.  The verify flags, the keys a config
+    file may hold, the checks and the certificate's config echo all derive
+    from these fields."""
+
+    p: Fraction = _setting(Fraction(3, 2), _rational)
+    n_modes: int = _setting(60, _count)          # N_u
+    eig_n: int = _setting(14, _count)            # eigenvalue subspace cutoff N
+    grid_m: int = _setting(16, _count)           # rectangles per quadrant edge
+    degree: int = _setting(10, _count)           # PSA degree for the pipeline models
+    holder: tuple = _setting((4, 4, 2), _rationals)
+    workers: int = _setting(0, _count, local=True)  # 0 = one per CPU this process may use
+    max_depth: int = _setting(12, _count)
+    res_width: float | None = _setting(0.02, _width)   # budget for the residual-norm square
+    gram_width: float | None = _setting(1e-5, _width)  # budget per gram table entry
+    tail_threshold: float = _setting(2.0, _positive)
+    galerkin_tol: float = _setting(1e-11, _positive)
+    out: str | None = _setting(None, local=True)
+    coeffs_in: str | None = _setting(None, local=True)
+    coeffs_out: str | None = _setting(None, local=True)
+    pencil_out: str | None = _setting(None, local=True)
 
     def __post_init__(self):
-        self.p = Fraction(self.p)
+        for f in fields(self):
+            if f.metadata["check"]:
+                setattr(self, f.name, f.metadata["check"](f.name, getattr(self, f.name)))
         if not (1 < self.p < 2):
             raise UsageError(f"p must lie in (1, 2), got {self.p}")
-        # bool is a subclass of int, so a JSON true would pass for 1
-        for name in ("n_modes", "eig_n", "grid_m", "degree", "max_depth", "workers"):
-            value = getattr(self, name)
-            if not isinstance(value, int) or isinstance(value, bool):
-                raise UsageError(f"{name} must be an integer, got {value!r}")
         if self.n_modes < 1 or self.eig_n < 1 or self.grid_m < 1:
             raise UsageError("sizes must be >= 1")
         if self.workers == 0:
             self.workers = _available_cpus()
         self.quad()  # the sweep's own checks: degree, max_depth and workers
-        for name in ("res_width", "gram_width", "tail_threshold", "galerkin_tol"):
-            value = getattr(self, name)
-            if value is None and name.endswith("_width"):
-                continue  # no width budget
-            if isinstance(value, bool) or not (isinstance(value, (int, float)) and 0 < value < math.inf):
-                raise UsageError(f"{name} must be finite and > 0, got {value!r}")
-        self.holder = check_holder(self.p, self.holder)
         try:
-            # the existence-test stage's coefficient, which would otherwise
-            # reject an out-of-scope triple after the sweep
+            # the existence-test stage's coefficient, which checks the triple
+            # and would otherwise reject an out-of-scope one after the sweep
             g_coefficient(self.p, self.holder)
         except UnsupportedError as exc:
-            triple = ",".join(map(str, self.holder))
-            raise UsageError(f"Holder triple {triple}: {exc}") from exc
+            raise UsageError(f"Holder triple {','.join(map(str, self.holder))}: {exc}") from exc
         try:
             sobolev_constant(linf_exponents(self.p)[0])  # the linf-bound stage's C_q
         except UnsupportedError as exc:
             raise UsageError(f"p = {self.p}: {exc}") from exc
 
     def echo(self) -> dict:
-        return {
-            "p": str(self.p),
-            "n_modes": self.n_modes,
-            "eig_n": self.eig_n,
-            "grid_m": self.grid_m,
-            "degree": self.degree,
-            "holder": [str(h) for h in self.holder],
-            "linf_qr": [str(v) for v in linf_exponents(self.p)],
-            "max_depth": self.max_depth,
-            "res_width": self.res_width,
-            "gram_width": self.gram_width,
-            "tail_threshold": self.tail_threshold,
-            "galerkin_tol": self.galerkin_tol,
-        }
+        """The settings but the local ones, and the linf_qr p fixes, as the
+        certificate's JSON holds them: Fractions as strings, tuples as lists."""
+        echo = {f.name: getattr(self, f.name) for f in fields(self) if not f.metadata["local"]}
+        echo["linf_qr"] = linf_exponents(self.p)
+        return json.loads(json.dumps(echo, default=str))
 
     def quad(self) -> QuadConfig:
         return QuadConfig(
-            degree=self.degree,
-            grid_m=self.grid_m,
-            max_depth=self.max_depth,
-            workers=self.workers,
+            degree=self.degree, grid_m=self.grid_m, max_depth=self.max_depth, workers=self.workers
         )
 
 
-def _solve_or_load(cfg: RunConfig) -> FourierApproximation:
-    if cfg.coeffs_in:
-        with open(cfg.coeffs_in) as fh:
-            return FourierApproximation.from_json(fh.read())
-    return newton_solve(GalerkinConfig(n_modes=cfg.n_modes, p=cfg.p, tol=cfg.galerkin_tol))
+def _load_coeffs(path) -> FourierApproximation:
+    with open(path) as fh:
+        return FourierApproximation.from_json(fh.read())
+
+
+def _write(path, text: str) -> bool:
+    # a failed write is reported, not raised: it changes no certificate
+    try:
+        with open(path, "w") as fh:
+            fh.write(text)
+    except OSError as exc:
+        print(f"cannot write {path}: {exc}", file=sys.stderr)
+        return False
+    return True
 
 
 # one BLAS thread: Galerkin's leggauss and the spectral stage make products
@@ -156,26 +183,21 @@ def run_pipeline(cfg: RunConfig, log=None) -> ProofCertificate:
 
     stage = "galerkin"
     try:
-        u_hat = _solve_or_load(cfg)
+        if cfg.coeffs_in:
+            u_hat = _load_coeffs(cfg.coeffs_in)
+        else:
+            u_hat = newton_solve(GalerkinConfig(n_modes=cfg.n_modes, p=cfg.p, tol=cfg.galerkin_tol))
         say(f"galerkin: amplitude ~ {u_hat.center_value():.4f}")
         if cfg.coeffs_out:
-            with open(cfg.coeffs_out, "w") as fh:
-                fh.write(u_hat.to_json())
+            _write(cfg.coeffs_out, u_hat.to_json())
 
         stage = "integration"
         indices = symmetric_indices(cfg.eig_n)
         res_norm, gram, ranges, stats = pipeline_sweep(
-            u_hat,
-            cfg.p,
-            indices,
-            cfg.quad(),
-            res_width=cfg.res_width,
-            gram_width=cfg.gram_width,
+            u_hat, cfg.p, indices, cfg.quad(), res_width=cfg.res_width, gram_width=cfg.gram_width
         )
-        say(
-            f"sweep: residual={res_norm} rects={stats['rects']} "
-            f"over_budget={stats['over_budget']} max_hi={ranges[1]:.6g}"
-        )
+        say(f"sweep: residual={res_norm} rects={stats['rects']} "
+            f"over_budget={stats['over_budget']} max_hi={ranges[1]:.6g}")
 
         stage = "delta"
         delta = delta_from_residual(res_norm, poincare_c2())
@@ -188,8 +210,7 @@ def run_pipeline(cfg: RunConfig, log=None) -> ProofCertificate:
         )
         say(f"K: {k_bound}")
         if cfg.pencil_out:
-            with open(cfg.pencil_out, "w") as fh:
-                json.dump(pencil.to_json_dict(), fh, indent=1)
+            _write(cfg.pencil_out, json.dumps(pencil.to_json_dict(), indent=1))
 
         stage = "existence-test"
         c_coeff = g_coefficient(cfg.p, cfg.holder)
@@ -217,11 +238,11 @@ def run_pipeline(cfg: RunConfig, log=None) -> ProofCertificate:
 
 
 def run_verify(cfg: RunConfig, log=None) -> tuple[int, ProofCertificate]:
+    """Run the pipeline and write the certificate to cfg.out; a certificate
+    that could not be written exits EXIT_STAGE, valid or not."""
     cert = run_pipeline(cfg, log=log)
-    if cfg.out:
-        with open(cfg.out, "w") as fh:
-            fh.write(cert.to_json())
-    return (EXIT_OK if cert.valid else EXIT_STAGE), cert
+    written = not cfg.out or _write(cfg.out, cert.to_json())
+    return (EXIT_OK if cert.valid and written else EXIT_STAGE), cert
 
 
 # ----------------------------------------------------------------------
@@ -230,12 +251,11 @@ def run_verify(cfg: RunConfig, log=None) -> tuple[int, ProofCertificate]:
 
 def psa_selftest(out=None) -> int:
     """Re-run the worked series-arithmetic examples; 0 iff all reproduce."""
-    from .interval import Interval as Iv
     from .psa import ElemFn, PowerSeries1D, ps_compose
 
     out = out or sys.stdout
     ulp = 2.0**-52
-    dom = Iv(0.0, 0.1)
+    dom = Interval(0.0, 0.1)
     u = PowerSeries1D.from_floats([1.0, 2.0, -3.0], dom)
     v = PowerSeries1D.from_floats([1.0, -1.0, 1.0], dom)
     failures = []
@@ -276,38 +296,36 @@ def psa_selftest(out=None) -> int:
 def cmd_constants(args, out=None) -> int:
     if args.eig_dim < 1:
         raise UsageError(f"--eig-dim must be >= 1, got {args.eig_dim}")
+    p = None if args.p is None else _rational("--p", args.p)
     # C_p for p <= 2 is the Holder reduction to C2 on the unit square,
     # which needs p >= 1; below 1 there is no embedding constant
-    if args.p is not None and args.p < 1:
-        raise UsageError(f"--p must be >= 1, got {args.p}")
-    c_p = None
-    if args.p is not None and args.p > 2:
+    if p is not None and p < 1:
+        raise UsageError(f"--p must be >= 1, got {p}")
+    if p is not None and p > 2:
         try:
-            c_p = embedding_constant(args.p)
+            c_p = embedding_constant(p)
         except UnsupportedError as exc:
-            raise UsageError(f"--p {args.p}: {exc}") from exc
+            raise UsageError(f"--p {p}: {exc}") from exc
+    elif p is not None:
+        c_p = f"{poincare_c2()} (Holder reduction to C2)"
     out = out or sys.stdout
     print(f"C2      = {poincare_c2()}", file=out)
     print(f"C4      = {embedding_constant(Fraction(4))}", file=out)
     print(f"C_N(N={args.eig_dim}) = {projection_constant(args.eig_dim)}", file=out)
     print(f"lambda1 = {lambda1_interval()}", file=out)
-    if args.p is not None:
-        p = args.p
-        if c_p is not None:
-            print(f"C_{p}    = {c_p}", file=out)
-        else:
-            print(f"C_{p}    = {poincare_c2()} (Holder reduction to C2)", file=out)
+    if p is not None:
+        print(f"C_{p}    = {c_p}", file=out)
     return EXIT_OK
 
 
 def cmd_plot_data(args, out_stream=sys.stderr) -> int:
     if args.grid < 1:
         raise UsageError(f"--grid must be >= 1, got {args.grid}")
+    p = _rational("--p", args.p)
     if args.coeffs_in:
-        with open(args.coeffs_in) as fh:
-            u = FourierApproximation.from_json(fh.read())
+        u = _load_coeffs(args.coeffs_in)
     else:
-        u = newton_solve(GalerkinConfig(n_modes=args.modes, p=args.p))
+        u = newton_solve(GalerkinConfig(n_modes=args.modes, p=p))
     g = args.grid
     xs = np.linspace(0.0, 1.0, g + 1)
     vals = u.eval_grid(xs, xs)
@@ -332,34 +350,25 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_USAGE)
 
 
-def _parse_fraction(text: str) -> Fraction:
-    try:
-        return Fraction(text)
-    except (ValueError, ZeroDivisionError):
-        raise argparse.ArgumentTypeError(f"not a rational number: {text!r}")
-
-
-def _parse_triple(text: str):
-    parts = [t.strip() for t in text.split(",")]
-    if len(parts) != 3:
-        raise argparse.ArgumentTypeError("expected q,r,s")
-    return tuple(_parse_fraction(t) for t in parts)
-
-
 def build_parser() -> _Parser:
     ap = _Parser(prog="powcert", description=__doc__)
     sub = ap.add_subparsers(dest="command", required=True)
 
     v = sub.add_parser("verify", help="run the full verification pipeline")
-    # configuration flags default to None, so that a flag counts as given
-    # only when passed; RunConfig holds the defaults
-    v.add_argument("--p", type=_parse_fraction, help="exponent p (default 3/2)")
-    v.add_argument("--modes", type=int, help="Galerkin mode cutoff N_u (default 60)")
-    v.add_argument("--eig-dim", type=int, help="eigenvalue subspace cutoff N (default 14)")
-    v.add_argument("--grid", type=int, help="rectangles per quadrant edge M (default 16)")
-    v.add_argument("--psa-degree", type=int, help="default 10")
-    v.add_argument("--holder", type=_parse_triple, metavar="q,r,s", help="default 4,4,2")
-    v.add_argument("--workers", type=int, help="default 0: available parallelism")
+
+    def setting(flag, name, text, **kw):
+        # no parser default: a flag counts as given only when passed
+        default = RunConfig.__dataclass_fields__[name].default
+        shown = ",".join(map(str, default)) if isinstance(default, tuple) else default
+        v.add_argument(flag, dest=name, help=f"{text} (default {shown})", **kw)
+
+    setting("--p", "p", "exponent p")
+    setting("--modes", "n_modes", "Galerkin mode cutoff N_u", type=int)
+    setting("--eig-dim", "eig_n", "eigenvalue subspace cutoff N", type=int)
+    setting("--grid", "grid_m", "rectangles per quadrant edge M", type=int)
+    setting("--psa-degree", "degree", "PSA degree", type=int)
+    setting("--holder", "holder", "Holder exponents", type=lambda s: s.split(","), metavar="q,r,s")
+    setting("--workers", "workers", "worker processes, 0 for one per CPU", type=int)
     v.add_argument("--out", default="certificate.json")
     v.add_argument("--coeffs-in", default=None)
     v.add_argument("--coeffs-out", default=None)
@@ -368,7 +377,7 @@ def build_parser() -> _Parser:
     v.add_argument("--quiet", action="store_true")
 
     c = sub.add_parser("constants", help="print the verified constants")
-    c.add_argument("--p", type=_parse_fraction, default=None)
+    c.add_argument("--p")
     c.add_argument("--eig-dim", type=int, default=14)
 
     sub.add_parser("psa-selftest", help="reproduce the worked series examples")
@@ -376,60 +385,40 @@ def build_parser() -> _Parser:
     pd = sub.add_parser("plot-data", help="sample u_hat on a grid to CSV")
     pd.add_argument("--grid", type=int, default=64)
     pd.add_argument("--modes", type=int, default=20)
-    pd.add_argument("--p", type=_parse_fraction, default=Fraction(3, 2))
+    pd.add_argument("--p", default="3/2")
     pd.add_argument("--coeffs-in", default=None)
     pd.add_argument("--out", default=None)
     return ap
 
 
-# config-file keys with the verify flag that overrides each
-_FLAG_KEYS = {
-    "p": "p",
-    "n_modes": "modes",
-    "eig_n": "eig_dim",
-    "grid_m": "grid",
-    "degree": "psa_degree",
-    "holder": "holder",
-    "workers": "workers",
-}
-_FILE_ONLY_KEYS = {
-    "res_width", "gram_width", "tail_threshold", "galerkin_tol", "max_depth", "linf_qr"
-}
-
-
 def _config_from_args(args) -> RunConfig:
     merged = {}
     if args.config:
-        with open(args.config) as fh:
-            merged = json.load(fh)
+        try:
+            with open(args.config) as fh:
+                merged = json.load(fh)
+        except (OSError, ValueError) as exc:
+            raise UsageError(f"config file {args.config}: {exc}") from None
         if not isinstance(merged, dict):
             raise UsageError(f"{args.config}: expected a JSON object")
-        unknown = sorted(set(merged) - set(_FLAG_KEYS) - _FILE_ONLY_KEYS)
+        # every setting but a path, and the linf_qr a certificate's config echoes
+        keys = {f.name for f in fields(RunConfig) if f.metadata["check"]} | {"linf_qr"}
+        unknown = sorted(set(merged) - keys)
         if unknown:
             raise UsageError(f"{args.config}: unknown config keys {unknown}")
-    for key, flag in _FLAG_KEYS.items():
-        if getattr(args, flag) is not None:
-            merged[key] = getattr(args, flag)
-    # exponent lists as a certificate's config echoes them: ["4", "2"]
-    for key in ("holder", "linf_qr"):
-        if key in merged:
-            if not isinstance(merged[key], (list, tuple)):
-                raise UsageError(f"{key}: expected a list, got {merged[key]!r}")
-            try:
-                merged[key] = tuple(Fraction(str(v)) for v in merged[key])
-            except (TypeError, ValueError, ZeroDivisionError) as exc:
-                raise UsageError(f"{key}: not a list of rational numbers: {exc}") from exc
+    for f in fields(RunConfig):
+        if getattr(args, f.name, None) is not None:
+            merged[f.name] = getattr(args, f.name)
+    # an output path that cannot be written is refused before anything is solved
+    for name in ("out", "coeffs_out", "pencil_out"):
+        path = merged.get(name)
+        if path and (os.path.isdir(path) or not os.access(os.path.dirname(path) or ".", os.W_OK)):
+            raise UsageError(f"{name}: cannot write {path!r}: not a file in a writable directory")
     # a certificate's config echoes the L-infinity exponents, which p fixes
     qr = merged.pop("linf_qr", None)
-    cfg = RunConfig(
-        **merged,
-        out=args.out,
-        coeffs_in=args.coeffs_in,
-        coeffs_out=args.coeffs_out,
-        pencil_out=args.pencil_out,
-    )
+    cfg = RunConfig(**merged)
     q, r = linf_exponents(cfg.p)
-    if qr is not None and qr != (q, r):
+    if qr is not None and _rationals("linf_qr", qr) != (q, r):
         raise UsageError(
             f"linf_qr: p = {cfg.p} fixes (q,r) = ({q},{r}), the pair with r p' = 2 "
             "(the exact L2 norm of u_hat) and 2/q + 1/r = 1"
@@ -445,8 +434,7 @@ def main(argv=None) -> int:
     try:
         if args.command == "verify":
             cfg = _config_from_args(args)
-            log = None if args.quiet else sys.stderr
-            code, cert = run_verify(cfg, log=log)
+            code, cert = run_verify(cfg, log=None if args.quiet else sys.stderr)
             print(cert.to_json())
             if not cert.valid:
                 print(f"stage failure: {cert.status}", file=sys.stderr)
@@ -457,7 +445,7 @@ def main(argv=None) -> int:
             return psa_selftest()
         if args.command == "plot-data":
             return cmd_plot_data(args)
-    except UsageError as exc:
+    except (UsageError, OSError) as exc:  # OSError: a plot-data path
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except PowcertError as exc:

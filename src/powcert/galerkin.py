@@ -97,15 +97,19 @@ class FourierApproximation:
 
     @classmethod
     def from_json(cls, text: str) -> "FourierApproximation":
-        data = json.loads(text)
-        n_max = int(data["n_max"])
-        m = odd_modes(n_max)
-        index = {int(v): k for k, v in enumerate(m)}
-        coeffs = np.zeros((len(m), len(m)))
-        for i, j, a in data["coeffs"]:
-            if i not in index or j not in index:
-                raise UsageError(f"mode ({i},{j}) is not an odd mode <= {n_max}")
-            coeffs[index[i], index[j]] = float(a)
+        """Parse the exchange format; malformed text is a UsageError."""
+        try:
+            data = json.loads(text)
+            n_max = int(data["n_max"])
+            m = odd_modes(n_max)
+            index = {int(v): k for k, v in enumerate(m)}
+            coeffs = np.zeros((len(m), len(m)))
+            for i, j, a in data["coeffs"]:
+                if i not in index or j not in index:
+                    raise UsageError(f"mode ({i},{j}) is not an odd mode <= {n_max}")
+                coeffs[index[i], index[j]] = float(a)
+        except (KeyError, TypeError, ValueError) as exc:  # UsageError is a ValueError
+            raise UsageError(f"coefficient JSON: {exc}") from exc
         return cls(n_max, coeffs)
 
 

@@ -320,6 +320,14 @@ class TestCertificate:
         with pytest.raises(UsageError):
             ProofCertificate.from_json(text)
 
+    def test_unparseable_document_is_usage_error(self):
+        with pytest.raises(UsageError, match="certificate JSON"):
+            ProofCertificate.from_json("not json {")
+        doc = json.loads(self._fake_valid().to_json())
+        doc["meta"] = ["2026-01-01"]
+        with pytest.raises(UsageError, match="meta"):
+            ProofCertificate.from_json(json.dumps(doc))
+
     def test_unreadable_interval_is_usage_error(self):
         doc = json.loads(self._fake_valid().to_json())
         doc["certificate"]["delta"] = {"lo": "0.1"}

@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+from dataclasses import fields
 from fractions import Fraction
 
 import numpy as np
@@ -18,6 +19,8 @@ from powcert.cli import (
     EXIT_STAGE,
     EXIT_USAGE,
     RunConfig,
+    _config_from_args,
+    build_parser,
     main,
     psa_selftest,
     run_pipeline,
@@ -77,6 +80,37 @@ class TestRunConfig:
         echo = cfg.echo()
         assert echo["p"] == "3/2"
         assert echo["grid_m"] == 3
+
+    def test_default_echo(self):
+        assert RunConfig().echo() == {
+            "p": "3/2",
+            "n_modes": 60,
+            "eig_n": 14,
+            "grid_m": 16,
+            "degree": 10,
+            "holder": ["4", "4", "2"],
+            "linf_qr": ["4", "2"],
+            "max_depth": 12,
+            "res_width": 0.02,
+            "gram_width": 1e-05,
+            "tail_threshold": 2.0,
+            "galerkin_tol": 1e-11,
+        }
+
+    def test_verify_flags_store_into_fields(self):
+        given = vars(build_parser().parse_args(["verify"]))
+        assert set(given) - {"command", "config", "quiet"} <= {f.name for f in fields(RunConfig)}
+
+    def test_config_file_keys(self, tmp_path):
+        # the echo, and workers: every setting but a path
+        cfgfile = tmp_path / "cfg.json"
+        cfgfile.write_text(json.dumps({**RunConfig().echo(), "workers": 1}))
+        args = build_parser().parse_args(["verify", "--config", str(cfgfile)])
+        assert _config_from_args(args).workers == 1
+        for key in ("out", "coeffs_in", "coeffs_out", "pencil_out"):
+            cfgfile.write_text(json.dumps({key: str(tmp_path / "x.json")}))
+            with pytest.raises(UsageError, match="unknown config keys"):
+                _config_from_args(args)
 
 
 class TestPipelineTiny:
@@ -368,6 +402,51 @@ class TestSubcommands:
         assert code == EXIT_STAGE  # the tiny run fails the spectral tail, as above
         assert json.loads(out2.read_text())["certificate"]["config"] == echo
 
+    @pytest.mark.parametrize(
+        "files, argv, code",
+        [
+            ({}, ["--config", "{d}/missing.json"], EXIT_USAGE),
+            ({"cfg.json": "not json"}, ["--config", "{d}/cfg.json"], EXIT_USAGE),
+            ({"cfg.json": '{"p": "abc"}'}, ["--config", "{d}/cfg.json"], EXIT_USAGE),
+            ({"cfg.json": '{"p": [1]}'}, ["--config", "{d}/cfg.json"], EXIT_USAGE),
+            ({"cfg.json": '{"p": "1/0"}'}, ["--config", "{d}/cfg.json"], EXIT_USAGE),
+            ({}, ["--out", "{d}/missing/cert.json"], EXIT_USAGE),
+            ({}, ["--out", "{d}"], EXIT_USAGE),
+            ({}, ["--coeffs-out", "{d}/missing/u.json"], EXIT_USAGE),
+            ({}, ["--pencil-out", "{d}/missing/pencil.json"], EXIT_USAGE),
+            # a coefficient file is read by the galerkin stage, which fails
+            ({"u.json": "not json"}, ["--coeffs-in", "{d}/u.json"], EXIT_STAGE),
+            ({"u.json": "{}"}, ["--coeffs-in", "{d}/u.json"], EXIT_STAGE),
+        ],
+        ids=[
+            "config-missing", "config-not-json", "config-p-abc", "config-p-list",
+            "config-p-1-over-0", "out-missing-dir", "out-is-dir", "coeffs-out-missing-dir",
+            "pencil-out-missing-dir", "coeffs-in-not-json", "coeffs-in-empty-object",
+        ],
+    )
+    def test_outside_input_exits_cleanly(self, tmp_path, monkeypatch, capsys, files, argv, code):
+        monkeypatch.setattr(cli, "newton_solve", refuse_solve)
+        for name, text in files.items():
+            (tmp_path / name).write_text(text)
+        argv = [arg.format(d=tmp_path) for arg in argv]
+        if "--out" not in argv:
+            argv += ["--out", str(tmp_path / "cert.json")]
+        assert main(["verify", *argv, "--quiet"]) == code
+        captured = capsys.readouterr()
+        assert "Traceback" not in captured.err
+        if code == EXIT_USAGE:
+            assert captured.out == "" and "usage error" in captured.err
+            assert not (tmp_path / "cert.json").exists()
+        else:
+            status = json.loads(captured.out)["certificate"]["status"]
+            assert status == "failed: galerkin"
+            assert "coefficient JSON" in json.loads(captured.out)["certificate"]["failure"]
+
+    def test_plot_data_missing_coeffs_is_usage_error(self, tmp_path, capsys):
+        argv = ["plot-data", "--coeffs-in", str(tmp_path / "missing.json")]
+        assert main([*argv, "--out", str(tmp_path / "plot.csv")]) == EXIT_USAGE
+        assert "No such file" in capsys.readouterr().err
+
     def test_entry_point_subprocess(self):
         res = subprocess.run(
             [sys.executable, "-m", "powcert.cli", "psa-selftest"],
@@ -404,6 +483,34 @@ class TestStageFailures:
         data = json.loads(out.read_text())["certificate"]
         assert data["status"] == f"failed: {stage}"
         assert "injected failure" in cert.failure
+
+    @pytest.mark.parametrize("side", ["coeffs_out", "pencil_out"])
+    def test_failed_side_file_keeps_status(self, tmp_path, capsys, side):
+        missing = tmp_path / "missing" / "side.json"
+        cert = run_pipeline(RunConfig(**SMALL_VALID, **{side: str(missing)}))
+        assert cert.status == "valid"
+        assert f"cannot write {missing}" in capsys.readouterr().err
+
+    def test_failed_certificate_write_exits_stage(self, tmp_path, monkeypatch, capsys):
+        # the --out directory goes away after the checks: the run still
+        # prints its certificate, and exits EXIT_STAGE
+        real = cli.run_pipeline
+        outdir = tmp_path / "gone"
+        outdir.mkdir()
+
+        def pipeline_then_rmdir(cfg, log=None):
+            outdir.rmdir()
+            return real(cfg, log=log)
+
+        monkeypatch.setattr(cli, "run_pipeline", pipeline_then_rmdir)
+        cfgfile = tmp_path / "cfg.json"
+        cfgfile.write_text(json.dumps(SMALL_VALID))
+        out = outdir / "cert.json"
+        code = main(["verify", "--config", str(cfgfile), "--out", str(out), "--quiet"])
+        captured = capsys.readouterr()
+        assert code == EXIT_STAGE
+        assert json.loads(captured.out)["certificate"]["status"] == "valid"
+        assert f"cannot write {out}" in captured.err
 
     def test_definiteness_error_fails_inverse_bound(self, monkeypatch):
         real = cli.pipeline_sweep

@@ -64,6 +64,15 @@ class TestBasics:
         with pytest.raises(UsageError):
             FourierApproximation.from_json('{"n_max": 3, "coeffs": [[2, 1, 0.5]]}')
 
+    @pytest.mark.parametrize(
+        "text",
+        ["not json", "[]", "{}", '{"n_max": 3}', '{"n_max": "x", "coeffs": []}',
+         '{"n_max": 3, "coeffs": [[1, 1]]}', '{"n_max": 3, "coeffs": [[1, 1, "a"]]}'],
+    )
+    def test_json_malformed_is_usage_error(self, text):
+        with pytest.raises(UsageError, match="coefficient JSON"):
+            FourierApproximation.from_json(text)
+
 
 class TestSolve:
     def test_one_mode_matches_scalar_oracle(self):
