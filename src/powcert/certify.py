@@ -21,10 +21,12 @@ from dataclasses import dataclass, field, fields
 from datetime import datetime, timezone
 from fractions import Fraction
 
+import numpy as np
+
 from .errors import UnsupportedError, UsageError, VerificationFailure
 from .galerkin import FourierApproximation
 from .interval import PI, SQRT2, Interval, gamma_half, iv_pow
-from .ivarray import IArr
+from .ivarray import IArr, blas_core
 
 __all__ = [
     "AlphaSearch",
@@ -189,8 +191,7 @@ def find_alpha(delta: Interval, k: Interval, c: Interval, p: Fraction) -> AlphaS
         if h(alpha_peak) < 0.0:
             raise VerificationFailure(
                 f"existence test infeasible: max of alpha/K - G(alpha) is "
-                f"{h(alpha_peak) + df:.6g} < delta = {df:.6g}",
-                stage="existence-test",
+                f"{h(alpha_peak) + df:.6g} < delta = {df:.6g}"
             )
         lo_a, hi_a = 0.0, alpha_peak
         for _ in range(200):
@@ -210,8 +211,7 @@ def find_alpha(delta: Interval, k: Interval, c: Interval, p: Fraction) -> AlphaS
         alpha *= 1.0 + 2.0**-20
     raise VerificationFailure(
         "no verified alpha found near the floating-point root "
-        f"{alpha0:.9g} (margin {margin.lo:.3g}, contraction {contraction.hi:.6g})",
-        stage="existence-test",
+        f"{alpha0:.9g} (margin {margin.lo:.3g}, contraction {contraction.hi:.6g})"
     )
 
 
@@ -319,7 +319,8 @@ def _body(key: str, codec=_PLAIN, optional: bool = False, **kw):
 @dataclass
 class ProofCertificate:
     """The certificate: each body field declares its JSON key and codec;
-    the timestamp goes to meta, outside the deterministic body."""
+    the timestamp, the numpy version and the OpenBLAS kernel go to meta,
+    outside the deterministic body."""
 
     status: str = _body("status")   # "valid" or "failed: <stage>"
     p: Fraction = _body("p", _FRACTION)
@@ -335,6 +336,8 @@ class ProofCertificate:
     failure: str | None = _body("failure", optional=True, default=None)
     config: dict = _body("config", optional=True, default_factory=dict)
     timestamp: str = field(default_factory=lambda: datetime.now(timezone.utc).isoformat())
+    numpy: str | None = np.__version__
+    blas_core: str | None = field(default_factory=blas_core)
 
     @property
     def valid(self) -> bool:
@@ -359,7 +362,7 @@ class ProofCertificate:
         return body
 
     def to_json(self) -> str:
-        doc = {"certificate": self.body_dict(), "meta": {"timestamp": self.timestamp}}
+        doc = {"certificate": self.body_dict(), "meta": {key: getattr(self, key) for key in _META}}
         return json.dumps(doc, indent=2, sort_keys=True)
 
     @classmethod
@@ -386,10 +389,12 @@ class ProofCertificate:
                 kw[f.name] = None if body[key] is None else load(body[key])
             except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
                 raise UsageError(f"certificate body key {key!r}: {exc!r}") from exc
-        return cls(**kw, timestamp=meta.get("timestamp", ""))
+        return cls(**kw, **{key: meta.get(key, missing) for key, missing in _META.items()})
 
 
 _BODY_FIELDS = [f for f in fields(ProofCertificate) if "key" in f.metadata]
+# the meta keys, and the value a certificate read back without one takes
+_META = {"timestamp": "", "numpy": None, "blas_core": None}
 
 
 def build_certificate(

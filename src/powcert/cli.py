@@ -173,8 +173,7 @@ def _write(path, text: str) -> bool:
 @single_blas_thread()
 def run_pipeline(cfg: RunConfig, log=None) -> ProofCertificate:
     """galerkin -> quad -> spectral -> certify; any stage failure yields a
-    failed certificate naming the stage (never a silent partial success).
-    A failure that names its own stage (VerificationFailure.stage) keeps it."""
+    failed certificate naming the stage (never a silent partial success)."""
     echo = cfg.echo()
 
     def say(msg):
@@ -185,6 +184,11 @@ def run_pipeline(cfg: RunConfig, log=None) -> ProofCertificate:
     try:
         if cfg.coeffs_in:
             u_hat = _load_coeffs(cfg.coeffs_in)
+            # the echoed n_modes must be the one that made u_hat
+            if u_hat.n_max != cfg.n_modes:
+                raise UsageError(
+                    f"{cfg.coeffs_in} holds n_max = {u_hat.n_max}, but n_modes = {cfg.n_modes}"
+                )
         else:
             u_hat = newton_solve(GalerkinConfig(n_modes=cfg.n_modes, p=cfg.p, tol=cfg.galerkin_tol))
         say(f"galerkin: amplitude ~ {u_hat.center_value():.4f}")
@@ -229,8 +233,7 @@ def run_pipeline(cfg: RunConfig, log=None) -> ProofCertificate:
         amp = amplitude_enclosure(r2, ranges)
         say(f"positivity: {pos.verdict} bound={pos.neg_part_bound} amplitude={amp}")
     except (PowcertError, OSError) as exc:
-        named = getattr(exc, "stage", None) or stage
-        return failed_certificate(cfg.p, echo, named, str(exc))
+        return failed_certificate(cfg.p, echo, stage, str(exc))
 
     return build_certificate(
         cfg.p, echo, res_norm, delta, k_bound, c_coeff, alpha, r2, pos, amp

@@ -60,7 +60,3 @@ class VerificationFailure(PowcertError):
     eigenvalue enclosure straddles the singular value mu = 0, or no
     alpha satisfies the existence test). The pipeline converts these
     into a failed certificate rather than a crash."""
-
-    def __init__(self, message, stage=None):
-        super().__init__(message)
-        self.stage = stage

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -26,7 +26,6 @@ from .errors import SolverError, UsageError
 __all__ = [
     "FourierApproximation",
     "GalerkinConfig",
-    "SolveInfo",
     "newton_solve",
     "odd_modes",
 ]
@@ -107,10 +106,17 @@ class FourierApproximation:
             for i, j, a in data["coeffs"]:
                 if i not in index or j not in index:
                     raise UsageError(f"mode ({i},{j}) is not an odd mode <= {n_max}")
-                coeffs[index[i], index[j]] = float(a)
+                coeffs[index[i], index[j]] = a = float(a)
+                if not math.isfinite(a):
+                    raise UsageError(f"mode ({i},{j}) has the non-finite coefficient {a}")
         except (KeyError, TypeError, ValueError) as exc:  # UsageError is a ValueError
             raise UsageError(f"coefficient JSON: {exc}") from exc
         return cls(n_max, coeffs)
+
+
+# Newton steps allowed, and Picard warm-up steps taken
+_NEWTON_STEPS = 60
+_PICARD_STEPS = 50
 
 
 @dataclass
@@ -118,10 +124,7 @@ class GalerkinConfig:
     n_modes: int = 60
     p: Fraction = Fraction(3, 2)
     tol: float = 1e-11          # relative discrete residual target
-    max_iter: int = 60
-    picard_iters: int = 50
     quad_points: int | None = None  # default: tied to n_modes
-    initial_coeffs: np.ndarray | None = None
 
     def __post_init__(self):
         self.p = Fraction(self.p)
@@ -129,14 +132,6 @@ class GalerkinConfig:
             raise UsageError(f"p must be in (1, 2), got {self.p}")
         if self.tol <= 0:
             raise UsageError("tolerance must be positive")
-
-
-@dataclass
-class SolveInfo:
-    newton_iters: int = 0
-    picard_iters: int = 0
-    residual: float = math.nan
-    history: list = field(default_factory=list)
 
 
 class _Workspace:
@@ -191,36 +186,27 @@ def _one_mode_seed(ws: _Workspace, p: float) -> float:
     return (math.pi**2 / 2.0 / I) ** (1.0 / (p - 1.0))
 
 
-def newton_solve(cfg: GalerkinConfig, return_info: bool = False):
+def newton_solve(cfg: GalerkinConfig) -> FourierApproximation:
     """Solve the Galerkin system (grad u, grad phi) = (|u|^(p-1) u, phi)."""
     ws = _Workspace(cfg)
     K = ws.K
-    info = SolveInfo()
-
-    if cfg.initial_coeffs is not None:
-        A = np.array(cfg.initial_coeffs, dtype=float)
-        if A.shape != (K, K):
-            raise UsageError("initial coefficient shape mismatch")
-    else:
-        A = np.zeros((K, K))
-        A[0, 0] = _one_mode_seed(ws, ws.p)
-        # normalized Picard warm-up: z <- invLap(f(z)) / peak, amplitude from
-        # the peak ratio t = rho^(-1/(p-1))
-        sgn = ws.center_sign()
-        z = A / max(abs(A[0, 0]), 1e-300)
-        rho = 1.0
-        for _ in range(cfg.picard_iters):
-            B = ws.project(ws.nonlin(ws.synth(z))) / ws.stiff
-            rho = float(sgn @ B @ sgn)
-            if not (rho > 0):
-                raise SolverError("Picard warm-up lost positivity at the center")
-            z = B / rho
-            info.picard_iters += 1
-        A = z * rho ** (-1.0 / (ws.p - 1.0))
+    A = np.zeros((K, K))
+    A[0, 0] = _one_mode_seed(ws, ws.p)
+    # normalized Picard warm-up: z <- invLap(f(z)) / peak, amplitude from
+    # the peak ratio t = rho^(-1/(p-1))
+    sgn = ws.center_sign()
+    z = A / max(abs(A[0, 0]), 1e-300)
+    rho = 1.0
+    for _ in range(_PICARD_STEPS):
+        B = ws.project(ws.nonlin(ws.synth(z))) / ws.stiff
+        rho = float(sgn @ B @ sgn)
+        if not (rho > 0):
+            raise SolverError("Picard warm-up lost positivity at the center")
+        z = B / rho
+    A = z * rho ** (-1.0 / (ws.p - 1.0))
 
     rn = ws.res_norm(A)
-    info.history.append(rn)
-    for _ in range(cfg.max_iter):
+    for _ in range(_NEWTON_STEPS):
         if rn < cfg.tol:
             break
         J = ws.jacobian(A)
@@ -239,13 +225,9 @@ def newton_solve(cfg: GalerkinConfig, return_info: bool = False):
             step *= 0.5
         else:
             raise SolverError("line search stalled", last_residual=rn)
-        info.newton_iters += 1
-        info.history.append(rn)
 
     if rn >= cfg.tol:
         raise SolverError(
-            f"no convergence after {cfg.max_iter} Newton steps", last_residual=rn
+            f"no convergence after {_NEWTON_STEPS} Newton steps", last_residual=rn
         )
-    info.residual = rn
-    u_hat = FourierApproximation(cfg.n_modes, A)
-    return (u_hat, info) if return_info else u_hat
+    return FourierApproximation(cfg.n_modes, A)

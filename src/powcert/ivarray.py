@@ -40,21 +40,23 @@ _NEG_INF = -math.inf
 _POS_INF = math.inf
 
 
-# (get, set) thread-count symbols of the OpenBLAS builds numpy ships or
-# links: scipy-openblas with 64-bit and with 32-bit integers, plain OpenBLAS
-_BLAS_THREAD_SYMBOLS = (
-    ("scipy_openblas_get_num_threads64_", "scipy_openblas_set_num_threads64_"),
-    ("scipy_openblas_get_num_threads", "scipy_openblas_set_num_threads"),
-    ("openblas_get_num_threads64_", "openblas_set_num_threads64_"),
-    ("openblas_get_num_threads", "openblas_set_num_threads"),
+# (get threads, set threads, core name) symbols of the OpenBLAS builds numpy
+# ships or links: scipy-openblas with 64-bit and with 32-bit integers, plain
+# OpenBLAS alike
+_BLAS_SYMBOLS = (
+    ("scipy_openblas_get_num_threads64_", "scipy_openblas_set_num_threads64_", "scipy_openblas_get_corename64_"),
+    ("scipy_openblas_get_num_threads", "scipy_openblas_set_num_threads", "scipy_openblas_get_corename"),
+    ("openblas_get_num_threads64_", "openblas_set_num_threads64_", "openblas_get_corename64_"),
+    ("openblas_get_num_threads", "openblas_set_num_threads", "openblas_get_corename"),
 )
 
 
 @lru_cache(maxsize=None)
-def _blas_threads():
-    """The (get, set) thread-count functions of the OpenBLAS loaded into
-    this process, or None when none is found.  Looked up once, on first
-    use, among the shared objects mapped into the process (Linux)."""
+def _openblas():
+    """The (get threads, set threads, core name) functions of the OpenBLAS
+    loaded into this process, the last None if its build has none, or None
+    when none is found.  Looked up once, on first use, among the shared
+    objects mapped into the process (Linux)."""
     import ctypes
 
     try:
@@ -67,13 +69,31 @@ def _blas_threads():
             lib = ctypes.CDLL(path)
         except OSError:
             continue
-        for get_name, set_name in _BLAS_THREAD_SYMBOLS:
-            get, set_ = getattr(lib, get_name, None), getattr(lib, set_name, None)
+        for names in _BLAS_SYMBOLS:
+            get, set_, core = (getattr(lib, name, None) for name in names)
             if get is not None and set_ is not None:
                 get.restype, get.argtypes = ctypes.c_int, []
                 set_.restype, set_.argtypes = None, [ctypes.c_int]
-                return get, set_
+                if core is not None:
+                    core.restype, core.argtypes = ctypes.c_char_p, []
+                return get, set_, core
     return None
+
+
+@lru_cache(maxsize=None)
+def _blas_threads():
+    """The (get, set) thread-count functions of the OpenBLAS loaded into
+    this process, or None when none is found."""
+    found = _openblas()
+    return found and found[:2]
+
+
+def blas_core() -> str | None:
+    """The kernel the loaded OpenBLAS runs, by the name OpenBLAS gives its
+    core (SkylakeX, Haswell, ...; OPENBLAS_CORETYPE chooses it), or None
+    when no OpenBLAS or no such name is found."""
+    found = _openblas()
+    return found[2]().decode() if found and found[2] else None
 
 
 class _BlasHold:

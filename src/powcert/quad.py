@@ -7,7 +7,8 @@ frequencies, so every integrand is even about x = 1/2 and y = 1/2 and the
 integral over the square is four times the integral over the standard
 quadrant [0, 1/2]^2, where eta vanishes exactly on the left and lower
 edges.  The quadrant is covered by an M x M grid of closed rectangles
-classified by adjacency to the vanishing edges:
+classified by adjacency to the vanishing edges, which a rectangle touches
+exactly when its lower x end, or its lower y end, is 0:
 
     S11  touches both edges (Taylor expansion at the corner, factor x*y)
     S01  touches only the lower edge (expansion at the lower-edge midpoint,
@@ -61,7 +62,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
 
@@ -86,11 +86,7 @@ from .ivarray import iv_conv2d_full, iv_corr2d  # noqa: F401
 
 __all__ = [
     "Rect",
-    "RectClass",
-    "Subdivision",
-    "MonomialTerm",
     "QuadConfig",
-    "integrate_monomial",
     "integral_power",
     "pipeline_sweep",
     "gram_from_tables",
@@ -100,56 +96,38 @@ __all__ = [
 _HALF = Fraction(1, 2)
 
 
-class RectClass(Enum):
-    S11 = "S11"
-    S01 = "S01"
-    S10 = "S10"
-    S00 = "S00"
-
-
-def _classify(x0: Fraction, y0: Fraction) -> RectClass:
-    if x0 == 0 and y0 == 0:
-        return RectClass.S11
-    if y0 == 0:
-        return RectClass.S01
-    if x0 == 0:
-        return RectClass.S10
-    return RectClass.S00
-
-
 @dataclass(frozen=True)
 class Rect:
     """Closed rectangle in standard-quadrant coordinates with exact rational
-    corners.  The class encodes adjacency to the vanishing edges x=0 / y=0."""
+    corners.  It touches the vanishing edge x = 0 (y = 0) exactly when its
+    lower x (y) end is 0."""
 
     x0: Fraction
     x1: Fraction
     y0: Fraction
     y1: Fraction
-    cls: RectClass
     depth: int = 0
 
     @classmethod
-    def make(cls, x0, x1, y0, y1, depth: int = 0, rect_cls=None) -> "Rect":
+    def make(cls, x0, x1, y0, y1, depth: int = 0) -> "Rect":
         x0, x1, y0, y1 = Fraction(x0), Fraction(x1), Fraction(y0), Fraction(y1)
         if not (x0 < x1 and y0 < y1):
             raise UsageError("degenerate rectangle")
-        return cls(x0, x1, y0, y1, rect_cls or _classify(x0, y0), depth)
+        return cls(x0, x1, y0, y1, depth)
 
-    # vanishing flags per axis
     @property
     def van_x(self) -> bool:
-        return self.cls in (RectClass.S11, RectClass.S10)
+        return self.x0 == 0
 
     @property
     def van_y(self) -> bool:
-        return self.cls in (RectClass.S11, RectClass.S01)
+        return self.y0 == 0
 
     def local_x(self) -> tuple[Fraction, Fraction]:
-        return _local_edge(self.x0, self.x1, self.van_x)[1:]
+        return _local_edge(self.x0, self.x1)[1:]
 
     def local_y(self) -> tuple[Fraction, Fraction]:
-        return _local_edge(self.y0, self.y1, self.van_y)[1:]
+        return _local_edge(self.y0, self.y1)[1:]
 
     @property
     def area(self) -> float:
@@ -174,42 +152,15 @@ class Rect:
 
     def describe(self) -> str:
         return (
-            f"{self.cls.value} [{self.x0},{self.x1}]x[{self.y0},{self.y1}]"
+            f"S{int(self.van_x)}{int(self.van_y)} [{self.x0},{self.x1}]x[{self.y0},{self.y1}]"
             f" depth={self.depth}"
         )
 
 
-@dataclass(frozen=True)
-class Subdivision:
-    """Uniform M x M grid of the standard quadrant."""
-
-    grid_m: int = 16
-
-    def __post_init__(self):
-        if self.grid_m < 1:
-            raise UsageError("grid parameter must be >= 1")
-
-    def rects(self):
-        m = self.grid_m
-        h = _HALF / m
-        out = []
-        for i in range(m):
-            for j in range(m):
-                out.append(Rect.make(i * h, (i + 1) * h, j * h, (j + 1) * h))
-        return out
-
-
-@dataclass(frozen=True)
-class MonomialTerm:
-    coeff: Interval
-    xexp: Fraction
-    yexp: Fraction
-
-    def __post_init__(self):
-        object.__setattr__(self, "xexp", Fraction(self.xexp))
-        object.__setattr__(self, "yexp", Fraction(self.yexp))
-        if self.xexp <= -1 or self.yexp <= -1:
-            raise UsageError("exponents must exceed -1 for integrability")
+def _grid(m: int) -> list:
+    """The base rectangles: the M x M grid of the standard quadrant."""
+    h = _HALF / m
+    return [Rect.make(i * h, (i + 1) * h, j * h, (j + 1) * h) for i in range(m) for j in range(m)]
 
 
 def _endpoint_power(v: Fraction, e: Fraction) -> Interval:
@@ -222,38 +173,14 @@ def _endpoint_power(v: Fraction, e: Fraction) -> Interval:
     return iv_pow(iv, e)
 
 
-def integrate_monomial(term: MonomialTerm, rect: Rect) -> Interval:
-    """Integral of coeff * x^xexp * y^yexp over the rectangle, evaluating the
-    antiderivative difference corner by corner with the coefficient inside
-    each term; intervals do not distribute, so factoring the coefficient
-    across corner terms would be unsound."""
-    ex = term.xexp + 1
-    ey = term.yexp + 1
-    if term.xexp.denominator != 1 and rect.x0 < 0:
-        raise UsageError("fractional x-exponent over negative x")
-    if term.yexp.denominator != 1 and rect.y0 < 0:
-        raise UsageError("fractional y-exponent over negative y")
-    den = Interval.from_fraction(ex * ey)
-    c = term.coeff / den
-
-    def corner(xe: Fraction, ye: Fraction) -> Interval:
-        return c * _endpoint_power(xe, ex) * _endpoint_power(ye, ey)
-
-    t22 = corner(rect.x1, rect.y1)
-    t12 = corner(rect.x0, rect.y1)
-    t21 = corner(rect.x1, rect.y0)
-    t11 = corner(rect.x0, rect.y0)
-    return (t22 - t12) - (t21 - t11)
-
-
 def _frac_interval(lo: Fraction, hi: Fraction) -> Interval:
     return Interval(Interval.from_fraction(lo).lo, Interval.from_fraction(hi).hi)
 
 
-def _local_edge(a: Fraction, b: Fraction, van: bool) -> tuple[Fraction, Fraction, Fraction]:
-    """The expansion point of the edge [a, b] -- its vanishing end 0 when
-    van, else its midpoint -- and the edge's ends in local coordinates."""
-    x0 = Fraction(0) if van else (a + b) / 2
+def _local_edge(a: Fraction, b: Fraction) -> tuple[Fraction, Fraction, Fraction]:
+    """The expansion point of the edge [a, b] -- its vanishing end when a is
+    0, else its midpoint -- and the edge's ends in local coordinates."""
+    x0 = Fraction(0) if a == 0 else (a + b) / 2
     return x0, a - x0, b - x0
 
 
@@ -269,7 +196,7 @@ def _local_edge(a: Fraction, b: Fraction, van: bool) -> tuple[Fraction, Fraction
 # evicting.  The arrays are shared between callers, hence read-only.
 _TABLES = 1024
 
-# factor tables by (freqs, a, b, van, phase, reduced, degree), oldest first
+# factor tables by (freqs, a, b, phase, reduced, degree), oldest first
 _trig_cache: dict = {}
 
 
@@ -280,14 +207,14 @@ def _read_only(t: IArr) -> IArr:
 
 
 def _build_trig_tables(freqs: tuple, edges: list, phase: int, reduced: bool, degree: int) -> IArr:
-    """The factor tables of the edges (a, b, van), as one stack (len(edges),
+    """The factor tables of the edges (a, b), as one stack (len(edges),
     degree+1, len(freqs)); each has the bits of its edge built alone.
 
     The table of an edge [a, b] is the coefficient matrix of the Taylor
     models, in its local coordinate t (_local_edge), of
     sin(f pi (x0 + t) + phase pi/2) for every frequency f: phase 0 gives
     sines, phase 1 cosines.  reduced gives sin(f pi t)/t instead, which
-    needs phase 0 and vanishing edges (x0 = 0).
+    needs phase 0 and vanishing edges (a = x0 = 0).
 
     The k-th derivative of sin(theta + phase pi/2) is entry k + phase of the
     cycle (sin, cos, -sin, -cos) at theta = f pi x0, enclosed by sin_cos_pi
@@ -295,9 +222,9 @@ def _build_trig_tables(freqs: tuple, edges: list, phase: int, reduced: bool, deg
     row k is cycle entry k + phase + shift times (f pi)^(k+shift)/(k+shift)!,
     exactly 0 or +-(f pi)^(k+shift)/(k+shift)! where the entry is exactly 0
     or +-1.  The Lagrange remainder is resorbed into the top row."""
-    if reduced and (phase or not all(van for _, _, van in edges)):
+    if reduced and (phase or any(a != 0 for a, _ in edges)):
         raise UsageError("the reduced sine table needs phase 0 on a vanishing edge")
-    local = [_local_edge(a, b, van) for a, b, van in edges]
+    local = [_local_edge(a, b) for a, b in edges]
     dom = IArr.from_intervals([_frac_interval(lo, hi) for _, lo, hi in local])[:, None]
     n, shift = degree, int(reduced)
     out = IArr.zeros((len(edges), n + 1, len(freqs)))
@@ -345,15 +272,15 @@ def _build_trig_tables(freqs: tuple, edges: list, phase: int, reduced: bool, deg
 
 def _trig_tables(freqs: tuple, edges: list, phase: int, kinds: tuple, degree: int) -> list:
     """Per kind in kinds, the factor tables (_build_trig_tables) of the
-    edges (a, b, van), reduced on the vanishing edges when the kind is True.
+    edges (a, b), reduced on the vanishing edges (a = 0) when the kind is True.
     Each comes from the process's cache, and those missing for any kind are
     built in one pass per kind of table, reduced or not, and cached."""
-    keys = [[(freqs, a, b, van, phase, kind and van, degree) for a, b, van in edges] for kind in kinds]
+    keys = [[(freqs, a, b, phase, kind and a == 0, degree) for a, b in edges] for kind in kinds]
     found = {key: _trig_cache.get(key) for row in keys for key in row}
     for kind in (False, True):
-        missing = [key for key, t in found.items() if t is None and key[5] == kind]
+        missing = [key for key, t in found.items() if t is None and key[4] == kind]
         if missing:
-            built = _build_trig_tables(freqs, [key[1:4] for key in missing], phase, kind, degree)
+            built = _build_trig_tables(freqs, [key[1:3] for key in missing], phase, kind, degree)
             for i, key in enumerate(missing):
                 found[key] = _trig_cache[key] = _read_only(built[i])
     while len(_trig_cache) > _TABLES:
@@ -382,7 +309,7 @@ class _Layout:
     share every corner table, are consecutive.
 
     order[j] is the position in the level of the j-th rectangle.  edges are
-    the distinct edges (a, b, vanishing), x and y edges alike -- the tables
+    the distinct edges (a, b), x and y edges alike -- the tables
     of one interval are one table --, ix and iy each rectangle's index into
     them, domain its local x and y intervals and box the number of its class
     and local box.  The engine adds the stacks of the edges' factor tables
@@ -390,12 +317,13 @@ class _Layout:
 
     def __init__(self, rects):
         edges = {}
-        ix = [edges.setdefault((r.x0, r.x1, r.van_x), len(edges)) for r in rects]
-        iy = [edges.setdefault((r.y0, r.y1, r.van_y), len(edges)) for r in rects]
+        ix = [edges.setdefault((r.x0, r.x1), len(edges)) for r in rects]
+        iy = [edges.setdefault((r.y0, r.y1), len(edges)) for r in rects]
         self.edges = list(edges)
+        # local ends (0, h) mark a vanishing edge, (-h/2, h/2) any other
         ends = [_local_edge(*k)[1:] for k in self.edges]
         local = {}
-        lid = [local.setdefault((k[2],) + e, len(local)) for k, e in zip(self.edges, ends)]
+        lid = [local.setdefault(e, len(local)) for e in ends]
         boxes = {}
         box = [boxes.setdefault((lid[i], lid[j]), len(boxes)) for i, j in zip(ix, iy)]
         self.order = sorted(range(len(rects)), key=lambda b: (not (rects[b].van_x or rects[b].van_y), box[b]))
@@ -465,6 +393,8 @@ class QuadConfig:
     def __post_init__(self):
         if self.degree < 2:
             raise UsageError(f"PSA degree must be >= 2, got {self.degree}")
+        if self.grid_m < 1:
+            raise UsageError(f"grid_m must be >= 1, got {self.grid_m}")
         if self.max_depth < 0:
             raise UsageError(f"max_depth must be >= 0, got {self.max_depth}")
         if self.workers < 1:
@@ -540,7 +470,6 @@ class _Engine:
         self.eta = eta
         self.cfg = cfg
         self.req = req
-        self.sub = Subdivision(cfg.grid_m)
         self.n = cfg.degree
         self.q = q
         # one t^q for every rectangle, so its derivative constants are built once
@@ -806,8 +735,8 @@ class _Engine:
 
     @ivarray.single_blas_thread()
     def run(self) -> _RectOut:
-        rects = self.sub.rects()
-        m = self.sub.grid_m
+        m = self.cfg.grid_m
+        rects = _grid(m)
         workers = min(self.cfg.workers, m)
         ctx = _fork_context() if workers > 1 else None
         if ctx is None:

@@ -189,31 +189,27 @@ def compute_K(enc: EigenEnclosure, tail_threshold: float = 2.0) -> Interval:
     for k in range(enc.dim):
         lam = Interval(enc.lam_lo[k], enc.lam_hi[k])
         if lam.lo <= 0.0:
-            raise VerificationFailure(
-                f"eigenvalue {k} enclosure {lam} touches zero", stage="inverse-bound"
-            )
+            raise VerificationFailure(f"eigenvalue {k} enclosure {lam} touches zero")
         mu = one - one / lam
         if mu.lo <= 0.0 <= mu.hi:
             raise VerificationFailure(
                 f"eigenvalue enclosure {lam} makes mu = 1 - 1/lambda straddle zero; "
-                "K cannot be established at this subspace size",
-                stage="inverse-bound",
+                "K cannot be established at this subspace size"
             )
         mu_candidates.append(mu.mig)
     last_lo = float(enc.lam_lo[-1])
     if last_lo < tail_threshold:
         raise VerificationFailure(
             f"largest enclosed eigenvalue lower bound {last_lo:.6g} below the "
-            f"tail threshold {tail_threshold}; enlarge the subspace",
-            stage="inverse-bound",
+            f"tail threshold {tail_threshold}; enlarge the subspace"
         )
     tail_mu = (one - one / Interval(last_lo)).lo
     if tail_mu <= 0.0:
-        raise VerificationFailure("tail bound not positive", stage="inverse-bound")
+        raise VerificationFailure("tail bound not positive")
     mu_candidates.append(tail_mu)
     mu0 = min(mu_candidates)
     if not mu0 > 0.0:
-        raise VerificationFailure("mu_0 not verifiably positive", stage="inverse-bound")
+        raise VerificationFailure("mu_0 not verifiably positive")
     return one / Interval(mu0)
 
 

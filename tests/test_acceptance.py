@@ -28,14 +28,7 @@ from powcert.galerkin import FourierApproximation, odd_modes
 from powcert.interval import Interval, iv_arith, iv_pow
 from powcert.ivarray import IArr
 from powcert.psa import ElemFn, PowerSeries1D, ps_compose
-from powcert.quad import (
-    MonomialTerm,
-    QuadConfig,
-    Rect,
-    RectClass,
-    integral_power,
-    integrate_monomial,
-)
+from powcert.quad import QuadConfig, Rect, _integrals, integral_power
 from powcert.spectral import (
     EigenEnclosure,
     Pencil,
@@ -113,8 +106,11 @@ def test_criterion_2_psa_golden():
 # ----------------------------------------------------------------------
 
 def test_criterion_3_interval_order():
-    r = Rect.make(-1, 1, 0, 1, rect_cls=RectClass.S00)
-    v = integrate_monomial(MonomialTerm(Interval(0.8, 1.0), Fraction(1), Fraction(0)), r)
+    # [0.8, 1] x over [-1, 1] x [0, 1] through the sweep's corner
+    # integration, one model of one rectangle
+    r = Rect.make(-1, 1, 0, 1)
+    c = IArr(np.array([[[0.0], [0.8]]]), np.array([[[0.0], [1.0]]]))
+    v = _integrals(c, [(slice(0, 1), r)], Fraction(0))[0].item()
     assert v.contains(Interval(-0.1, 0.1))
     assert v.width <= 0.2 + 1e-12
     ok(f"criterion 3 (interval-order): enclosure {v}, width {v.width:.3e}")

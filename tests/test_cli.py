@@ -168,6 +168,15 @@ class TestPipelineTiny:
         cert1 = run_pipeline(cfg)
         assert cert1.body_dict() == cert2.body_dict()
 
+    def test_coeffs_in_of_other_n_modes_fails_galerkin(self, tmp_path, monkeypatch):
+        # the echoed n_modes must be the one that made the coefficients
+        monkeypatch.setattr(cli, "newton_solve", refuse_solve)
+        coeffs = tmp_path / "u.json"
+        coeffs.write_text('{"n_max": 3, "coeffs": [[1, 1, 20.0]]}')
+        cert = run_pipeline(tiny_config(coeffs_in=str(coeffs)))
+        assert cert.status == "failed: galerkin"
+        assert "n_max = 3" in cert.failure and "n_modes = 6" in cert.failure
+
 
 class TestSubcommands:
     def test_psa_selftest_passes(self, capsys):
@@ -417,11 +426,13 @@ class TestSubcommands:
             # a coefficient file is read by the galerkin stage, which fails
             ({"u.json": "not json"}, ["--coeffs-in", "{d}/u.json"], EXIT_STAGE),
             ({"u.json": "{}"}, ["--coeffs-in", "{d}/u.json"], EXIT_STAGE),
+            ({"u.json": '{"n_max": 3, "coeffs": [[1, 1, NaN]]}'}, ["--coeffs-in", "{d}/u.json"], EXIT_STAGE),
         ],
         ids=[
             "config-missing", "config-not-json", "config-p-abc", "config-p-list",
             "config-p-1-over-0", "out-missing-dir", "out-is-dir", "coeffs-out-missing-dir",
             "pencil-out-missing-dir", "coeffs-in-not-json", "coeffs-in-empty-object",
+            "coeffs-in-nan",
         ],
     )
     def test_outside_input_exits_cleanly(self, tmp_path, monkeypatch, capsys, files, argv, code):
@@ -460,6 +471,40 @@ class TestSubcommands:
 SMALL_VALID = dict(
     n_modes=10, eig_n=6, grid_m=6, degree=6, workers=1, res_width=2000.0, gram_width=None
 )
+
+
+def cpu_flags():
+    try:
+        with open("/proc/cpuinfo") as fh:
+            return set(fh.read().split())
+    except OSError:
+        return set()
+
+
+class TestBlasKernel:
+    @needs_blas
+    @pytest.mark.skipif("avx2" not in cpu_flags(), reason="the Haswell kernel needs AVX2")
+    def test_certificate_under_another_kernel(self, tmp_path):
+        # K, r1, r2 and neg_part_bound are bounds whose bits follow the
+        # BLAS kernel's rounding; under either kernel the certificate is
+        # valid and rechecks, g_coefficient is equal, the amplitude
+        # enclosures overlap, and meta names the kernel
+        cfgfile = tmp_path / "cfg.json"
+        cfgfile.write_text(json.dumps(SMALL_VALID))
+        certs = []
+        for core in (None, "Haswell"):
+            env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_CORETYPE"}
+            if core:
+                env["OPENBLAS_CORETYPE"] = core
+            out = tmp_path / f"{core}.json"
+            argv = ["verify", "--config", str(cfgfile), "--out", str(out), "--quiet"]
+            subprocess.run([sys.executable, "-m", "powcert.cli", *argv], env=env, capture_output=True, check=True)
+            certs.append(ProofCertificate.from_json(out.read_text()))
+        default, haswell = certs
+        assert all(cert.valid and cert.recheck() for cert in certs)
+        assert (default.g_coeff.lo, default.g_coeff.hi) == (haswell.g_coeff.lo, haswell.g_coeff.hi)
+        assert default.amplitude.overlaps(haswell.amplitude)
+        assert default.blas_core and haswell.blas_core == "Haswell"
 
 
 class TestStageFailures:

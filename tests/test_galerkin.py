@@ -67,7 +67,8 @@ class TestBasics:
     @pytest.mark.parametrize(
         "text",
         ["not json", "[]", "{}", '{"n_max": 3}', '{"n_max": "x", "coeffs": []}',
-         '{"n_max": 3, "coeffs": [[1, 1]]}', '{"n_max": 3, "coeffs": [[1, 1, "a"]]}'],
+         '{"n_max": 3, "coeffs": [[1, 1]]}', '{"n_max": 3, "coeffs": [[1, 1, "a"]]}',
+         '{"n_max": 3, "coeffs": [[1, 1, NaN], [3, 3, Infinity]]}', '{"n_max": 3, "coeffs": [[3, 1, -1e999]]}'],
     )
     def test_json_malformed_is_usage_error(self, text):
         with pytest.raises(UsageError, match="coefficient JSON"):
@@ -91,16 +92,6 @@ class TestSolve:
         )
         a_oracle = (math.pi**2 / 2.0 / I) ** 2
         assert abs(a - a_oracle) < 1e-6 * a_oracle
-
-    def test_warm_start_converges_immediately(self):
-        cfg = GalerkinConfig(n_modes=8, tol=1e-11, quad_points=96)
-        u, info = newton_solve(cfg, return_info=True)
-        assert info.residual < cfg.tol
-        cfg2 = GalerkinConfig(
-            n_modes=8, tol=1e-10, quad_points=96, initial_coeffs=u.coeffs
-        )
-        _, info2 = newton_solve(cfg2, return_info=True)
-        assert info2.newton_iters <= 1
 
     def test_residual_independent_quadrature(self):
         cfg = GalerkinConfig(n_modes=10, tol=1e-11, quad_points=128)

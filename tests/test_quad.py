@@ -21,15 +21,11 @@ from powcert.interval import Interval, iv_pow
 from powcert.ivarray import IArr, iv_conv2d_full, iv_matmul, iv_outer
 from powcert.psa import PowerSeries2D
 from powcert.quad import (
-    MonomialTerm,
     QuadConfig,
     Rect,
-    RectClass,
-    Subdivision,
     gram_from_tables,
     gram_indices_freqs,
     integral_power,
-    integrate_monomial,
     pipeline_sweep,
     sup_weight,
 )
@@ -54,10 +50,23 @@ def fourier_from_dict(n_max, coeffs_dict):
     return FourierApproximation(n_max, c)
 
 
-def trig_table(freqs, a, b, van, phase, reduced, degree):
+def trig_table(freqs, a, b, phase, reduced, degree):
     """The process's factor table of one edge [a, b], reduced on a
-    vanishing edge when reduced (quad._trig_tables)."""
-    return quad._trig_tables(freqs, [(a, b, van)], phase, (reduced,), degree)[0][0]
+    vanishing edge (a = 0) when reduced (quad._trig_tables)."""
+    return quad._trig_tables(freqs, [(a, b)], phase, (reduced,), degree)[0][0]
+
+
+def rect_class(rect):
+    """The class name of a rectangle, as describe() writes it."""
+    return rect.describe().split()[0]
+
+
+def one_rect_integral(lo, hi, rect, e=Fraction(0)):
+    """The sweep's corner integration (quad._integrals) of one model over
+    one rectangle: the integral of sum_ij c_ij x^(i+qx) y^(j+qy) over its
+    local box, c_ij in [lo[i][j], hi[i][j]] (qx, qy as in quad._corners)."""
+    coeffs = IArr(np.array([lo], dtype=float), np.array([hi], dtype=float))
+    return quad._integrals(coeffs, [(slice(0, 1), rect)], e)[0].item()
 
 
 def one_rect_engine(u, degree, q=Fraction(1, 2), **cfg):
@@ -86,21 +95,19 @@ def sweep_outputs(u, indices=((1, 1),), cfg=None, **budgets):
 
 class TestRectangles:
     def test_classification(self):
-        sub = Subdivision(4)
-        rects = sub.rects()
-        classes = [r.cls for r in rects]
-        assert classes.count(RectClass.S11) == 1
-        assert classes.count(RectClass.S01) == 3
-        assert classes.count(RectClass.S10) == 3
-        assert classes.count(RectClass.S00) == 9
+        classes = [rect_class(r) for r in quad._grid(4)]
+        assert classes.count("S11") == 1
+        assert classes.count("S01") == 3
+        assert classes.count("S10") == 3
+        assert classes.count("S00") == 9
 
     def test_bisect_longer_edge_and_reclass(self):
         r = Rect.make(0, Fraction(1, 2), 0, Fraction(1, 4))
-        assert r.cls is RectClass.S11
+        assert r.van_x and r.van_y
         a, b = r.bisect()  # x is longer
         assert a.x1 == Fraction(1, 4) and b.x0 == Fraction(1, 4)
-        assert a.cls is RectClass.S11
-        assert b.cls is RectClass.S01  # detached from the left edge
+        assert rect_class(a) == "S11"
+        assert rect_class(b) == "S01"  # detached from the left edge
         assert a.depth == b.depth == 1
 
     def test_tie_splits_x(self):
@@ -110,40 +117,34 @@ class TestRectangles:
         assert a.y1 == Fraction(1, 4)
 
     def test_union_covers_quadrant(self):
-        sub = Subdivision(3)
-        area = sum(r.area for r in sub.rects())
+        area = sum(r.area for r in quad._grid(3))
         assert abs(area - 0.25) < 1e-15
+
+    def test_grid_parameter_checked(self):
+        with pytest.raises(UsageError, match="grid_m"):
+            QuadConfig(grid_m=0)
 
 
 class TestMonomial:
     def test_interval_order_example(self):
-        r = Rect.make(-1, 1, 0, 1, rect_cls=RectClass.S00)
-        t = MonomialTerm(Interval(0.8, 1.0), Fraction(1), Fraction(0))
-        v = integrate_monomial(t, r)
+        # [0.8, 1] x over [-1, 1] x [0, 1]: each corner term holds the
+        # coefficient, so the enclosure is [-0.1, 0.1], not 0
+        r = Rect.make(-1, 1, 0, 1)
+        v = one_rect_integral([[0.0], [0.8]], [[0.0], [1.0]], r)
         assert v.contains(Interval(-0.1, 0.1))
         assert v.width <= 0.2 + 1e-12
 
     def test_unit_constant(self):
         r = Rect.make(0, 1, 0, 1)
-        v = integrate_monomial(MonomialTerm(Interval(1.0), Fraction(0), Fraction(0)), r)
+        v = one_rect_integral([[1.0]], [[1.0]], r)
         assert v.contains(1.0)
 
     def test_half_powers(self):
+        # x^(1/2) y^(1/2): exponent 1/2 on both vanishing edges
         r = Rect.make(0, 1, 0, 1)
-        v = integrate_monomial(
-            MonomialTerm(Interval(1.0), Fraction(1, 2), Fraction(1, 2)), r
-        )
+        v = one_rect_integral([[1.0]], [[1.0]], r, Fraction(1, 2))
         assert v.contains(4.0 / 9.0)
         assert v.width < 1e-14
-
-    def test_fractional_exponent_negative_domain_rejected(self):
-        r = Rect.make(-1, 1, 0, 1, rect_cls=RectClass.S00)
-        with pytest.raises(UsageError):
-            integrate_monomial(MonomialTerm(Interval(1.0), Fraction(1, 2), Fraction(0)), r)
-
-    def test_integrability_precondition(self):
-        with pytest.raises(UsageError):
-            MonomialTerm(Interval(1.0), Fraction(-3, 2), Fraction(0))
 
 
 class TestEncloseOnRect:
@@ -174,8 +175,8 @@ class TestEncloseOnRect:
             Rect.make(Fraction(1, 4), Fraction(3, 8), Fraction(1, 4), Fraction(3, 8)),
         ):
             model = reduced_model(engine, rect)
-            cx = quad._local_edge(rect.x0, rect.x1, rect.van_x)[0]
-            cy = quad._local_edge(rect.y0, rect.y1, rect.van_y)[0]
+            cx = quad._local_edge(rect.x0, rect.x1)[0]
+            cy = quad._local_edge(rect.y0, rect.y1)[0]
             for _ in range(40):
                 x = rng.uniform(float(rect.x0), float(rect.x1))
                 y = rng.uniform(float(rect.y0), float(rect.y1))
@@ -451,13 +452,13 @@ class TestSweepEngine:
         # [1/4, 1/2] full) and two cosine tables, not one set per axis
         u = fourier_from_dict(3, {(1, 1): 5.0, (3, 1): 0.1})
         pipeline_sweep(u, Fraction(3, 2), [(1, 1), (1, 3)], QuadConfig(degree=6, grid_m=2))
-        phases = [args[4] for args in table_builds]
+        phases = [args[3] for args in table_builds]
         assert sorted(phases) == [0, 0, 0, 1, 1]
 
     @pytest.mark.parametrize("table", ["sine", "cosine"])
     def test_non_finite_factor_table_names_rectangle(self, monkeypatch, table):
         phase = ("sine", "cosine").index(table)
-        poison_tables(monkeypatch, lambda a, b, van, ph: ph == phase, "hi", (-1, 0), math.nan)
+        poison_tables(monkeypatch, lambda a, b, ph: ph == phase, "hi", (-1, 0), math.nan)
         u = fourier_from_dict(3, {(1, 1): 5.0, (3, 1): 0.1})
         # every rectangle fails; forked workers report the first in
         # rectangle order, as the serial sweep does
@@ -480,7 +481,7 @@ class TestSweepEngine:
 
 @pytest.fixture
 def table_builds(monkeypatch):
-    """The arguments (freqs, a, b, van, phase, reduced, degree) of every
+    """The arguments (freqs, a, b, phase, reduced, degree) of every
     factor table built in this process and the number of the builder's
     pass that built it, one entry per edge of each batch the builder makes,
     behind the process's table cache."""
@@ -489,7 +490,7 @@ def table_builds(monkeypatch):
 
     def counting(freqs, edges, phase, reduced, degree):
         n = builds[-1][-1] + 1 if builds else 0
-        builds.extend((freqs, a, b, van, phase, reduced, degree, n) for a, b, van in edges)
+        builds.extend((freqs, a, b, phase, reduced, degree, n) for a, b in edges)
         return build(freqs, edges, phase, reduced, degree)
 
     monkeypatch.setattr(quad, "_build_trig_tables", counting)
@@ -497,24 +498,24 @@ def table_builds(monkeypatch):
 
 
 def poison_tables(monkeypatch, when, side, at, value):
-    """Give every factor table whose edge and phase pass when(a, b, van,
-    phase) the value at index at of its lo or hi endpoints (side): the
+    """Give every factor table whose edge and phase pass when(a, b, phase)
+    the value at index at of its lo or hi endpoints (side): the
     builder poisons the tables of its batch, before the cache keeps them."""
     real = quad._build_trig_tables
 
     def poisoned(freqs, edges, phase, reduced, degree):
         out = real(freqs, edges, phase, reduced, degree)
-        for i, (a, b, van) in enumerate(edges):
-            if when(a, b, van, phase):
+        for i, (a, b) in enumerate(edges):
+            if when(a, b, phase):
                 getattr(out, side)[i][at] = value
         return out
 
     monkeypatch.setattr(quad, "_build_trig_tables", poisoned)
 
 
-def mid_at(a, b, van, *points):
+def mid_at(a, b, *points):
     """Whether the edge [a, b] is expanded at its midpoint, one of points."""
-    return not van and (a + b) / 2 in points
+    return a != 0 and (a + b) / 2 in points
 
 
 @pytest.fixture
@@ -759,7 +760,7 @@ class TestLevelSynchronous:
         # only in a rectangle of depth 2, found two levels later
         poison_tables(
             monkeypatch,
-            lambda a, b, van, phase: phase == 0 and mid_at(a, b, van, Fraction(1, 4), Fraction(1, 8)),
+            lambda a, b, phase: phase == 0 and mid_at(a, b, Fraction(1, 4), Fraction(1, 8)),
             "hi",
             (-1, 0),
             math.nan,
@@ -869,7 +870,7 @@ def grid_edges(grids=(1, 3, 8, 16)):
     for m in grids:
         h = Fraction(1, 2 * m)
         for i in range(m):
-            yield i * h, (i + 1) * h, i == 0
+            yield i * h, (i + 1) * h
 
 
 class TestTrigTablesSameBits:
@@ -879,18 +880,18 @@ class TestTrigTablesSameBits:
         # entry encloses the same coefficient as the reference and is never
         # wider
         modes, freqs = tuple(map(int, odd_modes(59))), tuple(range(0, 60, 2))
-        for a, b, van in grid_edges():
-            x0, lo, hi = quad._local_edge(a, b, van)
+        for a, b in grid_edges():
+            x0, lo, hi = quad._local_edge(a, b)
             dom = quad._frac_interval(lo, hi)
             for phase, fs, ref in ((0, modes, ref_sine_full), (1, freqs, ref_cosine)):
-                got = trig_table(fs, a, b, van, phase, False, degree)
+                got = trig_table(fs, a, b, phase, False, degree)
                 ref = ref(fs, x0, dom, degree)
                 where = (degree, a, b, phase)
                 assert np.all(got.lo <= ref.hi) and np.all(ref.lo <= got.hi), where
                 assert np.all(got.hi - got.lo <= ref.hi - ref.lo), where
-            for d in range(3 if van else 0):  # the edge and its first bisections
+            for d in range(3 if a == 0 else 0):  # the edge and its first bisections
                 e = b / 2**d
-                got = trig_table(modes, Fraction(0), e, True, 0, True, degree)
+                got = trig_table(modes, Fraction(0), e, 0, True, degree)
                 ref = ref_sine_reduced(modes, quad._frac_interval(Fraction(0), e), degree)
                 assert same_bits(got, ref), (degree, e)
 
@@ -900,7 +901,7 @@ class TestTrigTables:
         # cos(f pi (1/4 + t)) for even f: f/4 is a multiple of 1/2, so the
         # cycle entries are exactly 0 and +-1, and so are the rows' factors
         n, freqs = 6, (2, 4, 6)
-        got = trig_table(freqs, Fraction(0), Fraction(1, 2), False, 1, False, n)
+        got = trig_table(freqs, Fraction(1, 8), Fraction(3, 8), 1, False, n)
         # the first derivatives at f pi/4: (0, -f pi), (-1, 0) and (0, f pi)
         assert same_bits(got[0], IArr.exact([0.0, -1.0, 0.0]))
         term = IArr.exact(freqs) * quad.PI * Interval(1.0)
@@ -916,11 +917,11 @@ class TestTrigTables:
         n = 6
         fs = tuple(map(int, odd_modes(15))) if phase == 0 else tuple(range(0, 16, 2))
         shift = int(reduced)
-        for a, b, van in grid_edges((3,)):
-            if reduced and not van:
+        for a, b in grid_edges((3,)):
+            if reduced and a != 0:
                 continue
-            x0, lo, hi = quad._local_edge(a, b, van)
-            got = trig_table(fs, a, b, van, phase, reduced, n)
+            x0, lo, hi = quad._local_edge(a, b)
+            got = trig_table(fs, a, b, phase, reduced, n)
             for col, f in enumerate(fs):
                 w = f * mpmath.pi
                 for k in range(n):
@@ -969,7 +970,7 @@ class TestBatchedTables:
         # frequency 0 and reduced tables
         modes, freqs = tuple(map(int, odd_modes(15))), (0, 2, 4, 6, 12, 28)
         edges = list(grid_edges((1, 3, 8)))
-        vanishing = [e for e in edges if e[2]]
+        vanishing = [e for e in edges if e[0] == 0]
         for fs, phase, reduced, batch in (
             (modes, 0, False, edges),
             (freqs, 0, False, edges),
@@ -1000,22 +1001,22 @@ class TestBatchedTables:
         got = quad._trig_tables(modes, edges + edges[:2], 0, (True, False), degree)
         assert [len(row) for row in got] == [len(edges) + 2] * 2
         assert sorted(reduced for reduced, _ in batches) == [False, True]
-        vanishing = [e for e in edges if e[2]]
+        vanishing = [e for e in edges if e[0] == 0]
         assert sorted(e for _, batch in batches for e in batch) == sorted(edges + vanishing)
         again = quad._trig_tables(modes, edges, 0, (True, False), degree)
         assert len(batches) == 2
         for kind, row, row_again in zip((True, False), got, again):
-            for (a, b, van), table, table_again in zip(edges, row, row_again):
-                reduced = kind and van
-                assert same_bits(table, real(modes, [(a, b, van)], 0, reduced, degree)[0]), (a, b)
-                assert table is table_again is trig_table(modes, a, b, van, 0, reduced, degree)
+            for (a, b), table, table_again in zip(edges, row, row_again):
+                reduced = kind and a == 0
+                assert same_bits(table, real(modes, [(a, b)], 0, reduced, degree)[0]), (a, b)
+                assert table is table_again is trig_table(modes, a, b, 0, reduced, degree)
 
     def test_reduced_table_needs_vanishing_edge(self):
         h = Fraction(1, 4)
         with pytest.raises(UsageError, match="vanishing edge"):
-            quad._build_trig_tables((1, 3), [(h, 2 * h, False)], 0, True, 6)
+            quad._build_trig_tables((1, 3), [(h, 2 * h)], 0, True, 6)
         with pytest.raises(UsageError, match="vanishing edge"):
-            quad._build_trig_tables((1, 3), [(Fraction(0), h, True)], 1, True, 6)
+            quad._build_trig_tables((1, 3), [(Fraction(0), h)], 1, True, 6)
 
 
 # ----------------------------------------------------------------------
@@ -1027,8 +1028,8 @@ class TestBatchedTables:
 def ref_tensor_model(engine, rect, a_iv, reduced, domain):
     """sum_ij a_ij f_i(x) f_j(y) on one rectangle, a batch of one."""
     n, modes = engine.n, engine.eta.modes
-    x = trig_table(modes, rect.x0, rect.x1, rect.van_x, 0, reduced and rect.van_x, n)
-    y = trig_table(modes, rect.y0, rect.y1, rect.van_y, 0, reduced and rect.van_y, n)
+    x = trig_table(modes, rect.x0, rect.x1, 0, reduced and rect.van_x, n)
+    y = trig_table(modes, rect.y0, rect.y1, 0, reduced and rect.van_y, n)
     return PowerSeries2D(iv_matmul(iv_matmul(x, a_iv), IArr(y.lo.T, y.hi.T)), domain)
 
 
@@ -1149,8 +1150,8 @@ def ref_rect_out(engine, rect, red_range, v_red, w, v_lap, xis):
         budgets.append(req.power_width)
     row = IArr.from_intervals(scalars)
     if req.gram_freqs is not None:
-        cx = trig_table(req.gram_freqs, rect.x0, rect.x1, van_x, 1, False, engine.n)
-        cy = trig_table(req.gram_freqs, rect.y0, rect.y1, van_y, 1, False, engine.n)
+        cx = trig_table(req.gram_freqs, rect.x0, rect.x1, 1, False, engine.n)
+        cy = trig_table(req.gram_freqs, rect.y0, rect.y1, 1, False, engine.n)
         t_rect = ref_gram_tables(engine, w_coeffs, cx, cy, rect, qx, qy)
         row = IArr(np.concatenate([row.lo, t_rect.lo.ravel()]), np.concatenate([row.hi, t_rect.hi.ravel()]))
         budgets += [req.gram_width] * t_rect.lo.size
@@ -1165,7 +1166,7 @@ def mixed_rects():
     """Rectangles of all four classes at depths 0 to 2 of a 3 x 3 grid,
     several of one class and local box, in no particular order."""
     rects = []
-    for k, rect in enumerate(Subdivision(3).rects()):
+    for k, rect in enumerate(quad._grid(3)):
         rects.append(rect)
         halves = rect.bisect()
         rects.extend(halves)
@@ -1199,7 +1200,7 @@ class TestLevelBatchedContributions:
         )
         engine = quad._Engine(quad._EtaFourier(u), p - 1, QuadConfig(degree=6, grid_m=3), req)
         rects = mixed_rects()
-        assert {r.cls for r in rects} == set(RectClass) and {r.depth for r in rects} == {0, 1, 2}
+        assert {rect_class(r) for r in rects} == {"S11", "S01", "S10", "S00"} and {r.depth for r in rects} == {0, 1, 2}
 
         got = engine.eval_level(rects)
         flags = set()
@@ -1240,7 +1241,7 @@ class TestLevelBatchedContributions:
         # only in a rectangle of depth 2
         poison_tables(
             monkeypatch,
-            lambda a, b, van, phase: phase == 1 and mid_at(a, b, van, Fraction(1, 4), Fraction(1, 8)),
+            lambda a, b, phase: phase == 1 and mid_at(a, b, Fraction(1, 4), Fraction(1, 8)),
             "lo",
             (0, 0),
             -math.inf,
@@ -1276,7 +1277,7 @@ class TestLevelBatchedContributions:
         assert layouts == [len(rects)]
         kinds = {}
         for entry in table_builds:
-            kinds.setdefault(entry[-1], set()).add(entry[4:6])  # (phase, reduced) per pass
+            kinds.setdefault(entry[-1], set()).add(entry[3:5])  # (phase, reduced) per pass
         assert sorted(kind for pass_kinds in kinds.values() for kind in pass_kinds) == [(0, False), (0, True), (1, False)]
         assert len(kinds) == 3
 
@@ -1287,7 +1288,7 @@ class TestLevelBatchedContributions:
         u = fourier_from_dict(3, {(1, 1): 1.0, (3, 1): 1.2})
         req = quad._Request(residual_p=Fraction(3, 2), gram_freqs=tuple(gram_indices_freqs([(1, 1), (1, 3)])))
         engine = quad._Engine(quad._EtaFourier(u), Fraction(1, 2), QuadConfig(degree=6, grid_m=4), req)
-        rects = Subdivision(4).rects()
+        rects = quad._grid(4)
         lay = engine.layout(rects)
         got = engine.eval_level(rects)
         failed = [isinstance(got[b], PositivityError) for b in lay.order]
@@ -1327,8 +1328,8 @@ class TestTablesPerProcess:
     def test_tables_read_only(self):
         h = Fraction(1, 8)
         for table in (
-            trig_table((1, 3), Fraction(0), h, True, 0, True, 6),
-            trig_table((0, 2), h, 2 * h, False, 1, False, 6),
+            trig_table((1, 3), Fraction(0), h, 0, True, 6),
+            trig_table((0, 2), h, 2 * h, 1, False, 6),
             quad._corner_table(h, Fraction(1, 2), 7),
         ):
             with pytest.raises(ValueError):
