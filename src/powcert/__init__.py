@@ -16,15 +16,13 @@ from .errors import (
     UsageError,
     VerificationFailure,
 )
-from .interval import Interval, gamma_half, iv_arith, iv_elem, iv_pow
+from .interval import Interval, gamma_half, iv_pow
 
 __version__ = "0.1.0"
 
 __all__ = [
     "Interval",
-    "iv_arith",
     "iv_pow",
-    "iv_elem",
     "gamma_half",
     "PowcertError",
     "IntervalDomainError",

@@ -159,7 +159,6 @@ class AlphaSearch:
     alpha: float
     residual_margin: Interval   # (alpha/K - G(alpha)) - delta, verified >= 0
     contraction: Interval       # K g(alpha), verified < 1
-    verified: bool
 
 
 def _alpha_conditions(alpha: float, delta: Interval, k: Interval, c: Interval, p: Fraction):
@@ -207,7 +206,7 @@ def find_alpha(delta: Interval, k: Interval, c: Interval, p: Fraction) -> AlphaS
     for _ in range(200):
         margin, contraction = _alpha_conditions(alpha, delta, k, c, p)
         if margin.lo >= 0.0 and contraction.hi < 1.0:
-            return AlphaSearch(alpha, margin, contraction, True)
+            return AlphaSearch(alpha, margin, contraction)
         alpha *= 1.0 + 2.0**-20
     raise VerificationFailure(
         "no verified alpha found near the floating-point root "
@@ -263,8 +262,6 @@ def linf_bound(eps: Interval, u_norm_rp: Interval, res_norm: Interval, p: Fracti
 class PositivityResult:
     verdict: bool
     neg_part_bound: Interval    # [|min u_hat| + r2]^(p-1)
-    lambda1: Interval
-    witness_margin: float       # best rect lower bound of u_hat minus r2
 
 
 def positivity_check(r2: Interval, p: Fraction, ranges: tuple) -> PositivityResult:
@@ -273,16 +270,15 @@ def positivity_check(r2: Interval, p: Fraction, ranges: tuple) -> PositivityResu
     ranges are the sweep's range bounds of u_hat (quad.pipeline_sweep)."""
     p = Fraction(p)
     rng_min, _, witness_lo, _ = ranges
-    lam1 = lambda1_interval()
     # min over the closure is <= 0 (boundary) and >= rng_min
     mabs = Interval(0.0, max(0.0, -rng_min))
     # mabs.lo + r2.hi = r2.hi exactly: only the upper end is rounded
     base = Interval(r2.hi, (mabs + Interval(r2.hi)).hi)
     base = Interval(max(base.lo, 0.0), max(base.hi, 0.0))  # true base is >= 0
     bound = iv_pow(base, p - 1)
-    witness_margin = witness_lo - r2.hi
-    verdict = bool(bound.hi < lam1.lo and witness_margin > 0.0)
-    return PositivityResult(verdict, bound, lam1, witness_margin)
+    # the witness: the best rect lower bound of u_hat minus r2 is positive
+    verdict = bool(bound.hi < lambda1_interval().lo and witness_lo - r2.hi > 0.0)
+    return PositivityResult(verdict, bound)
 
 
 def amplitude_enclosure(r2: Interval, ranges: tuple) -> Interval:

@@ -300,24 +300,19 @@ def cmd_constants(args, out=None) -> int:
     if args.eig_dim < 1:
         raise UsageError(f"--eig-dim must be >= 1, got {args.eig_dim}")
     p = None if args.p is None else _rational("--p", args.p)
-    # C_p for p <= 2 is the Holder reduction to C2 on the unit square,
-    # which needs p >= 1; below 1 there is no embedding constant
-    if p is not None and p < 1:
-        raise UsageError(f"--p must be >= 1, got {p}")
-    if p is not None and p > 2:
+    if p is not None:
         try:
-            c_p = embedding_constant(p)
-        except UnsupportedError as exc:
+            c_p = sobolev_constant(p)
+        except (UsageError, UnsupportedError) as exc:
             raise UsageError(f"--p {p}: {exc}") from exc
-    elif p is not None:
-        c_p = f"{poincare_c2()} (Holder reduction to C2)"
     out = out or sys.stdout
     print(f"C2      = {poincare_c2()}", file=out)
     print(f"C4      = {embedding_constant(Fraction(4))}", file=out)
     print(f"C_N(N={args.eig_dim}) = {projection_constant(args.eig_dim)}", file=out)
     print(f"lambda1 = {lambda1_interval()}", file=out)
     if p is not None:
-        print(f"C_{p}    = {c_p}", file=out)
+        note = " (Holder reduction to C2)" if p <= 2 else ""
+        print(f"C_{p}    = {c_p}{note}", file=out)
     return EXIT_OK
 
 

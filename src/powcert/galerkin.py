@@ -5,11 +5,12 @@ enforces the reflection symmetry about x = 1/2 and y = 1/2.  The solver is
 ordinary floating point by design: only the produced coefficients matter
 downstream, where all rigor re-enters through verified integration.
 
-Solve strategy: a one-mode fixed-point estimate seeds a normalized Picard
-iteration (inverse Laplacian plus amplitude rescaling, the standard
-ground-state iteration), and Newton with a backtracking line search
-finishes to the requested tolerance.  The nonlinearity is evaluated as
-|u|^(p-1) u throughout, so negative excursions of the iterates are fine.
+Solve strategy: a fixed number of normalized Picard steps (inverse
+Laplacian plus amplitude rescaling, the standard ground-state iteration)
+from the (1,1) mode, then the amplitude from the peak ratio.  The steps
+reach a relative residual of about 1e-15, the roundoff floor; a tolerance
+below that fails.  The nonlinearity is evaluated as |u|^(p-1) u throughout,
+so negative excursions of the iterates are fine.
 """
 
 from __future__ import annotations
@@ -56,25 +57,10 @@ class FourierApproximation:
     def modes(self) -> np.ndarray:
         return odd_modes(self.n_max)
 
-    def eval(self, x: float, y: float) -> float:
-        sx = np.sin(self.modes * math.pi * x)
-        sy = np.sin(self.modes * math.pi * y)
-        return float(sx @ self.coeffs @ sy)
-
     def eval_grid(self, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
         Sx = np.sin(np.outer(xs, self.modes) * math.pi)
         Sy = np.sin(np.outer(ys, self.modes) * math.pi)
         return Sx @ self.coeffs @ Sy.T
-
-    def laplacian(self) -> "FourierApproximation":
-        """Coefficients of Delta u: -(i^2 + j^2) pi^2 a_ij (so -Delta u has
-        coefficients +(i^2 + j^2) pi^2 a_ij)."""
-        m = self.modes
-        factor = -(m[:, None] ** 2 + m[None, :] ** 2) * math.pi**2
-        return FourierApproximation(self.n_max, factor * self.coeffs)
-
-    def l2_norm(self) -> float:
-        return float(np.sqrt(np.sum(self.coeffs**2) / 4.0))
 
     def center_value(self) -> float:
         s = np.where(((self.modes - 1) // 2) % 2 == 0, 1.0, -1.0)
@@ -109,13 +95,17 @@ class FourierApproximation:
                 coeffs[index[i], index[j]] = a = float(a)
                 if not math.isfinite(a):
                     raise UsageError(f"mode ({i},{j}) has the non-finite coefficient {a}")
+            # every later stage bounds u_hat on the square by sum |a_ij|
+            with np.errstate(over="ignore"):
+                bound = np.abs(coeffs).sum()
+            if not math.isfinite(bound):
+                raise UsageError("the coefficients' absolute sum overflows binary64")
         except (KeyError, TypeError, ValueError) as exc:  # UsageError is a ValueError
             raise UsageError(f"coefficient JSON: {exc}") from exc
         return cls(n_max, coeffs)
 
 
-# Newton steps allowed, and Picard warm-up steps taken
-_NEWTON_STEPS = 60
+# Picard steps taken, always all of them: u_hat is the same for every tol
 _PICARD_STEPS = 50
 
 
@@ -165,69 +155,37 @@ class _Workspace:
         scale = max(1.0, float(np.linalg.norm(self.stiff * A)))
         return float(np.linalg.norm(self.residual(A))) / scale
 
-    def jacobian(self, A: np.ndarray) -> np.ndarray:
-        U = self.synth(A)
-        wq = self.p * np.abs(U) ** (self.p - 1.0) * np.outer(self.w, self.w)
-        T1 = np.einsum("gh,hj,hl->gjl", wq, self.S, self.S, optimize=True)
-        G4 = np.einsum("gi,gk,gjl->ijkl", self.S, self.S, T1, optimize=True)
-        K = self.K
-        J = -G4.reshape(K * K, K * K)
-        J[np.arange(K * K), np.arange(K * K)] += self.stiff.ravel()
-        return J
-
     def center_sign(self) -> np.ndarray:
         return np.where(((self.modes - 1) // 2) % 2 == 0, 1.0, -1.0)
 
 
-def _one_mode_seed(ws: _Workspace, p: float) -> float:
-    """Fixed point of a * pi^2/2 = a^p * int phi^{p+1} for the (1,1) mode."""
-    phi = np.outer(np.sin(math.pi * ws.x), np.sin(math.pi * ws.x))
-    I = float(np.einsum("g,h,gh->", ws.w, ws.w, phi ** (p + 1.0)))
-    return (math.pi**2 / 2.0 / I) ** (1.0 / (p - 1.0))
-
-
 def newton_solve(cfg: GalerkinConfig) -> FourierApproximation:
-    """Solve the Galerkin system (grad u, grad phi) = (|u|^(p-1) u, phi)."""
+    """Solve the Galerkin system (grad u, grad phi) = (|u|^(p-1) u, phi) by
+    normalized Picard steps; the name is the pipeline's stage entry point."""
     ws = _Workspace(cfg)
-    K = ws.K
-    A = np.zeros((K, K))
-    A[0, 0] = _one_mode_seed(ws, ws.p)
-    # normalized Picard warm-up: z <- invLap(f(z)) / peak, amplitude from
+    # z <- invLap(f(z)) / peak from the (1,1) mode; the amplitude comes from
     # the peak ratio t = rho^(-1/(p-1))
     sgn = ws.center_sign()
-    z = A / max(abs(A[0, 0]), 1e-300)
-    rho = 1.0
+    z = np.zeros((ws.K, ws.K))
+    z[0, 0] = 1.0
     for _ in range(_PICARD_STEPS):
         B = ws.project(ws.nonlin(ws.synth(z))) / ws.stiff
         rho = float(sgn @ B @ sgn)
         if not (rho > 0):
-            raise SolverError("Picard warm-up lost positivity at the center")
+            raise SolverError("Picard iteration lost positivity at the center")
         z = B / rho
-    A = z * rho ** (-1.0 / (ws.p - 1.0))
-
-    rn = ws.res_norm(A)
-    for _ in range(_NEWTON_STEPS):
-        if rn < cfg.tol:
-            break
-        J = ws.jacobian(A)
-        R = ws.residual(A)
-        try:
-            delta = np.linalg.solve(J, -R.ravel()).reshape(K, K)
-        except np.linalg.LinAlgError as exc:
-            raise SolverError(f"singular Jacobian: {exc}", last_residual=rn)
-        step = 1.0
-        for _ in range(30):
-            cand = A + step * delta
-            rn_new = ws.res_norm(cand)
-            if rn_new < rn:
-                A, rn = cand, rn_new
-                break
-            step *= 0.5
-        else:
-            raise SolverError("line search stalled", last_residual=rn)
-
+    try:
+        t = rho ** (-1.0 / (ws.p - 1.0))
+    except OverflowError:
+        t = math.inf
+    with np.errstate(over="ignore", invalid="ignore"):
+        A = z * t
+        rn = ws.res_norm(A)
+    if not math.isfinite(rn):
+        raise SolverError(f"p = {cfg.p}: the amplitude {t:.3g} overflows binary64")
     if rn >= cfg.tol:
         raise SolverError(
-            f"no convergence after {_NEWTON_STEPS} Newton steps", last_residual=rn
+            f"residual {rn:.3g} >= tol {cfg.tol:.3g} after {_PICARD_STEPS} Picard steps",
+            last_residual=rn,
         )
     return FourierApproximation(cfg.n_modes, A)

@@ -24,9 +24,7 @@ from .errors import IntervalDomainError, UnsupportedError
 
 __all__ = [
     "Interval",
-    "iv_arith",
     "iv_pow",
-    "iv_elem",
     "gamma_half",
     "PI",
     "TWO_PI",
@@ -117,9 +115,6 @@ class Interval:
             return self.lo <= other.lo and other.hi <= self.hi
         return self.lo <= float(other) <= self.hi
 
-    def is_subset_of(self, other: "Interval") -> bool:
-        return other.lo <= self.lo and self.hi <= other.hi
-
     def overlaps(self, other: "Interval") -> bool:
         return self.lo <= other.hi and other.lo <= self.hi
 
@@ -191,9 +186,6 @@ class Interval:
 
     def __rtruediv__(self, other):
         return self._coerce(other) / self
-
-    def __pow__(self, e):
-        return iv_pow(self, e)
 
     def sqr(self) -> "Interval":
         """Tight square (knows the result is >= 0)."""
@@ -481,36 +473,6 @@ def iv_pow(x: Interval, e) -> Interval:
 def _pow_point(t: float, e: Fraction) -> Interval:
     ei = Interval.from_fraction(e)
     return iv_exp(ei * _log_point(t))
-
-
-# ----------------------------------------------------------------------
-# named operation surfaces
-# ----------------------------------------------------------------------
-
-def iv_arith(op: str, a: Interval, b: Interval) -> Interval:
-    if op == "add":
-        return a + b
-    if op == "sub":
-        return a - b
-    if op == "mul":
-        return a * b
-    if op == "div":
-        return a / b
-    raise UnsupportedError(f"unknown arithmetic op {op!r}")
-
-
-def iv_elem(f: str, x: Interval) -> Interval:
-    if f == "sin":
-        return iv_sin(x)
-    if f == "cos":
-        return iv_cos(x)
-    if f == "exp":
-        return iv_exp(x)
-    if f == "log":
-        return iv_log(x)
-    if f == "sqrt":
-        return iv_sqrt(x)
-    raise UnsupportedError(f"unknown elementary function {f!r}")
 
 
 def gamma_half(k) -> Interval:

@@ -111,15 +111,6 @@ class PowerSeries:
     def from_floats(cls, values, domain) -> "PowerSeries":
         return cls(IArr.exact(np.asarray(values, dtype=float)), domain)
 
-    @classmethod
-    def constant(cls, c, degree: int, domain) -> "PowerSeries":
-        """The constant c (an Interval, or an IArr with one per item)."""
-        dim = 1 if isinstance(domain, Interval) else len(domain)
-        batch = c.shape[0] if isinstance(c, IArr) else 1
-        out = IArr.zeros((batch,) + (degree + 1,) * dim)
-        out[(slice(None),) + (0,) * dim] = c
-        return cls(out, domain)
-
     def __getitem__(self, idx) -> "PowerSeries":
         """Items idx (an index, a slice or an index array) as a batch."""
         if isinstance(idx, (int, np.integer)):

@@ -122,7 +122,6 @@ class TestFindAlpha:
             self._c(),
             Fraction(3, 2),
         )
-        assert res.verified
         assert res.alpha <= 0.391
         assert res.residual_margin.lo >= 0.0
         assert res.contraction.hi < 1.0
@@ -136,12 +135,10 @@ class TestFindAlpha:
 
     def test_linear_case(self):
         res = find_alpha(Interval(0.25), Interval(2.0), Interval(0.0), Fraction(3, 2))
-        assert res.verified
         assert abs(res.alpha - 0.5) < 1e-6
 
     def test_zero_delta(self):
         res = find_alpha(Interval(0.0), Interval(2.0), self._c(), Fraction(3, 2))
-        assert res.verified
         assert res.alpha < 1e-12
 
     def test_residual_enclosure_from_zero(self):
@@ -149,7 +146,7 @@ class TestFindAlpha:
         delta = delta_from_residual(Interval(0.0, 1.0), poincare_c2())
         assert delta.lo < 0.0
         res = find_alpha(delta, Interval(2.0), self._c(), Fraction(3, 2))
-        assert res.verified
+        assert res.residual_margin.lo >= 0.0
 
     def test_negative_delta_rejected(self):
         with pytest.raises(UsageError):
@@ -255,7 +252,7 @@ class TestCertificate:
     def _fake_valid(self):
         c = g_coefficient(Fraction(3, 2))
         alpha = find_alpha(Interval(0.18), Interval(2.0), c, Fraction(3, 2))
-        pos = PositivityResult(True, Interval(1.0, 1.1), lambda1_interval(), 100.0)
+        pos = PositivityResult(True, Interval(1.0, 1.1))
         return build_certificate(
             Fraction(3, 2),
             {"n_modes": 4},

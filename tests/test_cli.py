@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from dataclasses import fields
 from fractions import Fraction
 
@@ -176,6 +177,17 @@ class TestPipelineTiny:
         cert = run_pipeline(tiny_config(coeffs_in=str(coeffs)))
         assert cert.status == "failed: galerkin"
         assert "n_max = 3" in cert.failure and "n_modes = 6" in cert.failure
+
+    def test_tol_below_the_picard_floor_fails_galerkin(self, tmp_path, capsys):
+        # the Picard steps stop at the roundoff floor, about 1e-15
+        cfgfile = tmp_path / "cfg.json"
+        cfgfile.write_text(json.dumps({"n_modes": 6, "eig_n": 4, "grid_m": 3, "galerkin_tol": 1e-17}))
+        out = tmp_path / "cert.json"
+        assert main(["verify", "--config", str(cfgfile), "--out", str(out), "--quiet"]) == EXIT_STAGE
+        cert = json.loads(out.read_text())["certificate"]
+        assert cert["status"] == "failed: galerkin"
+        assert "residual" in cert["failure"] and "tol 1e-17" in cert["failure"]
+        assert "Traceback" not in capsys.readouterr().err
 
 
 class TestSubcommands:
@@ -427,12 +439,14 @@ class TestSubcommands:
             ({"u.json": "not json"}, ["--coeffs-in", "{d}/u.json"], EXIT_STAGE),
             ({"u.json": "{}"}, ["--coeffs-in", "{d}/u.json"], EXIT_STAGE),
             ({"u.json": '{"n_max": 3, "coeffs": [[1, 1, NaN]]}'}, ["--coeffs-in", "{d}/u.json"], EXIT_STAGE),
+            ({"u.json": '{"n_max": 3, "coeffs": [[1, 1, 1e308], [3, 1, 1e308]]}'},
+             ["--coeffs-in", "{d}/u.json", "--modes", "3"], EXIT_STAGE),
         ],
         ids=[
             "config-missing", "config-not-json", "config-p-abc", "config-p-list",
             "config-p-1-over-0", "out-missing-dir", "out-is-dir", "coeffs-out-missing-dir",
             "pencil-out-missing-dir", "coeffs-in-not-json", "coeffs-in-empty-object",
-            "coeffs-in-nan",
+            "coeffs-in-nan", "coeffs-in-sum-overflow",
         ],
     )
     def test_outside_input_exits_cleanly(self, tmp_path, monkeypatch, capsys, files, argv, code):
@@ -452,6 +466,16 @@ class TestSubcommands:
             status = json.loads(captured.out)["certificate"]["status"]
             assert status == "failed: galerkin"
             assert "coefficient JSON" in json.loads(captured.out)["certificate"]["failure"]
+
+    @pytest.mark.parametrize("p", ["1001/1000", "1005/1000"])
+    def test_plot_data_overflowing_amplitude_fails(self, tmp_path, capsys, p):
+        path = tmp_path / "plot.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # numpy's overflow warnings too
+            assert main(["plot-data", "--p", p, "--grid", "2", "--out", str(path)]) == EXIT_STAGE
+        err = capsys.readouterr().err
+        assert err.startswith("failure: p = ") and "amplitude" in err
+        assert not path.exists()
 
     def test_plot_data_missing_coeffs_is_usage_error(self, tmp_path, capsys):
         argv = ["plot-data", "--coeffs-in", str(tmp_path / "missing.json")]

@@ -7,7 +7,9 @@ import numpy as np
 import pytest
 from scipy import integrate
 
-from powcert.errors import UsageError
+from powcert import quad
+from powcert.certify import exact_l2_norm
+from powcert.errors import SolverError, UsageError
 from powcert.galerkin import (
     FourierApproximation,
     GalerkinConfig,
@@ -25,26 +27,18 @@ class TestBasics:
 
     def test_eval_center(self):
         u = FourierApproximation(1, np.array([[2.0]]))
-        assert abs(u.eval(0.5, 0.5) - 2.0) < 1e-14
+        assert abs(u.eval_grid([0.5], [0.5])[0, 0] - 2.0) < 1e-14
         assert abs(u.center_value() - 2.0) < 1e-14
 
     def test_laplacian_eigenfunction(self):
-        u = FourierApproximation(1, np.array([[3.0]]))
-        lap = u.laplacian()
-        # -Delta u = 2 pi^2 u for the (1,1) mode
-        assert abs(lap.coeffs[0, 0] + 2.0 * math.pi**2 * 3.0) < 1e-12
-
-    def test_laplacian_twice_scaling(self):
-        u = FourierApproximation(5, np.eye(3))
-        ll = u.laplacian().laplacian()
-        m = u.modes
-        for i in range(3):
-            expect = ((m[i] ** 2 + m[i] ** 2) * math.pi**2) ** 2
-            assert abs(ll.coeffs[i, i] - expect) < 1e-9 * expect
+        # the residual's Laplacian: -Delta u = 2 pi^2 u for the (1,1) mode
+        lap = quad._EtaFourier(FourierApproximation(1, np.array([[3.0]]))).lap[0, 0].item()
+        assert lap.contains(-2.0 * math.pi**2 * 3.0)
+        assert lap.width < 1e-12
 
     def test_l2_norm_single_mode(self):
-        u = FourierApproximation(1, np.array([[-5.0]]))
-        assert abs(u.l2_norm() - 2.5) < 1e-14
+        n = exact_l2_norm(FourierApproximation(1, np.array([[-5.0]])))
+        assert n.contains(2.5) and n.width < 1e-14
 
     def test_stiffness_values(self):
         # (grad phi_ij, grad phi_ij) = (i^2 + j^2) pi^2 / 4
@@ -68,7 +62,8 @@ class TestBasics:
         "text",
         ["not json", "[]", "{}", '{"n_max": 3}', '{"n_max": "x", "coeffs": []}',
          '{"n_max": 3, "coeffs": [[1, 1]]}', '{"n_max": 3, "coeffs": [[1, 1, "a"]]}',
-         '{"n_max": 3, "coeffs": [[1, 1, NaN], [3, 3, Infinity]]}', '{"n_max": 3, "coeffs": [[3, 1, -1e999]]}'],
+         '{"n_max": 3, "coeffs": [[1, 1, NaN], [3, 3, Infinity]]}', '{"n_max": 3, "coeffs": [[3, 1, -1e999]]}',
+         '{"n_max": 3, "coeffs": [[1, 1, 1e308], [3, 1, 1e308]]}'],
     )
     def test_json_malformed_is_usage_error(self, text):
         with pytest.raises(UsageError, match="coefficient JSON"):
@@ -110,9 +105,9 @@ class TestSolve:
         rng = np.random.default_rng(1)
         for _ in range(25):
             x, y = rng.uniform(0, 1, 2)
-            v = u.eval(x, y)
-            assert abs(v - u.eval(1 - x, y)) < 1e-9 * max(1, abs(v))
-            assert abs(v - u.eval(x, 1 - y)) < 1e-9 * max(1, abs(v))
+            v = u.eval_grid([x, 1 - x], [y, 1 - y])
+            assert abs(v[0, 0] - v[1, 0]) < 1e-9 * max(1, abs(v[0, 0]))
+            assert abs(v[0, 0] - v[0, 1]) < 1e-9 * max(1, abs(v[0, 0]))
 
     def test_amplitude_grows_toward_expected_scale(self):
         # coarse run: amplitude should already be in the hundreds
@@ -120,3 +115,9 @@ class TestSolve:
         u = newton_solve(cfg)
         amp = u.center_value()
         assert 400 < amp < 700
+
+    def test_tol_below_the_picard_floor_fails(self):
+        with pytest.raises(SolverError, match="after 50 Picard steps") as info:
+            newton_solve(GalerkinConfig(n_modes=5, tol=1e-17))
+        assert 1e-17 <= info.value.last_residual < 1e-13
+        assert f"{info.value.last_residual:.3g}" in str(info.value)

@@ -180,7 +180,7 @@ class TestEncloseOnRect:
             for _ in range(40):
                 x = rng.uniform(float(rect.x0), float(rect.x1))
                 y = rng.uniform(float(rect.y0), float(rect.y1))
-                val = u.eval(x, y)
+                val = u.eval_grid([x], [y])[0, 0]
                 tx, ty = Interval(x - float(cx)), Interval(y - float(cy))
                 got = model.eval_at(tx, ty)[0].item()
                 if rect.van_x:
@@ -199,7 +199,7 @@ class TestIntegrateRect:
         u = fourier_from_dict(1, {(1, 1): 1.0})
         dom = (Interval(0, 1), Interval(0, 1))
         engine = with_reduced_model(
-            one_rect_engine(u, 4), PowerSeries2D.constant(Interval(1.0), 4, dom)
+            one_rect_engine(u, 4), PowerSeries2D.from_floats(np.pad([[1.0]], (0, 4)), dom)
         )
         v = engine.sweep([Rect.make(0, 1, 0, 1)])[0].sums[0].item()
         assert v.contains(4.0 / 9.0)
