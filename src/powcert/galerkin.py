@@ -38,6 +38,12 @@ def odd_modes(n_max: int) -> np.ndarray:
     return np.arange(1, n_max + 1, 2)
 
 
+def center_signs(modes: np.ndarray) -> np.ndarray:
+    """sin(m pi / 2) = (-1)^((m - 1) / 2) for the odd modes m: each mode's
+    factor at the center x = 1/2."""
+    return np.where(((modes - 1) // 2) % 2 == 0, 1.0, -1.0)
+
+
 @dataclass
 class FourierApproximation:
     """u(x, y) = sum a[i, j] sin(m_i pi x) sin(m_j pi y), odd modes only."""
@@ -63,7 +69,7 @@ class FourierApproximation:
         return Sx @ self.coeffs @ Sy.T
 
     def center_value(self) -> float:
-        s = np.where(((self.modes - 1) // 2) % 2 == 0, 1.0, -1.0)
+        s = center_signs(self.modes)
         return float(s @ self.coeffs @ s)
 
     # ------------------------------------------------------------------
@@ -120,8 +126,13 @@ class GalerkinConfig:
         self.p = Fraction(self.p)
         if not (1 < self.p < 2):
             raise UsageError(f"p must be in (1, 2), got {self.p}")
-        if self.tol <= 0:
-            raise UsageError("tolerance must be positive")
+        # bool is a subclass of int, and NaN fails every comparison
+        tol = self.tol
+        if isinstance(tol, bool) or not (isinstance(tol, (int, float)) and 0 < tol < math.inf):
+            raise UsageError(f"tol must be finite and > 0, got {tol!r}")
+        g = self.quad_points
+        if g is not None and (isinstance(g, bool) or not isinstance(g, (int, np.integer)) or g < 1):
+            raise UsageError(f"quad_points must be None or an integer >= 1, got {g!r}")
 
 
 class _Workspace:
@@ -155,9 +166,6 @@ class _Workspace:
         scale = max(1.0, float(np.linalg.norm(self.stiff * A)))
         return float(np.linalg.norm(self.residual(A))) / scale
 
-    def center_sign(self) -> np.ndarray:
-        return np.where(((self.modes - 1) // 2) % 2 == 0, 1.0, -1.0)
-
 
 def newton_solve(cfg: GalerkinConfig) -> FourierApproximation:
     """Solve the Galerkin system (grad u, grad phi) = (|u|^(p-1) u, phi) by
@@ -165,7 +173,7 @@ def newton_solve(cfg: GalerkinConfig) -> FourierApproximation:
     ws = _Workspace(cfg)
     # z <- invLap(f(z)) / peak from the (1,1) mode; the amplitude comes from
     # the peak ratio t = rho^(-1/(p-1))
-    sgn = ws.center_sign()
+    sgn = center_signs(ws.modes)
     z = np.zeros((ws.K, ws.K))
     z[0, 0] = 1.0
     for _ in range(_PICARD_STEPS):

@@ -5,7 +5,7 @@ operations nudge endpoints outward with np.nextafter, which dominates the
 <= 1/2 ulp round-to-nearest error of each flop in all ranges.
 
 Every product -- the matrix product, the correlation built on it and both
-stages of the batched convolution of model products -- runs in
+stages of the batched convolution of model products (ConvOperand) -- runs in
 midpoint-radius form (Rump, "Fast and parallel interval arithmetic", BIT
 39, 1999) under one rounding bound, M +- [(G P + R) H + guard] for the
 float products M of the midpoints, P of their magnitudes and R of the
@@ -34,7 +34,7 @@ from .interval import PI, Interval, _cos_core, _sin_core
 _U = Fraction(1, 2**53)    # unit roundoff, round-to-nearest binary64
 _ABS_GUARD = 2.0**-960     # >> n * (underflow absolute error) for any sane n
 _MAX_INNER = 4096          # inner dimensions the guard is sized for
-_CHUNK = 16                # models per pass of iv_conv2d_batch; more buy memory, not time
+_CHUNK = 16                # models per matmul pass of ConvOperand.conv; more buy memory, not time
 
 _NEG_INF = -math.inf
 _POS_INF = math.inf
@@ -401,53 +401,84 @@ def _conv_factors(b: int, terms: int) -> tuple[float, float]:
     return tuple(math.nextafter(float(x), math.inf) for x in exact)
 
 
-def iv_conv2d_batch(U: IArr, V: IArr) -> IArr:
-    """Full 2-D convolution of each item of the stack U (B, a, b) with the
-    same item of V (B, c, d): out[k, s, t] = sum_ij U[k, i, j] V[k, s - i, t - j].
+class ConvOperand:
+    """The right factor V (B, c, d) of full 2-D convolutions, prepared once
+    for any number of left stacks U (B, a, b):
+    conv(U)[k, s, t] = sum_ij U[k, i, j] V[k, s - i, t - j].
 
-    Per chunk of _CHUNK items, U's rows times the Toeplitz blocks of V's
-    rows (one stacked matmul, inner dimension b), then the sum of the a
-    shifted slices of those row products.  Both stages carry four sums: M of
-    Um Vm, P of |Um| |Vm|, Q of Ur |Vm| + (|Um| + Ur) Vr, and Z of |Vm| + Vr
-    over the nonzero entries of U.  The result lies in
+    The prepared form is the Toeplitz blocks T[k, f, j, r, t] = X[k, r, f, t + j]
+    of V's rows X[k, r] = (Vm, |Vm|, Vr), each padded by b - 1 zeros on both
+    sides, shape (B, 3, b, c, b + d - 1), read-only.  They depend on U's
+    column count b and are built again for a U of another b.
+
+    Per chunk of _CHUNK items, conv multiplies U's rows (columns reversed)
+    with the chunk's blocks (one stacked matmul, inner dimension b), then
+    adds the a shifted slices of those row products.  Both stages carry four
+    sums: M of Um Vm, P of |Um| |Vm|, Q of Ur |Vm| + (|Um| + Ur) Vr, and Z of
+    |Vm| + Vr over the nonzero entries of U.  The result lies in
     M +- [(G P + Q) H + guard] (_conv_factors); an entry with Z = 0, every
     product with a factor exactly zero in midpoint and radius, is exactly 0.
     Each item has the bits of the item alone."""
-    batch, a, b = U.shape
-    c, d = V.shape[1:]
-    if b > _MAX_INNER:
-        raise IntervalDomainError("inner dimension too large for the stock inflation factor")
-    G, H = _conv_factors(b, min(a, c))
-    w, n, v = b + d - 1, min(_CHUNK, batch), slice(b - 1, b - 1 + d)
-    lo, hi = np.empty((2, batch, a + c - 1, w))
-    # a chunk's work arrays, reused, zero blocks never written: V's rows
-    # (Vm, |Vm|, Vr) padded by b - 1 zeros, their Toeplitz blocks
-    # T[f, j, r, t] = X[r, f, t + j], U's rows reversed as block rows M, P, Q, Z
-    X, R = np.zeros((n, c, 3, d + 2 * b - 2)), np.zeros((n, 4, a, 3, b))
-    T, rows, S = np.empty((n, 3, b, c, w)), np.empty((n, 4 * a, c * w)), np.empty((n, 4, a + c - 1, w))
-    for at in range(0, batch, _CHUNK):
-        k, m = slice(at, at + _CHUNK), min(_CHUNK, batch - at)
-        (Um, Ur), (Vm, Vr) = U[k].mid_rad(), V[k].mid_rad()
-        Um, Ur = Um[..., ::-1], Ur[..., ::-1]
-        X[:m, :, 0, v], X[:m, :, 1, v], X[:m, :, 2, v] = Vm, np.abs(Vm), Vr
-        np.copyto(T[:m], sliding_window_view(X[:m], w, axis=3).transpose(0, 2, 3, 1, 4))
-        R[:m, 0, :, 0], R[:m, 1, :, 1], R[:m, 2, :, 1] = Um, np.abs(Um), Ur
-        np.add(R[:m, 1, :, 1], Ur, out=R[:m, 2, :, 2])
-        R[:m, 3, :, 1] = R[:m, 3, :, 2] = R[:m, 2, :, 2] != 0.0
-        np.matmul(R[:m].reshape(m, 4 * a, 3 * b), T[:m].reshape(m, 3 * b, c * w), out=rows[:m])
-        prods, sums = rows[:m].reshape(m, 4, a, c, w), S[:m]
-        sums[:] = 0.0
-        for i in range(a):
-            sums[:, :, i : i + c] += prods[:, :, i]
-        mid, rad, zero = sums[:, 0], sums[:, 1], sums[:, 3] == 0.0
-        rad *= G
-        rad += sums[:, 2]
-        rad *= H
-        rad += _ABS_GUARD
-        for out, op, way in ((lo[k], np.subtract, _NEG_INF), (hi[k], np.add, _POS_INF)):
-            np.nextafter(op(mid, rad, out=out), way, out=out)
-            np.copyto(out, 0.0, where=zero)
-    return IArr(lo, hi)
+
+    __slots__ = ("V", "b", "T")
+
+    def __init__(self, V: IArr):
+        self.V, self.b, self.T = V, None, None
+
+    def _blocks(self, b: int) -> np.ndarray:
+        if b != self.b:
+            Vm, Vr = self.V.mid_rad()
+            batch, c, d = Vm.shape
+            X, v = np.zeros((batch, c, 3, d + 2 * b - 2)), slice(b - 1, b - 1 + d)
+            X[:, :, 0, v], X[:, :, 1, v], X[:, :, 2, v] = Vm, np.abs(Vm), Vr
+            T = np.ascontiguousarray(sliding_window_view(X, b + d - 1, axis=3).transpose(0, 2, 3, 1, 4))
+            T.flags.writeable = False
+            self.b, self.T = b, T
+        return self.T
+
+    def conv(self, U: IArr) -> IArr:
+        """The convolution of each item of U (B, a, b) with the same item of V."""
+        batch, a, b = U.shape
+        if batch != self.V.shape[0]:
+            raise ValueError(f"a stack of {batch} items against an operand of {self.V.shape[0]}")
+        if b > _MAX_INNER:
+            raise IntervalDomainError("inner dimension too large for the stock inflation factor")
+        T = self._blocks(b)
+        c, w = T.shape[3:]
+        G, H = _conv_factors(b, min(a, c))
+        n = min(_CHUNK, batch)
+        lo, hi = np.empty((2, batch, a + c - 1, w))
+        # a chunk's work arrays, reused, zero blocks never written: U's rows
+        # reversed as block rows M, P, Q, Z, their row products and sums
+        R, rows, S = np.zeros((n, 4, a, 3, b)), np.empty((n, 4 * a, c * w)), np.empty((n, 4, a + c - 1, w))
+        for at in range(0, batch, _CHUNK):
+            k, m = slice(at, at + _CHUNK), min(_CHUNK, batch - at)
+            Um, Ur = U[k].mid_rad()
+            Um, Ur = Um[..., ::-1], Ur[..., ::-1]
+            R[:m, 0, :, 0], R[:m, 1, :, 1], R[:m, 2, :, 1] = Um, np.abs(Um), Ur
+            np.add(R[:m, 1, :, 1], Ur, out=R[:m, 2, :, 2])
+            R[:m, 3, :, 1] = R[:m, 3, :, 2] = R[:m, 2, :, 2] != 0.0
+            np.matmul(R[:m].reshape(m, 4 * a, 3 * b), T[k].reshape(m, 3 * b, c * w), out=rows[:m])
+            prods, sums = rows[:m].reshape(m, 4, a, c, w), S[:m]
+            sums[:] = 0.0
+            for i in range(a):
+                sums[:, :, i : i + c] += prods[:, :, i]
+            mid, rad, zero = sums[:, 0], sums[:, 1], sums[:, 3] == 0.0
+            rad *= G
+            rad += sums[:, 2]
+            rad *= H
+            rad += _ABS_GUARD
+            for out, op, way in ((lo[k], np.subtract, _NEG_INF), (hi[k], np.add, _POS_INF)):
+                np.nextafter(op(mid, rad, out=out), way, out=out)
+                np.copyto(out, 0.0, where=zero)
+        return IArr(lo, hi)
+
+
+def iv_conv2d_batch(U: IArr, V: IArr) -> IArr:
+    """Full 2-D convolution of each item of the stack U (B, a, b) with the
+    same item of V (B, c, d): out[k, s, t] = sum_ij U[k, i, j] V[k, s - i, t - j],
+    ConvOperand(V) applied once.  Each item has the bits of the item alone."""
+    return ConvOperand(V).conv(U)
 
 
 def iv_conv2d_full(U: IArr, V: IArr) -> IArr:

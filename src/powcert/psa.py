@@ -19,10 +19,11 @@ A PowerSeries holds a batch of B models of one degree: coefficients of shape
 Every operation treats the items independently and rounds each of them
 exactly as it would round that model alone, so a batch costs one pass of
 numpy calls instead of B; the convolution of a product is one batched
-two-stage kernel (ivarray.iv_conv2d_batch).  Two-dimensional models nest
-the one-dimensional construction: a 2-D model is a series in x whose
-coefficients are series in y; the coefficient array operations below are
-the unrolled form of that nesting.
+two-stage kernel (ivarray.ConvOperand), whose right factor is prepared once
+where it repeats, as z in the powers z^i of a composition.  Two-dimensional
+models nest the one-dimensional construction: a 2-D model is a series in x
+whose coefficients are series in y; the coefficient array operations below
+are the unrolled form of that nesting.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ import numpy as np
 
 from .errors import PositivityError, UsageError
 from .interval import Interval, iv_log, iv_pow
-from .ivarray import IArr, iv_conv1d_full, iv_conv2d_batch
+from .ivarray import ConvOperand, IArr, iv_conv1d_full, iv_conv2d_batch
 
 # the benchmark's tracer wraps psa.iv_conv2d_full, priced on 2-D operands,
 # and psa.iv_sin and psa.iv_cos, which psa does not call
@@ -150,6 +151,12 @@ class PowerSeries:
         self._check_compatible(other)
         conv = iv_conv2d_batch if len(self.domain) == 2 else iv_conv1d_full
         return self._like(conv(self.coeffs, other.coeffs)).reduce(self.degree)
+
+    def times(self, op: ConvOperand) -> "PowerSeries":
+        """self * v for the 2-D batch v of this degree and domain whose
+        coefficients op holds: the same kernel and bits, with v's side of
+        the product prepared once for every product with v."""
+        return self._like(op.conv(self.coeffs)).reduce(self.degree)
 
     def scale(self, c) -> "PowerSeries":
         """Item b times c, or times c[b] for an IArr c."""
@@ -403,12 +410,14 @@ def ps_compose(f: ElemFn, u: PowerSeries, rng: IArr | None = None) -> PowerSerie
     # powers of z scaled term by term (not Horner): each z^i is formed by
     # Type-II multiplication first, then scaled once by its interval
     # coefficient, which keeps the worked-example tightness.  z^i carries
-    # f^(i)(u0) / i! below a model's order and f^(i)(hull) / i! at it.
+    # f^(i)(u0) / i! below a model's order and f^(i)(hull) / i! at it.  In
+    # two variables every z^i = z^(i-1) z takes z prepared once.
     result = u.const_like(at_u0[0])
     zp = z
+    z_op = ConvOperand(z.coeffs) if len(u.domain) == 2 else None
     for i in range(1, int(orders.max()) + 1):
         if i >= 2:
-            zp = zp * z
+            zp = zp * z if z_op is None else zp.times(z_op)
         deriv = over_hull[i - 1]
         if i < n:
             below = i < orders

@@ -46,8 +46,10 @@ contributions are summed in base-rectangle order regardless of the worker
 count, so results are reproducible.  Factor and corner tables depend only
 on their arguments and are built once per process; the factor tables a
 level lacks are built in one vectorized pass per kind of table: reduced
-sines, plain sines and gram cosines.  The sweep runs with one BLAS thread,
-which its workers inherit.
+sines, plain sines and gram cosines.  The base grid and its layout are
+built once per process too, and each sweep fetches the grid's tables
+from the table cache.  The sweep runs with one BLAS thread, which its
+workers inherit.
 
 One sweep engine evaluates every rectangle, and two functions run it:
 
@@ -60,6 +62,7 @@ One sweep engine evaluates every rectangle, and two functions run it:
 
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
@@ -72,15 +75,15 @@ from . import ivarray
 from .errors import IntervalDomainError, PositivityError, UsageError
 from .galerkin import FourierApproximation
 from .interval import PI, Interval, iv_pow
-from .ivarray import IArr, iv_conv2d_batch, iv_matmul, iv_outer, sin_cos_pi
+from .ivarray import ConvOperand, IArr, iv_conv2d_batch, iv_matmul, iv_outer, sin_cos_pi
 from .psa import ElemFn, PowerSeries2D, ps_compose
 
 # The benchmark's tracer (perfbench/tracing.py) wraps quad.iv_matmul,
 # quad.iv_corr2d, quad.iv_conv2d_full, quad.iv_sin and quad.iv_cos, and its
 # cost hooks read 2-D operands.  The sweep calls only quad.iv_matmul, for its
 # one 2-D product (factor tables times coefficients); stacked products, the
-# gram tables' too, call ivarray.iv_matmul, model products iv_conv2d_batch,
-# and the factor tables take sin_cos_pi.  The rest is for the tracer alone.
+# gram tables' too, call ivarray.iv_matmul, model products iv_conv2d_batch
+# or a ConvOperand, and the factor tables take sin_cos_pi.  The rest is for the tracer alone.
 from .interval import iv_cos, iv_sin  # noqa: F401
 from .ivarray import iv_conv2d_full, iv_corr2d  # noqa: F401
 
@@ -157,10 +160,12 @@ class Rect:
         )
 
 
-def _grid(m: int) -> list:
-    """The base rectangles: the M x M grid of the standard quadrant."""
+@lru_cache(maxsize=8)
+def _grid(m: int) -> tuple:
+    """The base rectangles: the M x M grid of the standard quadrant, built
+    once per process and shared, as Rect is frozen."""
     h = _HALF / m
-    return [Rect.make(i * h, (i + 1) * h, j * h, (j + 1) * h) for i in range(m) for j in range(m)]
+    return tuple(Rect.make(i * h, (i + 1) * h, j * h, (j + 1) * h) for i in range(m) for j in range(m))
 
 
 def _endpoint_power(v: Fraction, e: Fraction) -> Interval:
@@ -312,25 +317,30 @@ class _Layout:
     the distinct edges (a, b), x and y edges alike -- the tables
     of one interval are one table --, ix and iy each rectangle's index into
     them, domain its local x and y intervals and box the number of its class
-    and local box.  The engine adds the stacks of the edges' factor tables
-    (_Engine.layout)."""
+    and local box; the arrays are read-only, so that the base grid's layout
+    (_grid_layout) serves every sweep.  The engine adds the stacks of the
+    edges' factor tables to a copy (_Engine.layout)."""
 
     def __init__(self, rects):
         edges = {}
         ix = [edges.setdefault((r.x0, r.x1), len(edges)) for r in rects]
         iy = [edges.setdefault((r.y0, r.y1), len(edges)) for r in rects]
-        self.edges = list(edges)
+        self.edges = tuple(edges)
         # local ends (0, h) mark a vanishing edge, (-h/2, h/2) any other
         ends = [_local_edge(*k)[1:] for k in self.edges]
         local = {}
         lid = [local.setdefault(e, len(local)) for e in ends]
         boxes = {}
         box = [boxes.setdefault((lid[i], lid[j]), len(boxes)) for i, j in zip(ix, iy)]
-        self.order = sorted(range(len(rects)), key=lambda b: (not (rects[b].van_x or rects[b].van_y), box[b]))
-        self.rects = [rects[b] for b in self.order]
-        self.ix, self.iy, self.box = (np.array(v, dtype=np.intp)[self.order] for v in (ix, iy, box))
+        order = sorted(range(len(rects)), key=lambda b: (not (rects[b].van_x or rects[b].van_y), box[b]))
+        self.order, self.rects = tuple(order), tuple(rects[b] for b in order)
+        self.ix, self.iy, self.box = (np.array(v, dtype=np.intp)[order] for v in (ix, iy, box))
         dom = IArr.from_intervals([_frac_interval(*e) for e in ends])
         self.domain = (dom[self.ix], dom[self.iy])
+        for a in (self.ix, self.iy, self.box):
+            a.flags.writeable = False
+        for d in self.domain:
+            _read_only(d)
         self.reduced = self.plain = self.cos = None
 
     def groups(self, items: list) -> list:
@@ -339,6 +349,12 @@ class _Layout:
         box = self.box[items]
         cut = [0, *(np.flatnonzero(box[1:] != box[:-1]) + 1).tolist(), len(box)]
         return [(slice(a, b), self.rects[items[a]]) for a, b in zip(cut, cut[1:])]
+
+
+@lru_cache(maxsize=8)
+def _grid_layout(m: int) -> _Layout:
+    """The layout of the base grid _grid(m), built once per process."""
+    return _Layout(_grid(m))
 
 
 def _corners(rect: Rect, e: Fraction, nx: int, ny: int) -> list:
@@ -483,8 +499,12 @@ class _Engine:
         """The rectangles laid out (_Layout), with the stacks of their edges'
         factor tables the level needs: the sines, reduced on the vanishing
         edges, and the plain sines when the residual or a sine-series xi
-        needs them, fetched together, and the gram cosines."""
-        lay = _Layout(rects)
+        needs them, fetched together, and the gram cosines.  The whole base
+        grid -- _grid's own tuple, the serial sweep's first level -- takes a
+        copy of the layout built once per process; the tables are fetched
+        for every level."""
+        m = self.cfg.grid_m
+        lay = copy.copy(_grid_layout(m)) if rects is _grid(m) else _Layout(rects)
         kinds = (True, False) if self.plain else (True,)
         sines = [IArr.stack(t) for t in _trig_tables(self.eta.modes, lay.edges, 0, kinds, self.n)]
         lay.reduced, lay.plain = sines[0], (sines[1] if self.plain else None)
@@ -681,14 +701,15 @@ class _Engine:
             # local three-piece expansion
             at = slice(edge[0][0].start, edge[-1][0].stop)
             lp = lap.coeffs[at]
-            piece1 = _integrals(iv_conv2d_batch(lp, lp), edge, Fraction(0))
-            piece2 = _integrals(iv_conv2d_batch(u_pow.coeffs[at], lp), edge, p)
+            lp_op = ConvOperand(lp)  # the right factor of both products
+            piece1 = _integrals(lp_op.conv(lp), edge, Fraction(0))
+            piece2 = _integrals(lp_op.conv(u_pow.coeffs[at]), edge, p)
             two_p = 2 * p
             v = v_red[at]
             if two_p.denominator == 1:
-                acc = v
+                acc, v_op = v, ConvOperand(v.coeffs)
                 for _ in range(two_p.numerator - 1):
-                    acc = acc * v
+                    acc = acc.times(v_op)
             else:
                 acc = (w[at] * w[at]) * (v * v)
             piece3 = _integrals(acc.coeffs, edge, two_p)
@@ -705,12 +726,13 @@ class _Engine:
         (the base index, then 0 or 1 per bisection), so key order is
         depth-first order, and nothing after the first error in that order
         is evaluated further."""
-        level = [((i,), rect) for i, rect in enumerate(rects)]
+        # the first level is rects itself, so that layout knows the base grid
+        level, batch = [((i,), rect) for i, rect in enumerate(rects)], rects
         leaves = {}
         first_error = None  # (key, error)
         while level:
             bisected = []
-            for (key, rect), res in zip(level, self.eval_level([r for _, r in level])):
+            for (key, rect), res in zip(level, self.eval_level(batch)):
                 at_limit = rect.depth >= self.cfg.max_depth
                 if isinstance(res, Exception):
                     if at_limit or isinstance(res, IntervalDomainError):
@@ -729,6 +751,7 @@ class _Engine:
             if first_error is not None:
                 bisected = [node for node in bisected if node[0] < first_error[0]]
             level = bisected
+            batch = [r for _, r in level]
         if first_error is not None:
             raise first_error[1]
         return [_fold(leaves, (i,)) for i in range(len(rects))]

@@ -13,6 +13,7 @@ from powcert.errors import SolverError, UsageError
 from powcert.galerkin import (
     FourierApproximation,
     GalerkinConfig,
+    center_signs,
     newton_solve,
     odd_modes,
 )
@@ -24,6 +25,12 @@ class TestBasics:
     def test_odd_modes(self):
         assert list(odd_modes(6)) == [1, 3, 5]
         assert list(odd_modes(1)) == [1]
+
+    def test_center_signs(self):
+        # sin(m pi / 2) over the odd modes, as the solver and center_value take it
+        assert list(center_signs(odd_modes(9))) == [1.0, -1.0, 1.0, -1.0, 1.0]
+        u = FourierApproximation(5, np.array([[3.0, 0.5, -0.25], [0.125, 2.0, 1.0], [-1.0, 0.5, 0.75]]))
+        assert abs(u.center_value() - u.eval_grid([0.5], [0.5])[0, 0]) < 1e-14
 
     def test_eval_center(self):
         u = FourierApproximation(1, np.array([[2.0]]))
@@ -68,6 +75,25 @@ class TestBasics:
     def test_json_malformed_is_usage_error(self, text):
         with pytest.raises(UsageError, match="coefficient JSON"):
             FourierApproximation.from_json(text)
+
+
+class TestConfig:
+    # GalerkinConfig checks what RunConfig checks of the same settings, for
+    # the library caller
+
+    @pytest.mark.parametrize("tol", [math.nan, math.inf, -math.inf, 0.0, -1e-11, 0, True, "1e-11", None])
+    def test_bad_tol_is_usage_error(self, tol):
+        with pytest.raises(UsageError, match="tol must be finite and > 0"):
+            GalerkinConfig(n_modes=3, tol=tol)
+
+    @pytest.mark.parametrize("points", [-5, 0, True, False, 64.0, "64"])
+    def test_bad_quad_points_is_usage_error(self, points):
+        with pytest.raises(UsageError, match="quad_points must be None or an integer >= 1"):
+            GalerkinConfig(n_modes=3, quad_points=points)
+
+    @pytest.mark.parametrize("points", [None, 1, 48, np.int64(48)])
+    def test_quad_points_accepted(self, points):
+        assert GalerkinConfig(n_modes=3, quad_points=points).quad_points == points
 
 
 class TestSolve:

@@ -16,6 +16,7 @@ from powcert.errors import IntervalDomainError
 from powcert.interval import PI, Interval
 from powcert.ivarray import (
     _CHUNK,
+    ConvOperand,
     IArr,
     iv_conv1d_full,
     iv_conv2d_batch,
@@ -491,6 +492,32 @@ class TestConvBatch:
         C = iv_conv2d_full(U, V)
         for _ in range(2):
             assert encloses(C, exact_conv2d(drawn_points(data, U), drawn_points(data, V)))
+
+    @pytest.mark.parametrize("batch", [1, _CHUNK - 1, _CHUNK, _CHUNK + 1, 2 * _CHUNK + 1])
+    def test_prepared_operand_has_bits_of_fresh_kernel(self, batch):
+        # one operand against several stacks U: of V's row count and not,
+        # of another column count b (its blocks built again) and back; each
+        # product has the bits of a fresh kernel call, so no product writes
+        # into the blocks the next one reads.  random_items zeroes whole
+        # rows and columns, which the zero mask must keep exactly 0
+        rng = np.random.default_rng(batch)
+        V = random_items(rng, batch, (4, 6))
+        V_lo, V_hi = V.lo.copy(), V.hi.copy()
+        op = ConvOperand(V)
+        for shape in [(3, 5), (4, 5), (3, 5), (2, 7), (7, 1), (3, 5)]:
+            U = random_items(rng, batch, shape)
+            U_lo, U_hi = U.lo.copy(), U.hi.copy()
+            assert same_bits(op.conv(U), iv_conv2d_batch(U, V)), shape
+            assert np.array_equal(U.lo, U_lo) and np.array_equal(U.hi, U_hi)
+            assert op.b == shape[1] and not op.T.flags.writeable
+        assert np.array_equal(V.lo, V_lo) and np.array_equal(V.hi, V_hi)
+
+    def test_operand_rejects_another_batch(self):
+        rng = np.random.default_rng(2)
+        op = ConvOperand(random_items(rng, 17, (3, 3)))
+        for batch in (16, 18):
+            with pytest.raises(ValueError, match="17"):
+                op.conv(random_items(rng, batch, (3, 3)))
 
     def test_inner_dimension_guard(self):
         U = IArr.exact(np.ones((1, 1, 4097)))

@@ -468,6 +468,16 @@ def ref_range_batch(self):
     return IArr.from_intervals([RefModel.item(self, b).range() for b in range(self.batch)])
 
 
+class RefOperand:
+    """ivarray.ConvOperand on the window kernel."""
+
+    def __init__(self, V):
+        self.V = V
+
+    def conv(self, U):
+        return ref_conv2d_items(U, self.V)
+
+
 def ref_ps_compose_batch(f, u, rng=None):
     # the reference forms each model's range itself
     return batch_of([ref_ps_compose(f, RefModel.item(u, b)) for b in range(u.batch)])
@@ -579,6 +589,23 @@ class TestSameBitsAsReference:
             assert orders[0] < n and orders[1:] == [n] * 3
             assert items_same_bits(ps_compose(f, batch_of(refs)), refs_out)
 
+    @pytest.mark.parametrize("n", [6, 10])
+    def test_compose_batch_across_chunks(self, n):
+        # z is prepared once for the whole batch, whose chunks of the
+        # product kernel split it: every model keeps the bits of its
+        # composition alone
+        rng = np.random.default_rng(n)
+        dom = (Interval(0.0, 0.125), Interval(-0.0625, 0.0625))
+        refs = [low_order_model(n)] + [
+            compose_model(rng.uniform(1.0, 3.0), rng.uniform(-1.0, 1.0, (n + 1, n + 1)), 0.05, dom)
+            for _ in range(36)
+        ]
+        u = batch_of(refs)
+        f = ElemFn.pow_q(Fraction(1, 2))
+        got = ps_compose(f, u)
+        for b in range(u.batch):
+            assert same_bits(got.coeffs[b], ps_compose(f, u[b]).coeffs[0]), b
+
     @pytest.mark.parametrize("q", [Fraction(1, 2), Fraction(1, 3)])
     def test_compose_one_item_fails_check_domain(self, q):
         rng = np.random.default_rng(3)
@@ -686,6 +713,7 @@ class TestSameBitsAsReference:
         monkeypatch.setattr(IArr, "__rmul__", ref_mul)
         monkeypatch.setattr(quad._Engine, "_gram_tables", window_gram_tables)
         monkeypatch.setattr(quad, "iv_conv2d_batch", ref_conv2d_items)
+        monkeypatch.setattr(quad, "ConvOperand", RefOperand)
         monkeypatch.setattr(psa, "iv_conv2d_batch", ref_conv2d_items)
         monkeypatch.setitem(globals(), "iv_conv2d_full", ref_conv2d_full)  # RefModel.__mul__
         monkeypatch.setattr(PowerSeries2D, "reduce", ref_reduce_batch)

@@ -12,6 +12,7 @@ from fractions import Fraction
 import mpmath
 import numpy as np
 import pytest
+from conftest import clear_tables
 from test_ivarray import BLAS, inside_no_wider, needs_blas, ref_corr2d, same_bits
 
 from powcert import quad
@@ -1336,3 +1337,54 @@ class TestTablesPerProcess:
                 table.lo[0] = 0.0
             with pytest.raises(ValueError):
                 table.hi[0] = 0.0
+
+    def test_cached_grid_keeps_bits(self):
+        # repeated integrals over other etas, with the grid, its layout and
+        # the tables cached, give the bits of each integral made from empty
+        # caches
+        etas = [
+            fourier_from_dict(3, {(1, 1): 2.0, (3, 1): 0.05, (1, 3): -0.03}),
+            fourier_from_dict(3, {(1, 1): 1.5, (3, 3): 0.02}),
+        ]
+        calls = [
+            (eta, xi, QuadConfig(degree=degree, grid_m=m))
+            for degree in (6, 10)
+            for m in (2, 8)
+            for eta in etas
+            for xi in (None, eta)
+        ]
+        warm = [integral_power(eta, xi, Fraction(1, 2), cfg) for eta, xi, cfg in calls]
+        cold = []
+        for eta, xi, cfg in calls:
+            clear_tables()
+            quad._grid.cache_clear()
+            quad._grid_layout.cache_clear()
+            cold.append(integral_power(eta, xi, Fraction(1, 2), cfg))
+        assert [(v.lo, v.hi) for v in warm] == [(v.lo, v.hi) for v in cold]
+
+    def test_grid_layout_shared_and_read_only(self):
+        rects = quad._grid(4)
+        assert rects is quad._grid(4) and isinstance(rects, tuple)
+        eta = quad._EtaFourier(fourier_from_dict(3, {(1, 1): 2.0}))
+        engine = quad._Engine(eta, Fraction(1, 2), QuadConfig(grid_m=4), quad._Request())
+        base = quad._grid_layout(4)
+        lay = engine.layout(rects)
+        # the level's copy shares the geometry and takes the tables; a list
+        # of the same rectangles is laid out anew
+        assert lay is not base and lay.ix is base.ix and lay.domain is base.domain
+        assert lay.reduced is not None and base.reduced is None
+        assert engine.layout(list(rects)).ix is not base.ix
+        for a in (base.ix, base.iy, base.box, *(end for d in base.domain for end in (d.lo, d.hi))):
+            with pytest.raises(ValueError):
+                a[0] = 0
+
+    def test_poisoned_tables_reach_the_cached_layout(self, monkeypatch):
+        # a sweep on the cached base grid still fetches its tables, so a
+        # table built poisoned after the layout was cached reaches the sweep
+        u = fourier_from_dict(3, {(1, 1): 5.0, (3, 1): 0.1})
+        cfg = QuadConfig(degree=6, grid_m=2, workers=1)
+        pipeline_sweep(u, Fraction(3, 2), [(1, 1), (1, 3)], cfg)
+        clear_tables()
+        poison_tables(monkeypatch, lambda a, b, ph: ph == 0, "hi", (-1, 0), math.nan)
+        with pytest.raises(IntervalDomainError, match=r"non-finite .* on S11 \[0,1/4\]x\[0,1/4\]"):
+            pipeline_sweep(u, Fraction(3, 2), [(1, 1), (1, 3)], cfg)
