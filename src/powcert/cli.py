@@ -35,10 +35,10 @@ from .certify import (
     sobolev_constant,
 )
 from .errors import PowcertError, UnsupportedError, UsageError
-from .galerkin import FourierApproximation, GalerkinConfig, newton_solve
+from .galerkin import FourierApproximation, GalerkinConfig, newton_solve, odd_modes
 from .interval import Interval
 from .ivarray import single_blas_thread
-from .quad import QuadConfig, pipeline_sweep, sup_weight
+from .quad import QuadConfig, check_table_degree, gram_indices_freqs, pipeline_sweep, sup_weight
 from .spectral import projection_constant, spectral_K_from_gram, symmetric_indices
 
 __all__ = ["RunConfig", "run_verify", "run_pipeline", "main", "psa_selftest"]
@@ -128,6 +128,9 @@ class RunConfig:
         if self.workers == 0:
             self.workers = _available_cpus()
         self.quad()  # the sweep's own checks: degree, max_depth and workers
+        check_table_degree(
+            self.degree, odd_modes(self.n_modes), gram_indices_freqs(symmetric_indices(self.eig_n))
+        )
         try:
             # the existence-test stage's coefficient, which checks the triple
             # and would otherwise reject an out-of-scope one after the sweep

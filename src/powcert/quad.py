@@ -38,18 +38,18 @@ contributions -- gram tables, residual and power integrals, range bounds,
 computed as stacked arrays over the groups, which share every corner
 table -- all take that layout, and the results go back to rectangle order
 once, at the end; each rectangle gets the bits it would get evaluated
-alone.  Leaves are folded, and errors raised, as a depth-first recursion
-over each base rectangle would, so the batching does not show in the
-results.  With more than one worker each forked worker process sweeps one
-contiguous block of whole grid rows of base rectangles as one batch;
-contributions are summed in base-rectangle order regardless of the worker
-count, so results are reproducible.  Factor and corner tables depend only
-on their arguments and are built once per process; the factor tables a
-level lacks are built in one vectorized pass per kind of table: reduced
-sines, plain sines and gram cosines.  The base grid and its layout are
-built once per process too, and each sweep fetches the grid's tables
-from the table cache.  The sweep runs with one BLAS thread, which its
-workers inherit.
+alone.  Errors are raised as a depth-first recursion over each base
+rectangle would raise them, so the batching does not show in the results.
+Each total is the exact sum of its leaf contributions rounded outward
+once, so it depends neither on the order of the leaves nor on the worker
+count.  With more than one worker each forked worker process sweeps one
+contiguous block of whole grid rows of base rectangles as one batch.
+Factor and corner tables depend only on their arguments and are built once
+per process; the factor tables a level lacks are built in one vectorized
+pass per kind of table: reduced sines, plain sines and gram cosines.  The
+base grid and its layout are built once per process too, and each sweep
+fetches the grid's tables from the table cache.  The sweep runs with one
+BLAS thread, which its workers inherit.
 
 One sweep engine evaluates every rectangle, and two functions run it:
 
@@ -64,7 +64,7 @@ from __future__ import annotations
 
 import copy
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
@@ -263,16 +263,30 @@ def _build_trig_tables(freqs: tuple, edges: list, phase: int, reduced: bool, deg
         np.where(exact, np.minimum(e_lo, e_hi), rows.lo) + 0.0,
         np.where(exact, np.maximum(e_lo, e_hi), rows.hi) + 0.0,
     )
-    order, extra = n + 1 + shift, dom
-    if reduced and n % 2 == 0:  # sin(f pi t) has no term of even order n + 2
-        order, extra = order + 1, dom.sqr()
-    r = np.array([
-        math.nextafter(m**order / math.factorial(order) * (1.0 + 1e-12), math.inf)
-        for m in w.mag().tolist()
-    ])
-    rows[n] = rows[n] + IArr(-r, r) * extra
+    order, r = _remainder(w, n, reduced)
+    rows[n] = rows[n] + IArr(-r, r) * (dom.sqr() if order > n + 1 + shift else dom)
     out[:, :, live] = IArr(rows.lo.transpose(1, 0, 2), rows.hi.transpose(1, 0, 2))
     return out
+
+
+def _remainder(w: IArr, degree: int, reduced: bool) -> tuple:
+    """The order k of the factor tables' Lagrange remainder -- degree + 1,
+    one more for sin(f pi t)/t, one more again at even degree, as sin(f pi t)
+    has no term of even order degree + 2 -- and |w|^k / k! rounded up, for w
+    enclosing each frequency times pi; a UsageError where it overflows."""
+    k = degree + 1 + reduced + (reduced and degree % 2 == 0)
+    try:
+        r = [math.nextafter(m**k / math.factorial(k) * (1.0 + 1e-12), math.inf) for m in w.mag().tolist()]
+    except OverflowError:
+        raise UsageError(f"PSA degree {degree} too high: the table remainder (f pi)^{k}/{k}! overflows") from None
+    return k, np.array(r)
+
+
+def check_table_degree(degree: int, modes, gram_freqs):
+    """Refuse a degree whose factor tables overflow (_remainder), before any
+    is built: the reduced sines of the modes or the gram cosines."""
+    for freqs, reduced in ((modes, True), (gram_freqs, False)):
+        _remainder(IArr.exact(freqs) * PI, degree, reduced)
 
 
 def _trig_tables(freqs: tuple, edges: list, phase: int, kinds: tuple, degree: int) -> list:
@@ -441,33 +455,19 @@ class _Request:
 
 @dataclass
 class _RectOut:
-    """The contributions of a leaf rectangle, or of a union of leaves.
-
-    sums holds every integral the request asks for, in one row: the
-    residual square, the integrals of eta^q xi, then the gram table row by
-    row.  The range bounds of u are the least lower and the greatest upper
-    end of the rectangle ranges, the greatest lower end of one rectangle
-    range (a positivity witness) and the greatest lower end of the constant
-    coefficient of an interior rectangle's model (-inf if none).  The counts
-    are of leaves and of leaves kept over budget."""
+    """The contributions of a leaf rectangle.  sums holds every integral
+    the request asks for, in one row: the residual square, the integrals of
+    eta^q xi, then the gram table row by row.  [rng_min, rng_max] encloses u
+    on the rectangle, and center_lo is the lower end of the constant
+    coefficient of an interior rectangle's model (-inf on an edge
+    rectangle).  over_budget is 1 for a leaf kept at the depth limit
+    although wider than its share of the width budgets."""
 
     sums: IArr
     rng_min: float
     rng_max: float
-    witness_lo: float
     center_lo: float
-    rect_count: int = 1
     over_budget: int = 0
-
-    def merge(self, other: "_RectOut"):
-        self.sums = self.sums + other.sums
-        self.rng_min = min(self.rng_min, other.rng_min)
-        self.rng_max = max(self.rng_max, other.rng_max)
-        self.witness_lo = max(self.witness_lo, other.witness_lo)
-        self.center_lo = max(self.center_lo, other.center_lo)
-        self.rect_count += other.rect_count
-        self.over_budget += other.over_budget
-        return self
 
 
 class _Engine:
@@ -646,7 +646,7 @@ class _Engine:
                 mon = mon * v_red.domain[1][at]
             u_rng[at] = mon * red[at]
         return [
-            (_RectOut(sums[j], lo, hi, lo, c), bool(ok[j])) if finite[j]
+            (_RectOut(sums[j], lo, hi, c), bool(ok[j])) if finite[j]
             else IntervalDomainError("non-finite integral")
             for j, (lo, hi, c) in enumerate(zip(u_rng.lo.tolist(), u_rng.hi.tolist(), center.tolist()))
         ]
@@ -719,16 +719,15 @@ class _Engine:
     # -------------------- level-synchronous driver --------------------
 
     def sweep(self, rects) -> list[_RectOut]:
-        """Each rectangle's contributions over its bisection tree, evaluated
-        one refinement level at a time.  The leaves are folded, and the error
-        is raised, as the depth-first recursion over each rectangle in turn
-        folds and raises: a node's key is its path from the base rectangles
-        (the base index, then 0 or 1 per bisection), so key order is
-        depth-first order, and nothing after the first error in that order
-        is evaluated further."""
+        """The leaves of the rectangles' bisection trees, in no particular
+        order, evaluated one refinement level at a time.  The error raised is
+        the one the depth-first recursion over each rectangle in turn raises:
+        a node's key is its path from the base rectangles (the base index,
+        then 0 or 1 per bisection), so key order is depth-first order, and
+        nothing after the first error in that order is evaluated further."""
         # the first level is rects itself, so that layout knows the base grid
         level, batch = [((i,), rect) for i, rect in enumerate(rects)], rects
-        leaves = {}
+        leaves = []
         first_error = None  # (key, error)
         while level:
             bisected = []
@@ -744,7 +743,7 @@ class _Engine:
                     if ok or at_limit:
                         if not ok:  # at the limit: keep the sound-but-wide result, flagged
                             out.over_budget += 1
-                        leaves[key] = out
+                        leaves.append(out)
                         continue
                 r1, r2 = rect.bisect()
                 bisected += [(key + (0,), r1), (key + (1,), r2)]
@@ -754,16 +753,19 @@ class _Engine:
             batch = [r for _, r in level]
         if first_error is not None:
             raise first_error[1]
-        return [_fold(leaves, (i,)) for i in range(len(rects))]
+        return leaves
 
     @ivarray.single_blas_thread()
-    def run(self) -> _RectOut:
+    def run(self) -> tuple:
+        """The sums, range bounds and counts of the square (pipeline_sweep),
+        from the leaves of the quadrant, which the three other quadrants
+        mirror: the sums are four times the quadrant's (_total)."""
         m = self.cfg.grid_m
         rects = _grid(m)
         workers = min(self.cfg.workers, m)
         ctx = _fork_context() if workers > 1 else None
         if ctx is None:
-            results = self.sweep(rects)
+            leaves = self.sweep(rects)
         else:
             from concurrent.futures import ProcessPoolExecutor
 
@@ -778,17 +780,11 @@ class _Engine:
             size = -(-m // workers) * m
             blocks = [rects[i : i + size] for i in range(0, len(rects), size)]
             with ProcessPoolExecutor(len(blocks), ctx, _init_worker, (self,)) as pool:
-                results = [out for block in pool.map(_worker_sweep, blocks) for out in block]
-        # The three other quadrants mirror this one and give the same leaf
-        # results bit for bit.  Merging the list once per quadrant, in the
-        # order a four-quadrant sweep would, reproduces that sweep's
-        # outward-rounded sums exactly (scaling by 4 instead does not keep
-        # every gram-table entry equal or narrower) and counts rectangles
-        # for the whole square.
-        total = replace(results[0])  # a copy: results[0] is merged again
-        for res in results[1:] + 3 * results:
-            total.merge(res)
-        return total
+                leaves = [out for block in pool.map(_worker_sweep, blocks) for out in block]
+        lows = [leaf.rng_min for leaf in leaves]
+        ranges = (min(lows), max(leaf.rng_max for leaf in leaves), max(lows), max(leaf.center_lo for leaf in leaves))
+        stats = {"rects": 4 * len(leaves), "over_budget": 4 * sum(leaf.over_budget for leaf in leaves)}
+        return _total(IArr.stack([leaf.sums for leaf in leaves])), ranges, stats
 
 
 def _on_rect(exc: IntervalDomainError, rect: Rect) -> IntervalDomainError:
@@ -797,13 +793,26 @@ def _on_rect(exc: IntervalDomainError, rect: Rect) -> IntervalDomainError:
     return err
 
 
-def _fold(leaves: dict, key: tuple) -> _RectOut:
-    """The contributions of the node at key: its leaf, or its two halves
-    merged as the depth-first recursion merges them."""
-    out = leaves.get(key)
-    if out is None:
-        out = _fold(leaves, key + (0,)).merge(_fold(leaves, key + (1,)))
-    return out
+def _total(rows: IArr) -> IArr:
+    """Four times the sum of the rows (L, k), per column: each end's exact
+    sum rounded outward once, whatever the order of the rows.  math.fsum
+    gives s, the float nearest the sum, and the sign of the remainder
+    sum - s, which is not rounded to 0, as it is a multiple of 2^-1074 like
+    every float.  Scaling the rounded sum by 4 is exact unless it
+    overflows; a total that is not finite, or whose partial sums overflow,
+    raises IntervalDomainError."""
+    ends = []
+    try:
+        for a, to in ((rows.lo, -math.inf), (rows.hi, math.inf)):
+            for col in a.T.tolist():
+                s = math.fsum(col) + 0.0  # + 0.0 turns -0.0 into 0.0
+                rem = math.fsum(col + [-s])
+                ends.append(4.0 * (math.nextafter(s, to) if rem and (rem > 0) == (to > 0) else s))
+    except (OverflowError, ValueError):  # a partial sum overflows, or inf meets -inf
+        ends = [math.nan]
+    if not np.isfinite(ends).all():
+        raise IntervalDomainError("non-finite total of the leaf contributions")
+    return IArr(*np.reshape(ends, (2, -1)))
 
 
 def _fork_context():
@@ -860,7 +869,7 @@ def integral_power(
         raise UsageError(f"exponent q must lie in (0, 1], got {q}")
     req = _Request(powers=(_wrap_xi(xi),), power_width=width_target)
     engine = _Engine(_EtaFourier(eta), q, cfg, req)
-    return engine.run().sums[0].item()
+    return engine.run()[0][0].item()
 
 
 def gram_indices_freqs(indices):
@@ -926,13 +935,11 @@ def pipeline_sweep(
         gram_width=gram_width,
     )
     engine = _Engine(_EtaFourier(u_hat), p - 1, cfg, req)
-    total = engine.run()
-    sq = total.sums[0].item()  # then the gram table
+    sums, ranges, stats = engine.run()
+    sq = sums[0].item()  # then the gram table
     lo = max(sq.lo, 0.0)
     res_norm = iv_pow(Interval(lo, max(sq.hi, lo)), Fraction(1, 2))
     shape = (len(freqs), len(freqs))
-    t = IArr(total.sums.lo[1:].reshape(shape), total.sums.hi[1:].reshape(shape))
+    t = IArr(sums.lo[1:].reshape(shape), sums.hi[1:].reshape(shape))
     gram = gram_from_tables(t, freqs, indices, p)
-    ranges = (total.rng_min, total.rng_max, total.witness_lo, total.center_lo)
-    stats = {"rects": total.rect_count, "over_budget": total.over_budget}
     return res_norm, gram, ranges, stats

@@ -324,6 +324,35 @@ class TestSubcommands:
         with pytest.raises(UsageError, match="C_3 is out of scope"):
             RunConfig(holder=(3, 3, 3))
 
+    def test_overflowing_table_degree_exits_before_solving(self, tmp_path, monkeypatch, capsys):
+        # the reduced sine tables' remainder (f pi)^203 / 203! overflows a float
+        def no_solve(*args, **kw):
+            raise AssertionError("newton_solve ran")
+
+        monkeypatch.setattr(cli, "newton_solve", no_solve)
+        out = tmp_path / "cert.json"
+        argv = ["verify", "--psa-degree", "200", "--grid", "2", "--modes", "6", "--eig-dim", "2"]
+        assert main([*argv, "--out", str(out), "--quiet"]) == EXIT_USAGE
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line.startswith("usage error: PSA degree 200 too high")
+        assert not out.exists()
+
+    def test_table_degree_limit_is_the_builders(self):
+        # modes 1, 3, 5: the reduced sines take the highest remainder order,
+        # degree + 2 at odd degree and degree + 3 at even, and 170! is the
+        # greatest factorial a float holds
+        edge = [(Fraction(0), Fraction(1, 4))]
+        RunConfig(degree=167, n_modes=6, eig_n=2, grid_m=2)
+        quad._build_trig_tables((1, 3, 5), edge, 0, True, 167)
+        with pytest.raises(UsageError, match="PSA degree 168 too high"):
+            RunConfig(degree=168, n_modes=6, eig_n=2, grid_m=2)
+        with pytest.raises(UsageError, match="PSA degree 168 too high"):
+            quad._build_trig_tables((1, 3, 5), edge, 0, True, 168)
+        # at the default 60 modes (f pi)^k itself overflows
+        RunConfig(degree=130)
+        with pytest.raises(UsageError, match="PSA degree 140 too high"):
+            RunConfig(degree=140)
+
     @pytest.mark.parametrize(
         "flags, config",
         [

@@ -12,6 +12,9 @@ from fractions import Fraction
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 from conftest import clear_tables
 from test_ivarray import BLAS, inside_no_wider, needs_blas, ref_corr2d, same_bits
 
@@ -446,7 +449,77 @@ class TestSpecExamples:
         assert improved >= 0.9 * total
 
 
+# leaf contributions: any finite float, subnormals, signed zeros and ends
+# whose float sum cancels, at most 1e300 so that four times a sum of a few
+# dozen stays finite
+SUMMANDS = st.one_of(
+    st.floats(-1e300, 1e300),
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e16, -1e16, 1.0, -1.0]),
+)
+
+
+class TestOrderFreeTotals:
+    """quad._total: four times each column's exact sum, rounded outward."""
+
+    @staticmethod
+    def check(rows):
+        total = quad._total(IArr(rows, rows))
+        for col, lo, hi in zip(rows.T, total.lo, total.hi):
+            exact = sum(map(Fraction, col.tolist()))
+            # lo / 4 is the greatest float <= the sum, hi / 4 the least >= it
+            assert Fraction(lo / 4) <= exact < Fraction(math.nextafter(lo / 4, math.inf))
+            assert Fraction(math.nextafter(hi / 4, -math.inf)) < exact <= Fraction(hi / 4)
+            assert (lo == hi) == (exact == Fraction(lo / 4))
+        return total
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data(), st.integers(1, 40), st.integers(1, 3))
+    def test_directed_sum_against_fractions(self, data, n, k):
+        rows = data.draw(hnp.arrays(np.float64, (n, k), elements=SUMMANDS))
+        total = self.check(rows)
+        shuffled = self.check(rows[data.draw(st.permutations(range(n)))])
+        assert same_bits(total, shuffled)
+
+    def test_exact_cancellation_and_signed_zeros(self):
+        # 1e16 + 1.0 rounds to 1e16 in floats, so a chain of rounded adds
+        # encloses 1 only from a widened 0
+        total = self.check(np.array([[1e16, -0.0], [1.0, -0.0], [-1e16, -0.0]]))
+        assert total.lo.tolist() == total.hi.tolist() == [4.0, 0.0]
+        assert math.copysign(1.0, total.lo[1]) == 1.0  # -0.0 sums to 0.0, in any order
+        self.check(np.array([[5e-324], [5e-324], [-2.2250738585072014e-308], [1e-320]]))
+
+    @pytest.mark.parametrize(
+        "col",
+        [
+            [1e308],  # four times the sum overflows
+            [1e308, 1e308, -1e308],  # fsum's partial sums overflow although the sum is finite
+            [math.inf, -math.inf],  # fsum raises ValueError
+            [math.inf, 1.0],
+            [math.nan],
+        ],
+    )
+    def test_non_finite_total(self, col):
+        rows = np.array(col)[:, None]
+        with pytest.raises(IntervalDomainError, match="^non-finite total"):
+            quad._total(IArr(rows, rows))
+
+
 class TestSweepEngine:
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_digest_independent_of_leaf_order(self, monkeypatch, workers):
+        # the sweep, forked workers' too, hands its leaves over reversed or
+        # shuffled: every total has the same bits
+        u = fourier_from_dict(5, {(1, 1): 5.0, (3, 1): 0.2, (1, 5): -0.1})
+        cfg = QuadConfig(degree=6, grid_m=3, workers=workers)
+        ref = sweep_digest(u, cfg, res_width=200.0, gram_width=1e-4)
+        assert ref[-1]["rects"] > 36  # the budgets bisect
+        real = quad._Engine.sweep
+        rng = np.random.default_rng(11)
+        orders = (lambda leaves: leaves[::-1], lambda leaves: [leaves[i] for i in rng.permutation(len(leaves))])
+        for reorder in orders:
+            monkeypatch.setattr(quad._Engine, "sweep", lambda self, rects, reorder=reorder: reorder(real(self, rects)))
+            assert sweep_digest(u, cfg, res_width=200.0, gram_width=1e-4) == ref
+
     def test_factor_tables_shared_between_axes(self, table_builds):
         # the x and y tables of one interval are one table: at grid_m = 2
         # the sweep needs three sine tables ([0, 1/4] reduced and full,
@@ -692,12 +765,12 @@ class TestWorkerProcesses:
 # ----------------------------------------------------------------------
 # the depth-first sweep: each rectangle evaluated alone, bisected and
 # recursed into at once, kept to check that the level-synchronous sweep
-# folds and raises as it does
+# keeps the same leaves and raises as it does
 # ----------------------------------------------------------------------
 
 def depth_first(engine, rect):
-    """The contributions of rect and its bisections, feeding the engine
-    batches of one rectangle."""
+    """The leaves of rect's bisection tree, in depth-first order, feeding
+    the engine batches of one rectangle."""
     at_limit = rect.depth >= engine.cfg.max_depth
     (res,) = engine.eval_level([rect])
     if isinstance(res, Exception):
@@ -706,14 +779,12 @@ def depth_first(engine, rect):
     else:
         out, ok = res
         if ok:
-            return out
+            return [out]
         if at_limit:
             out.over_budget += 1
-            return out
+            return [out]
     r1, r2 = rect.bisect()
-    out = depth_first(engine, r1)
-    out.merge(depth_first(engine, r2))
-    return out
+    return depth_first(engine, r1) + depth_first(engine, r2)
 
 
 def both_sweeps(monkeypatch, run):
@@ -722,7 +793,9 @@ def both_sweeps(monkeypatch, run):
     outs = []
     for depth_first_sweep in (False, True):
         if depth_first_sweep:
-            monkeypatch.setattr(quad._Engine, "sweep", lambda self, rects: [depth_first(self, r) for r in rects])
+            monkeypatch.setattr(
+                quad._Engine, "sweep", lambda self, rects: [leaf for r in rects for leaf in depth_first(self, r)]
+            )
         try:
             outs.append(run())
         except (PositivityError, IntervalDomainError) as exc:
@@ -731,6 +804,23 @@ def both_sweeps(monkeypatch, run):
 
 
 class TestLevelSynchronous:
+    def test_same_leaves_as_depth_first(self):
+        u = fourier_from_dict(5, {(1, 1): 5.0, (3, 1): 0.2, (1, 5): -0.1})
+        req = quad._Request(
+            residual_p=Fraction(3, 2),
+            gram_freqs=tuple(gram_indices_freqs([(1, 1), (1, 3), (3, 1)])),
+            res_width=200.0,
+            gram_width=1e-4,
+        )
+        engine = quad._Engine(quad._EtaFourier(u), Fraction(1, 2), QuadConfig(degree=6, grid_m=3), req)
+        rects = quad._grid(3)
+        level = engine.sweep(rects)
+        dfs = [leaf for r in rects for leaf in depth_first(engine, r)]
+        assert len(level) > len(rects)  # the budgets bisect
+        assert sorted(rect_out_digest((leaf, True)) for leaf in level) == sorted(
+            rect_out_digest((leaf, True)) for leaf in dfs
+        )
+
     @pytest.mark.parametrize("workers", [1, 2])
     def test_digest_matches_depth_first(self, monkeypatch, workers):
         u = fourier_from_dict(5, {(1, 1): 5.0, (3, 1): 0.2, (1, 5): -0.1})
@@ -1159,7 +1249,7 @@ def ref_rect_out(engine, rect, red_range, v_red, w, v_lap, xis):
     if not (np.isfinite(row.lo).all() and np.isfinite(row.hi).all()):
         raise IntervalDomainError("non-finite integral")
     ok = not any(b is not None and wd > b * area for wd, b in zip(row.width(), budgets))
-    out = quad._RectOut(row, u_range.lo, u_range.hi, u_range.lo, center_lo)
+    out = quad._RectOut(row, u_range.lo, u_range.hi, center_lo)
     return out, ok
 
 
@@ -1180,7 +1270,7 @@ def rect_out_digest(res):
     out, ok = res
     return (
         ok, out.sums.lo.tobytes(), out.sums.hi.tobytes(), out.rng_min, out.rng_max,
-        out.witness_lo, out.center_lo, out.rect_count, out.over_budget,
+        out.center_lo, out.over_budget,
     )
 
 
