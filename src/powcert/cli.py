@@ -108,7 +108,7 @@ class RunConfig:
     holder: tuple = _setting((4, 4, 2), _rationals)
     workers: int = _setting(0, _count, local=True)  # 0 = one per CPU this process may use
     max_depth: int = _setting(12, _count)
-    res_width: float | None = _setting(0.02, _width)   # budget for the residual-norm square
+    res_width: float | None = _setting(0.01, _width)   # budget for the residual-norm square
     gram_width: float | None = _setting(1e-5, _width)  # budget per gram table entry
     tail_threshold: float = _setting(2.0, _positive)
     galerkin_tol: float = _setting(1e-11, _positive)

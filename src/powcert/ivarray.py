@@ -477,8 +477,10 @@ class ConvOperand:
 def iv_conv2d_batch(U: IArr, V: IArr) -> IArr:
     """Full 2-D convolution of each item of the stack U (B, a, b) with the
     same item of V (B, c, d): out[k, s, t] = sum_ij U[k, i, j] V[k, s - i, t - j],
-    ConvOperand(V) applied once.  Each item has the bits of the item alone."""
-    return ConvOperand(V).conv(U)
+    ConvOperand applied per chunk of _CHUNK items, whose blocks alone are
+    held.  Each item has the bits of the item alone."""
+    parts = [ConvOperand(V[k : k + _CHUNK]).conv(U[k : k + _CHUNK]) for k in range(0, max(len(U), 1), _CHUNK)]
+    return IArr(np.concatenate([p.lo for p in parts]), np.concatenate([p.hi for p in parts]))
 
 
 def iv_conv2d_full(U: IArr, V: IArr) -> IArr:

@@ -12,7 +12,9 @@ preserve that set-containment:
   a Horner range bound over the domain;
 * composition with a smooth f Taylor-expands f around the midpoint u0 of
   the constant coefficient up to order m-1 and adds an order-m remainder
-  whose coefficient is f^(m) over the hull of u0 and the model's range.
+  whose coefficient is f^(m) over the hull of u0 and the model's range;
+* t^q of a 2-D model, for the quadrature sweep, is a float root plus its
+  verified defect divided by an interval (ps_root): one product at q = 1/2.
 
 A PowerSeries holds a batch of B models of one degree: coefficients of shape
 (B, n+1) in one variable or (B, n+1, n+1) in two, and one domain per item.
@@ -20,10 +22,10 @@ Every operation treats the items independently and rounds each of them
 exactly as it would round that model alone, so a batch costs one pass of
 numpy calls instead of B; the convolution of a product is one batched
 two-stage kernel (ivarray.ConvOperand), whose right factor is prepared once
-where it repeats, as z in the powers z^i of a composition.  Two-dimensional
-models nest the one-dimensional construction: a 2-D model is a series in x
-whose coefficients are series in y; the coefficient array operations below
-are the unrolled form of that nesting.
+where it repeats (PowerSeries.times).  Two-dimensional models nest the
+one-dimensional construction: a 2-D model is a series in x whose
+coefficients are series in y; the coefficient array operations below are
+the unrolled form of that nesting.
 """
 
 from __future__ import annotations
@@ -32,8 +34,9 @@ import math
 from fractions import Fraction
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
-from .errors import PositivityError, UsageError
+from .errors import IntervalDomainError, PositivityError, UsageError
 from .interval import Interval, iv_log, iv_pow
 from .ivarray import ConvOperand, IArr, iv_conv1d_full, iv_conv2d_batch
 
@@ -48,6 +51,7 @@ __all__ = [
     "PowerSeries2D",
     "ElemFn",
     "ps_compose",
+    "ps_root",
 ]
 
 _OUTWARD = (-math.inf, math.inf)
@@ -304,59 +308,13 @@ class ElemFn:
 
     def deriv_table(self, t: IArr, orders) -> IArr:
         """deriv(i, t[b]) for every order i and item b, an IArr of shape
-        (len(orders), B).  A t^q whose q has a power-of-two denominator is
-        evaluated on arrays, with the bits of iv_pow; any other f, and any
-        input on which iv_pow would raise, goes through deriv item by item."""
-        if self.tag == "pow_q":
-            d = self.q.denominator
-            if d & (d - 1) == 0:
-                out = self._dyadic_table(t, orders)
-                if out is not None:
-                    return out
+        (len(orders), B)."""
         ts = [Interval(a, b) for a, b in zip(t.lo.tolist(), t.hi.tolist())]
         vals = [self.deriv(i, x) for i in orders for x in ts]
         return IArr(
             np.array([v.lo for v in vals]).reshape(-1, len(ts)),
             np.array([v.hi for v in vals]).reshape(-1, len(ts)),
         )
-
-    def _dyadic_table(self, t: IArr, orders) -> IArr | None:
-        """fac * t^(q - i) as iv_pow forms it for q = a / 2^k: k correctly
-        rounded square roots, then a running product (_int_pow's
-        left-to-right powers share their prefixes), then one reciprocal for
-        a negative exponent.  None where iv_pow would raise: a negative
-        base, a power containing zero, a non-finite endpoint."""
-        y = t
-        d = self.q.denominator
-        if d > 1:
-            if np.any(t.lo < 0.0):
-                return None
-            while d > 1:
-                y = IArr(np.where(y.lo == 0.0, 0.0, np.nextafter(np.sqrt(y.lo), -math.inf)),
-                         np.nextafter(np.sqrt(y.hi), math.inf))
-                d //= 2
-        one = IArr.exact(np.ones(t.shape))
-        pows = [one, y]
-        rows = []
-        for i in orders:
-            fac, e = self._pow_term(i)
-            if fac is None:
-                rows.append(IArr.zeros(t.shape))
-                continue
-            k = abs(e.numerator)
-            while len(pows) <= k:
-                pows.append(pows[-1] * y)
-            p = pows[k]
-            if e.numerator < 0:
-                if np.any((p.lo <= 0.0) & (p.hi >= 0.0)):
-                    return None
-                p = one / p
-            rows.append(p * fac)
-        out = IArr.stack(rows)
-        for a in pows + [out]:
-            if not (np.isfinite(a.lo).all() and np.isfinite(a.hi).all()):
-                return None
-        return out
 
 
 def ps_compose(f: ElemFn, u: PowerSeries, rng: IArr | None = None) -> PowerSeries:
@@ -410,14 +368,12 @@ def ps_compose(f: ElemFn, u: PowerSeries, rng: IArr | None = None) -> PowerSerie
     # powers of z scaled term by term (not Horner): each z^i is formed by
     # Type-II multiplication first, then scaled once by its interval
     # coefficient, which keeps the worked-example tightness.  z^i carries
-    # f^(i)(u0) / i! below a model's order and f^(i)(hull) / i! at it.  In
-    # two variables every z^i = z^(i-1) z takes z prepared once.
+    # f^(i)(u0) / i! below a model's order and f^(i)(hull) / i! at it
     result = u.const_like(at_u0[0])
     zp = z
-    z_op = ConvOperand(z.coeffs) if len(u.domain) == 2 else None
     for i in range(1, int(orders.max()) + 1):
         if i >= 2:
-            zp = zp * z if z_op is None else zp.times(z_op)
+            zp = zp * z
         deriv = over_hull[i - 1]
         if i < n:
             below = i < orders
@@ -425,3 +381,106 @@ def ps_compose(f: ElemFn, u: PowerSeries, rng: IArr | None = None) -> PowerSerie
         coef = deriv * Interval.from_fraction(Fraction(1, math.factorial(i)))
         result = (result + zp.scale(coef)).select(i <= orders, result)
     return result
+
+
+# ----------------------------------------------------------------------
+# t^q verified a posteriori
+# ----------------------------------------------------------------------
+
+def _toeplitz(a: np.ndarray) -> np.ndarray:
+    """The Toeplitz matrices T[..., s, t] = a[..., s - t] (0 for s < t) of the
+    series a (..., m): T times a series is their product cut at degree m - 1."""
+    m = a.shape[-1]
+    pad = np.concatenate([np.zeros(a.shape[:-1] + (m - 1,)), a], axis=-1)
+    return np.ascontiguousarray(sliding_window_view(pad, m, axis=-1)[..., ::-1])
+
+
+def _miller(a: np.ndarray, e: float) -> np.ndarray:
+    """Float Taylor coefficients of a^e for the series a (B, m), a[:, 0] > 0:
+    j a_0 p_j = sum_(k=1..j) ((e + 1) k - j) a_k p_(j-k) (Miller)."""
+    p = np.zeros_like(a)
+    p[:, 0] = a[:, 0] ** e
+    for j in range(1, a.shape[1]):
+        k = np.arange(1, j + 1)
+        p[:, j] = (a[:, 1 : j + 1] * p[:, j - 1 :: -1] * ((e + 1) * k - j)).sum(axis=1) / (j * a[:, 0])
+    return p
+
+
+def _float_root(c: np.ndarray, q: float) -> np.ndarray:
+    """Float Taylor coefficients of c^q for the 2-D series c (B, m, m) by the
+    2-D Miller recurrence c E(P) = q P E(c), E = x d/dx + y d/dy, row by row
+    in x: i c_0 P_i = sum_(k=1..i) ((q + 1) k - i) c_k P_(i-k) over series in
+    y cut at degree m - 1 (_toeplitz), c_0^q and 1 / c_0 by _miller.  Each
+    item has the bits of the item alone."""
+    batch, m, _ = c.shape
+    p = np.empty_like(c)
+    p[:, 0] = _miller(c[:, 0], q)
+    inv = _toeplitz(_miller(c[:, 0], -1.0))
+    # rows[b, s, k - 1, t] = c_k[s - t]: the first i rows against P's rows
+    # reversed are one matrix-vector product
+    rows = np.ascontiguousarray(_toeplitz(c[:, 1:]).transpose(0, 2, 1, 3))
+    for i in range(1, m):
+        k = np.arange(1, i + 1)
+        prev = p[:, i - 1 :: -1] * (((q + 1) * k - i) / i)[:, None]
+        p[:, i] = (inv @ (rows[:, :, :i].reshape(batch, m, i * m) @ prev.reshape(batch, i * m, 1)))[..., 0]
+    return p
+
+
+def _power(x, k: int):
+    """x^k, k >= 1, by squaring: entrywise for an IArr, Type-II products for
+    a PowerSeries."""
+    if k == 1:
+        return x
+    half = _power(x * x, k // 2)
+    return half * x if k % 2 else half
+
+
+def _pow_ranges(x: IArr, q: Fraction) -> IArr:
+    """x^q for x > 0: correctly rounded square roots, then a power, when q's
+    denominator is a power of two; else iv_pow item by item."""
+    a, b = q.numerator, q.denominator
+    if b & (b - 1):
+        return IArr.from_intervals([iv_pow(Interval(lo, hi), q) for lo, hi in zip(x.lo.tolist(), x.hi.tolist())])
+    for _ in range(b.bit_length() - 1):
+        x = IArr(np.nextafter(np.sqrt(x.lo), -math.inf), np.nextafter(np.sqrt(x.hi), math.inf))
+    return _power(x, a)
+
+
+def ps_root(u: PowerSeries, q, rng: IArr | None = None) -> tuple:
+    """u^q, q = a/b in (0, 1], of every model of the 2-D batch u, and per
+    model None or the error it raises: IntervalDomainError where a value is
+    not finite, else PositivityError where rng (u.range() if None) or the
+    range of P is not > 0.  Each item has the bits of the item alone.
+
+    Verified a posteriori (Rump, Acta Numerica 19, 2010): P, the float
+    Taylor coefficients of u^q at u's midpoints (_float_root), needs no
+    rigor; the defect D = u^a - P^b comes from Type-II products by squaring
+    with P exact, and the result is P + s D with the interval
+    s = 1 / sum_(k<b) rng^(qk) range(P)^(b-1-k).  Pointwise,
+    u^q - P = D / sum_(k<b) (u^q)^k P^(b-1-k), a denominator in 1 / s > 0."""
+    q = Fraction(q)
+    rng = u.range() if rng is None else rng
+    with np.errstate(all="ignore"):  # a non-finite value fails its model only
+        p = u._like(IArr.exact(_float_root(u.coeffs.mid(), float(q))))
+        d = _power(u, q.numerator) - _power(p, q.denominator)
+        pr = p.range()
+        pos = (rng.lo > 0.0) & (pr.lo > 0.0)
+        # a failing model takes ranges of 1, so that its s is finite
+        y, pr1 = (IArr(np.where(pos, r.lo, 1.0), np.where(pos, r.hi, 1.0)) for r in (rng, pr))
+        y = _pow_ranges(y, q)
+        den = yk = one = IArr.exact(np.ones(u.batch))
+        for _ in range(q.denominator - 1):  # sum_(k<j) y^k pr^(j-1-k), j = 1, 2, ...
+            yk = yk * y
+            den = yk + pr1 * den
+        w = p + d.scale(one / den)
+    finite = np.isfinite(w.coeffs.lo).all(axis=(1, 2)) & np.isfinite(w.coeffs.hi).all(axis=(1, 2))
+    finite &= np.isfinite(pr.lo) & np.isfinite(pr.hi)
+    errors = [None] * u.batch
+    for b in range(u.batch):
+        if not finite[b]:
+            errors[b] = IntervalDomainError(f"non-finite t^{q} root")
+        elif not pos[b]:
+            r, name = (pr, "float root") if rng.lo[b] > 0.0 else (rng, "model")
+            bad = Interval(r.lo[b], r.hi[b])
+            errors[b] = PositivityError(f"{name} range {bad} not strictly positive for t^{q}", rng=bad)
+    return w, errors

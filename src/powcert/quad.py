@@ -18,26 +18,26 @@ exactly when its lower x end, or its lower y end, is 0:
 
 On each rectangle the reduced integrand eta / (class monomial) is enclosed
 by a 2-D Taylor model, checked to be strictly positive, raised to the
-fractional power q by series composition, multiplied by the xi model, and
-integrated term by term.  Monomial integrals evaluate the antiderivative
-at the four corners term by term -- the interval coefficient
-multiplies every corner term separately, because the distributive law does
-not hold for intervals.
+fractional power q (psa.ps_root: a float root verified a posteriori by one
+defect product at q = 1/2), multiplied by the xi model, and integrated term
+by term.  Monomial integrals evaluate the antiderivative at the four
+corners term by term -- the interval coefficient multiplies every corner
+term separately, because the distributive law does not hold for intervals.
 
-Rectangles whose positivity check fails, or whose enclosure is wider than
-its share of the caller's width budget, are bisected along their longer
-edge (tie: x) down to a depth limit.  The sweep runs level by level: the
-rectangles of one refinement level are evaluated as one batch of Taylor
-models, with one composition for all of them, and those bisected make up
-the next level.  Each level is laid out once: its rectangles are sorted
-with those on a vanishing edge first, then by class and local box, and its
-distinct edges, each rectangle's edges and local domains and the groups of
-rectangles of one class and local box are found in that order.  The
-reduced models, the positivity check, the composition and the
-contributions -- gram tables, residual and power integrals, range bounds,
-computed as stacked arrays over the groups, which share every corner
-table -- all take that layout, and the results go back to rectangle order
-once, at the end; each rectangle gets the bits it would get evaluated
+Rectangles whose positivity check fails -- the model's or its float
+root's --, or whose enclosure is wider than its share of the caller's width
+budget, are bisected along their longer edge (tie: x) down to a depth
+limit.  The sweep runs level by level: the rectangles of one refinement
+level are evaluated as one batch of Taylor models, with one t^q root for
+all of them, and those bisected make up the next level.  Each level is laid
+out once: its rectangles are sorted with those on a vanishing edge first,
+then by class and local box, and its distinct edges, each rectangle's edges
+and local domains and the groups of rectangles of one class and local box
+are found in that order.  The reduced models, the positivity check, the
+root and the contributions -- gram tables, residual and power integrals,
+range bounds, computed as stacked arrays over the groups, which share every
+corner table -- all take that layout, and the results go back to rectangle
+order once, at the end; each rectangle gets the bits it would get evaluated
 alone.  Errors are raised as a depth-first recursion over each base
 rectangle would raise them, so the batching does not show in the results.
 Each total is the exact sum of its leaf contributions rounded outward
@@ -55,7 +55,7 @@ One sweep engine evaluates every rectangle, and two functions run it:
 
     pipeline_sweep  the certificate's sweep: the residual norm, the weighted
                     gram matrix of the eigenvalue pencil and the range bounds
-                    of u_hat, from one composition per rectangle
+                    of u_hat, from one t^q root per rectangle
     integral_power  the integral of eta^q xi over the square, for xi = 1, a
                     constant or a sine series
 """
@@ -76,16 +76,18 @@ from .errors import IntervalDomainError, PositivityError, UsageError
 from .galerkin import FourierApproximation
 from .interval import PI, Interval, iv_pow
 from .ivarray import ConvOperand, IArr, iv_conv2d_batch, iv_matmul, iv_outer, sin_cos_pi
-from .psa import ElemFn, PowerSeries2D, ps_compose
+from .psa import PowerSeries2D, ps_root
 
-# The benchmark's tracer (perfbench/tracing.py) wraps quad.iv_matmul,
-# quad.iv_corr2d, quad.iv_conv2d_full, quad.iv_sin and quad.iv_cos, and its
-# cost hooks read 2-D operands.  The sweep calls only quad.iv_matmul, for its
-# one 2-D product (factor tables times coefficients); stacked products, the
-# gram tables' too, call ivarray.iv_matmul, model products iv_conv2d_batch
-# or a ConvOperand, and the factor tables take sin_cos_pi.  The rest is for the tracer alone.
+# The benchmark's tracer (perfbench/tracing.py) wraps quad.ps_compose,
+# quad.iv_matmul, quad.iv_corr2d, quad.iv_conv2d_full, quad.iv_sin and
+# quad.iv_cos, and its cost hooks read 2-D operands.  The sweep calls only
+# quad.iv_matmul, for its one 2-D product (factor tables times coefficients);
+# stacked products, the gram tables' too, call ivarray.iv_matmul, model
+# products iv_conv2d_batch or a ConvOperand, the factor tables take
+# sin_cos_pi and t^q takes ps_root.  The rest is for the tracer alone.
 from .interval import iv_cos, iv_sin  # noqa: F401
 from .ivarray import iv_conv2d_full, iv_corr2d  # noqa: F401
+from .psa import ps_compose  # noqa: F401
 
 __all__ = [
     "Rect",
@@ -488,8 +490,6 @@ class _Engine:
         self.req = req
         self.n = cfg.degree
         self.q = q
-        # one t^q for every rectangle, so its derivative constants are built once
-        self.pow_q = ElemFn.pow_q(self.q)
         # the residual's Laplacian and a sine-series xi take the plain sines
         self.plain = req.residual_p is not None or any(isinstance(xi, _EtaFourier) for xi in req.powers)
 
@@ -531,7 +531,7 @@ class _Engine:
 
     def eval_level(self, rects) -> list:
         """Evaluate rectangles as one batch, laid out once: their reduced
-        models, the positivity check, one composition and their
+        models, the positivity check, one t^q root and their
         contributions for all.  Per rectangle, in order: (its contributions,
         whether every one of them fits its share of the width budgets), or
         the PositivityError or IntervalDomainError that evaluating it alone
@@ -556,45 +556,25 @@ class _Engine:
             else:
                 live.append(j)
         if live:
-            w, errors = self._compose(v_red[live], red[live])
-            ok = []
+            w, errors = ps_root(v_red[live], self.q, red[live])
+            at = [k for k, exc in enumerate(errors) if exc is None]
+            ok = [live[k] for k in at]
             for j, exc in zip(live, errors):
-                if exc is None:
-                    ok.append(j)
-                else:
-                    results[j] = exc
+                results[j] = exc
             if ok:
-                for j, res in zip(ok, self.contributions(lay, ok, v_red[ok], w, red[ok])):
+                for j, res in zip(ok, self.contributions(lay, ok, v_red[ok], w[at], red[ok])):
                     results[j] = res
         out = [None] * len(rects)
         for b, rect, res in zip(lay.order, lay.rects, results):
             out[b] = _on_rect(res, rect) if isinstance(res, IntervalDomainError) else res
         return out
 
-    def _compose(self, v_red: PowerSeries2D, red: IArr):
-        """t^q of the models the composition accepts, as one batch, and per
-        model the error the composition raises on it alone, or None; from
-        the models and their ranges."""
-        try:
-            return ps_compose(self.pow_q, v_red, red), [None] * v_red.batch
-        except (PositivityError, IntervalDomainError):
-            pass
-        errors = []
-        for b in range(v_red.batch):
-            try:
-                ps_compose(self.pow_q, v_red[b], red[b : b + 1])
-                errors.append(None)
-            except (PositivityError, IntervalDomainError) as exc:
-                errors.append(exc)
-        ok = [b for b, exc in enumerate(errors) if exc is None]
-        return (ps_compose(self.pow_q, v_red[ok], red[ok]) if ok else None), errors
-
     def contributions(self, lay: _Layout, items: list, v_red: PowerSeries2D, w: PowerSeries2D, red: IArr) -> list:
         """The contributions (_RectOut) of the rectangles at the positions
         items (ascending) of the layout, and whether every integral fits its
         share of the width budgets, or an IntervalDomainError if one of
         them is not finite; from the batches of their reduced models, their
-        compositions and their reduced ranges.
+        t^q roots and their reduced ranges.
 
         The integrals are computed as stacks, over the runs of rectangles
         of one class and local box that share their corner tables, and
@@ -684,7 +664,7 @@ class _Engine:
 
     def _residuals(self, groups: list, v_red: PowerSeries2D, w: PowerSeries2D, lap: PowerSeries2D) -> IArr:
         """Each item's integral of (Delta u + u^p)^2 over its rectangle, from
-        the models of eta reduced, its composition and the Laplacian of eta.
+        the models of eta reduced, its t^q root and the Laplacian of eta.
         The rectangles on a vanishing edge come first, then the interior."""
         p = self.req.residual_p
         u_pow = w * v_red  # u^(1+q) = u^p inside, [eta]^p on an edge rectangle
@@ -915,8 +895,7 @@ def pipeline_sweep(
     """One shared sweep for the certificate pipeline: the residual norm
     || Delta u_hat + u_hat^p ||_L2, the weighted gram matrix
     (p u_hat^(p-1) phi_ij, phi_kl) over the index list, and range bounds of
-    u_hat.  The expensive per-rectangle compositions are computed once and
-    reused.
+    u_hat.  The per-rectangle t^q roots are computed once and reused.
 
     Returns (res_norm, gram_matrix, ranges, stats).  ranges is (min_lo,
     max_hi, witness_lo, center_lo) over the square: the rectangle-range

@@ -92,7 +92,7 @@ class TestRunConfig:
             "holder": ["4", "4", "2"],
             "linf_qr": ["4", "2"],
             "max_depth": 12,
-            "res_width": 0.02,
+            "res_width": 0.01,
             "gram_width": 1e-05,
             "tail_threshold": 2.0,
             "galerkin_tol": 1e-11,

@@ -23,7 +23,7 @@ from test_ivarray import (
 from test_quad import window_gram_tables
 
 from powcert import psa, quad
-from powcert.errors import PositivityError, UsageError
+from powcert.errors import IntervalDomainError, PositivityError, UsageError
 from powcert.galerkin import GalerkinConfig, newton_solve
 from powcert.interval import Interval, iv_pow
 from powcert.ivarray import IArr, iv_conv2d_full, iv_outer
@@ -627,7 +627,7 @@ class TestSameBitsAsReference:
         # the remainder reuses the order search's enclosure over the hull:
         # at the full order a model takes one iv_pow per order over the hull
         # and one per Taylor term, one fewer than evaluating the remainder's
-        # derivative again; a power-of-two denominator takes none
+        # derivative again
         rng = np.random.default_rng(n)
         c = IArr.exact(rng.uniform(-0.2, 0.2, (n + 1, n + 1)))
         c[0, 0] = Interval(2.0)
@@ -640,14 +640,14 @@ class TestSameBitsAsReference:
             return real_pow(*args)
 
         monkeypatch.setattr(psa, "iv_pow", counting_pow)
-        for q, pows in ((Fraction(1, 3), 2 * n), (Fraction(1, 2), 0)):
+        for q in (Fraction(1, 3), Fraction(1, 2)):
             f = ElemFn.pow_q(q)
             orders = []
             ref = ref_ps_compose(f, u, orders)
             assert orders == [n]
             calls.clear()
             got = ps_compose(f, batch_of([u]))
-            assert len(calls) == pows
+            assert len(calls) == 2 * n
             assert items_same_bits(got, [ref])
 
     # q = 2: orders from 3 on have a zero falling factorial
@@ -724,3 +724,90 @@ class TestSameBitsAsReference:
         assert inside_no_wider(IArr.from_intervals([res]), IArr.from_intervals([ref_res]))
         assert inside_no_wider(gram, ref_gram)
         assert (ranges, stats) == (ref_ranges, ref_stats)
+
+
+# ----------------------------------------------------------------------
+# t^q from a float root and a verified defect
+# ----------------------------------------------------------------------
+
+ROOT_QS = [Fraction(1, 2), Fraction(1, 3), Fraction(1, 4), Fraction(3, 4), Fraction(1)]
+
+
+def root_models(batch, n, seed=0):
+    """Positive 2-D models of degree n with thin coefficients, half of them
+    on a vanishing-edge box [0, 1/4]^2, half on the centred box
+    [-1/8, 1/8]^2."""
+    rng = np.random.default_rng(seed)
+    decay = (np.add.outer(np.arange(n + 1), np.arange(n + 1)) + 1.0) ** 2
+    c = rng.uniform(-0.5, 0.5, (batch, n + 1, n + 1)) / decay
+    c[:, 0, 0] = rng.uniform(1.0, 2.0, batch)
+    lo = np.where(np.arange(batch) % 2, -0.125, 0.0)
+    dom = IArr(lo, lo + 0.25)
+    return PowerSeries2D(IArr(c - 1e-9, c + 1e-9), (dom, dom.copy()))
+
+
+class TestRoot:
+    @pytest.mark.parametrize("q", ROOT_QS)
+    def test_encloses_sampled_powers(self, q):
+        # the model's midpoint polynomial lies in it, so its q-th power must
+        # lie in the root's pointwise enclosure everywhere on the box
+        n = 6
+        u = root_models(6, n, seed=q.denominator)
+        w, errors = psa.ps_root(u, q)
+        assert errors == [None] * u.batch
+        mid = u.coeffs.mid()
+        rng = np.random.default_rng(3)
+        for b in range(u.batch):
+            a = u.domain[0].lo[b]
+            for x, y in rng.uniform(a, a + 0.25, (25, 2)):
+                value = sum(mid[b, i, j] * x**i * y**j for i in range(n + 1) for j in range(n + 1))
+                got = only(w[b].eval_at(Interval(x), Interval(y)))
+                assert got.contains(value ** float(q)), (q, b, x, y, got)
+
+    @pytest.mark.parametrize("batch", [1, 15, 16, 17, 33])
+    @pytest.mark.parametrize("q", [Fraction(1, 2), Fraction(3, 4)])
+    def test_items_same_bits_as_alone(self, batch, q):
+        # across the product kernel's chunks of 16 models too
+        for n in (6, 10):
+            u = root_models(batch, n, seed=batch)
+            w, _ = psa.ps_root(u, q)
+            for b in range(batch):
+                alone, _ = psa.ps_root(u[b], q)
+                assert same_bits(w.coeffs[b], alone.coeffs[0]), (n, b)
+
+    def test_float_root_not_positive(self, monkeypatch):
+        # a float root whose range reaches 0 fails its own model with the
+        # PositivityError of that range; the others keep their bits
+        u = root_models(3, 6, seed=9)
+        real = psa._float_root
+
+        def negated_middle(c, q):
+            p = real(c, q)
+            if len(p) == 3:
+                p[1] = -p[1]
+            return p
+
+        ref = [psa.ps_root(u[b], Fraction(1, 2))[0] for b in (0, 2)]
+        monkeypatch.setattr(psa, "_float_root", negated_middle)
+        w, errors = psa.ps_root(u, Fraction(1, 2))
+        assert errors[0] is None and errors[2] is None
+        assert isinstance(errors[1], PositivityError)
+        assert errors[1].rng.hi < 0.0
+        assert re.fullmatch(r"float root range \[.*\] not strictly positive for t\^1/2", str(errors[1]))
+        assert same_bits(w.coeffs[0], ref[0].coeffs[0]) and same_bits(w.coeffs[2], ref[1].coeffs[0])
+
+    def test_non_finite_root(self):
+        # u = 1e-300 + x on [0, 1/4]^2: its Taylor coefficients of sqrt
+        # overflow from the second on, and only that model fails, with an
+        # IntervalDomainError
+        u = root_models(3, 6, seed=4)
+        c = u.coeffs.copy()
+        c[0] = IArr.zeros((7, 7))
+        c.lo[0, 0, 0] = c.hi[0, 0, 0] = 1e-300
+        c.lo[0, 1, 0] = c.hi[0, 1, 0] = 1.0
+        tiny = PowerSeries2D(c, u.domain)
+        assert tiny.range().lo[0] > 0.0
+        w, errors = psa.ps_root(tiny, Fraction(1, 2))
+        assert errors[1] is None and errors[2] is None
+        assert isinstance(errors[0], IntervalDomainError) and str(errors[0]) == "non-finite t^1/2 root"
+        assert same_bits(w.coeffs[2], psa.ps_root(u[2], Fraction(1, 2))[0].coeffs[0])

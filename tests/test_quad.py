@@ -18,7 +18,7 @@ from hypothesis.extra import numpy as hnp
 from conftest import clear_tables
 from test_ivarray import BLAS, inside_no_wider, needs_blas, ref_corr2d, same_bits
 
-from powcert import quad
+from powcert import psa, quad
 from powcert.errors import IntervalDomainError, PositivityError, UsageError
 from powcert.galerkin import FourierApproximation, odd_modes
 from powcert.interval import Interval, iv_pow
@@ -294,6 +294,96 @@ class TestIntegralPower:
         assert finer_grid.width <= coarse.width
         assert finer_deg.width <= coarse.width
         assert coarse.overlaps(finer_grid) and coarse.overlaps(finer_deg)
+
+
+# eta = f(x) g(y) with f(x) = sum_i F_X[i] sin(i pi x) and g from F_Y alike:
+# every integral of eta^e factors into two one-dimensional oracles
+F_X = {1: 1.0, 3: 0.1}
+F_Y = {1: 1.0, 3: -0.05}
+
+
+def mp_sine_power(coeffs, e):
+    """The integral over [0, 1] of (sum_i a_i sin(i pi x))^e."""
+    return mpmath.quad(lambda x: sum(a * mpmath.sin(i * mpmath.pi * x) for i, a in coeffs.items()) ** e, [0, 1])
+
+
+def compose_root(v, q, rng=None):
+    """t^q by the Taylor composition, with the root's signature."""
+    return psa.ps_compose(psa.ElemFn.pow_q(q), v, rng), [None] * v.batch
+
+
+class TestPowerRoot:
+    @pytest.mark.parametrize("with_xi", [False, True])
+    @pytest.mark.parametrize("q", [Fraction(1, 2), Fraction(1, 3), Fraction(1, 4), Fraction(3, 4), Fraction(1)])
+    def test_contains_oracle(self, q, with_xi):
+        eta = fourier_from_dict(3, {(i, j): a * b for i, a in F_X.items() for j, b in F_Y.items()})
+        e = q + 1 if with_xi else q
+        oracle = mp_sine_power(F_X, mpmath.mpf(e.numerator) / e.denominator)
+        oracle *= mp_sine_power(F_Y, mpmath.mpf(e.numerator) / e.denominator)
+        val = integral_power(eta, eta if with_xi else None, q, QuadConfig(degree=6, grid_m=4))
+        assert val.lo <= oracle <= val.hi, (val, oracle)
+        assert val.width < 1e-4 * oracle
+
+    def test_overlaps_composition_on_fixed_subdivision(self, monkeypatch):
+        # the same leaves (no budgets), every integral of both kinds of
+        # sweep, each enclosure of the root inside the composition's
+        u = fourier_from_dict(3, {(1, 1): 5.0, (3, 1): 0.2, (1, 3): -0.1})
+        req = quad._Request(
+            residual_p=Fraction(3, 2),
+            gram_freqs=tuple(gram_indices_freqs([(1, 1), (1, 3), (3, 1), (3, 3)])),
+            powers=(None, Interval(0.75), quad._EtaFourier(u)),
+        )
+
+        def run():
+            return quad._Engine(quad._EtaFourier(u), Fraction(1, 2), QuadConfig(degree=6, grid_m=3), req).run()
+
+        sums, ranges, stats = run()
+        monkeypatch.setattr(quad, "ps_root", compose_root)
+        ref, ref_ranges, ref_stats = run()
+        assert (ranges, stats) == (ref_ranges, ref_stats)
+        assert np.all((sums.lo <= ref.hi) & (ref.lo <= sums.hi))
+        nested = (ref.lo <= sums.lo) & (sums.hi <= ref.hi)
+        assert nested.sum() == len(nested) == 20
+
+    def test_float_root_not_positive_bisects(self, monkeypatch):
+        # the float root of the first model of the first level is negated:
+        # that rectangle's positivity check fails, and the sweep bisects it
+        # and evaluates its halves
+        u = fourier_from_dict(3, {(1, 1): 1.0, (3, 1): 0.1})
+        rects = quad._grid(2)
+        first = quad._Layout(rects).rects[0]
+        leaves = one_rect_engine(u, 6, grid_m=2).sweep([r for r in rects if r != first] + list(first.bisect()))
+        real, calls = psa._float_root, []
+
+        def negated_first(c, q):
+            p = real(c, q)
+            if not calls:
+                p[0] = -p[0]
+            calls.append(len(c))
+            return p
+
+        monkeypatch.setattr(psa, "_float_root", negated_first)
+        sums, _, stats = one_rect_engine(u, 6, grid_m=2).run()
+        assert calls == [4, 2] and stats["rects"] == 4 * len(leaves) == 20
+        assert same_bits(sums, quad._total(IArr.stack([leaf.sums for leaf in leaves])))
+
+    def test_non_finite_root_names_rectangle(self, monkeypatch):
+        # the root is handed 1e-300 + x in place of the reduced model: its
+        # float root overflows, and the sweep raises at once, naming the
+        # rectangle
+        real = quad.ps_root
+
+        def tiny(v, q, rng):
+            c = IArr.zeros(v.coeffs.shape)
+            c.lo[:, 0, 0] = c.hi[:, 0, 0] = 1e-300
+            c.lo[:, 1, 0] = c.hi[:, 1, 0] = 1.0
+            return real(PowerSeries2D(c, v.domain), q, rng)
+
+        monkeypatch.setattr(quad, "ps_root", tiny)
+        u = fourier_from_dict(1, {(1, 1): 1.0})
+        msg = "non-finite t^1/2 root on S11 [0,1/2]x[0,1/2] depth=0"
+        with pytest.raises(IntervalDomainError, match=f"^{re.escape(msg)}$"):
+            integral_power(u, None, Fraction(1, 2), QuadConfig(degree=6, grid_m=1))
 
 
 class TestResidual:
@@ -669,11 +759,11 @@ class TestWorkerProcesses:
 
     def test_usage_error_crosses_process(self, monkeypatch):
         def refuse(*args, **kw):
-            raise UsageError("refused composition")
+            raise UsageError("refused root")
 
-        monkeypatch.setattr(quad, "ps_compose", refuse)
+        monkeypatch.setattr(quad, "ps_root", refuse)
         u = fourier_from_dict(1, {(1, 1): 1.0})
-        with pytest.raises(UsageError, match="^refused composition$"):
+        with pytest.raises(UsageError, match="^refused root$"):
             integral_power(u, None, Fraction(1, 2), QuadConfig(degree=4, grid_m=2, workers=2))
 
     @pytest.mark.parametrize("grid_m, workers, sizes", [(4, 2, [8, 8]), (4, 3, [8, 8]), (4, 9, [4, 4, 4, 4]), (5, 2, [15, 10])])
@@ -745,9 +835,9 @@ class TestWorkerProcesses:
             from powcert.galerkin import FourierApproximation
 
             def refuse(*args, **kw):
-                raise UsageError("refused composition")
+                raise UsageError("refused root")
 
-            quad.ps_compose = refuse
+            quad.ps_root = refuse
             u = FourierApproximation(1, np.array([[1.0]]))
             cfg = quad.QuadConfig(degree=4, grid_m=2, workers=2)
             for _ in range(200):
@@ -1299,7 +1389,8 @@ class TestLevelBatchedContributions:
             v = reduced_model(engine, rect)
             red = v.range()
             assert same_bits(v.coeffs[0], ref_tensor_model(engine, rect, engine.eta.coeffs, True, v.domain).coeffs[0])
-            w = quad.ps_compose(engine.pow_q, v)
+            w, (err,) = quad.ps_root(v, engine.q)
+            assert err is None
             lap = ref_tensor_model(engine, rect, engine.eta.lap, False, v.domain)
             xis = [None, req.powers[1], ref_tensor_model(engine, rect, req.powers[2].coeffs, False, v.domain)]
             ref = ref_rect_out(engine, rect, red[0].item(), v, w, lap, xis)
