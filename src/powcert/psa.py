@@ -448,9 +448,11 @@ def _pow_ranges(x: IArr, q: Fraction) -> IArr:
 
 def ps_root(u: PowerSeries, q, rng: IArr | None = None) -> tuple:
     """u^q, q = a/b in (0, 1], of every model of the 2-D batch u, and per
-    model None or the error it raises: IntervalDomainError where a value is
-    not finite, else PositivityError where rng (u.range() if None) or the
-    range of P is not > 0.  Each item has the bits of the item alone.
+    model None or the error it raises, the first of, in this order:
+    IntervalDomainError where rng (u.range() if None) is not finite,
+    PositivityError where rng is not > 0, IntervalDomainError where the
+    root is not finite, PositivityError where the range of P is not > 0.
+    Each item has the bits of the item alone.
 
     Verified a posteriori (Rump, Acta Numerica 19, 2010): P, the float
     Taylor coefficients of u^q at u's midpoints (_float_root), needs no
@@ -475,11 +477,14 @@ def ps_root(u: PowerSeries, q, rng: IArr | None = None) -> tuple:
         w = p + d.scale(one / den)
     finite = np.isfinite(w.coeffs.lo).all(axis=(1, 2)) & np.isfinite(w.coeffs.hi).all(axis=(1, 2))
     finite &= np.isfinite(pr.lo) & np.isfinite(pr.hi)
+    rng_finite = np.isfinite(rng.lo) & np.isfinite(rng.hi)
     errors = [None] * u.batch
-    for b in range(u.batch):
-        if not finite[b]:
+    for b in np.flatnonzero(~(rng_finite & pos & finite)).tolist():
+        if not rng_finite[b]:
+            errors[b] = IntervalDomainError(f"non-finite model range [{rng.lo[b]}, {rng.hi[b]}] for t^{q}")
+        elif rng.lo[b] > 0.0 and not finite[b]:
             errors[b] = IntervalDomainError(f"non-finite t^{q} root")
-        elif not pos[b]:
+        else:
             r, name = (pr, "float root") if rng.lo[b] > 0.0 else (rng, "model")
             bad = Interval(r.lo[b], r.hi[b])
             errors[b] = PositivityError(f"{name} range {bad} not strictly positive for t^{q}", rng=bad)

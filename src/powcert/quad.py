@@ -17,26 +17,28 @@ exactly when its lower x end, or its lower y end, is 0:
     S00  touches neither (expansion at the center, no factor)
 
 On each rectangle the reduced integrand eta / (class monomial) is enclosed
-by a 2-D Taylor model, checked to be strictly positive, raised to the
-fractional power q (psa.ps_root: a float root verified a posteriori by one
-defect product at q = 1/2), multiplied by the xi model, and integrated term
-by term.  Monomial integrals evaluate the antiderivative at the four
-corners term by term -- the interval coefficient multiplies every corner
-term separately, because the distributive law does not hold for intervals.
+by a 2-D Taylor model, raised to the fractional power q (psa.ps_root: a
+float root verified a posteriori by one defect product at q = 1/2),
+multiplied by the xi model, and integrated term by term.  ps_root alone
+decides whether a model may be raised to q: its range must be finite and
+strictly positive, and so must its float root's.  Monomial integrals
+evaluate the antiderivative at the four corners term by term -- the
+interval coefficient multiplies every corner term separately, because the
+distributive law does not hold for intervals.
 
-Rectangles whose positivity check fails -- the model's or its float
-root's --, or whose enclosure is wider than its share of the caller's width
-budget, are bisected along their longer edge (tie: x) down to a depth
-limit.  The sweep runs level by level: the rectangles of one refinement
-level are evaluated as one batch of Taylor models, with one t^q root for
-all of them, and those bisected make up the next level.  Each level is laid
+Rectangles that fail that verdict, or whose enclosure is wider than its
+share of the caller's width budget, are bisected along their longer edge
+(tie: x) down to a depth limit.  The sweep runs level by level: the
+rectangles of one refinement level are evaluated as one batch of Taylor
+models, with one t^q root for all of them, and those bisected make up the
+next level.  Each level is laid
 out once: its rectangles are sorted with those on a vanishing edge first,
 then by class and local box, and its distinct edges, each rectangle's edges
 and local domains and the groups of rectangles of one class and local box
-are found in that order.  The reduced models, the positivity check, the
-root and the contributions -- gram tables, residual and power integrals,
-range bounds, computed as stacked arrays over the groups, which share every
-corner table -- all take that layout, and the results go back to rectangle
+are found in that order.  The reduced models, the root and the
+contributions -- gram tables, residual and power integrals, range bounds,
+computed as stacked arrays over the groups, which share every corner
+table -- all take that layout, and the results go back to rectangle
 order once, at the end; each rectangle gets the bits it would get evaluated
 alone.  Errors are raised as a depth-first recursion over each base
 rectangle would raise them, so the batching does not show in the results.
@@ -531,42 +533,22 @@ class _Engine:
 
     def eval_level(self, rects) -> list:
         """Evaluate rectangles as one batch, laid out once: their reduced
-        models, the positivity check, one t^q root and their
-        contributions for all.  Per rectangle, in order: (its contributions,
-        whether every one of them fits its share of the width budgets), or
-        the PositivityError or IntervalDomainError that evaluating it alone
-        raises, the latter naming the rectangle."""
+        models, one t^q root, whose verdict is the only positivity check, and
+        the contributions of those it passes.  Per rectangle, in order: (its
+        contributions, whether every one of them fits its share of the width
+        budgets), or the PositivityError or IntervalDomainError that
+        evaluating it alone raises, naming the rectangle."""
         lay = self.layout(rects)
         v_red = self.reduced_models(lay)
         red = v_red.range()
-        results = [None] * len(rects)  # in the layout's order
-        live = []
-        for j, rect in enumerate(lay.rects):
-            try:
-                red_range = Interval(red.lo[j], red.hi[j])
-            except IntervalDomainError as exc:
-                results[j] = exc
-                continue
-            if red_range.lo <= 0.0:
-                results[j] = PositivityError(
-                    f"positivity check failed on {rect.describe()}",
-                    rng=red_range,
-                    rect=rect,
-                )
-            else:
-                live.append(j)
-        if live:
-            w, errors = ps_root(v_red[live], self.q, red[live])
-            at = [k for k, exc in enumerate(errors) if exc is None]
-            ok = [live[k] for k in at]
-            for j, exc in zip(live, errors):
-                results[j] = exc
-            if ok:
-                for j, res in zip(ok, self.contributions(lay, ok, v_red[ok], w[at], red[ok])):
-                    results[j] = res
+        w, results = ps_root(v_red, self.q, red)  # in the layout's order
+        ok = [j for j, exc in enumerate(results) if exc is None]
+        if ok:
+            for j, res in zip(ok, self.contributions(lay, ok, v_red[ok], w[ok], red[ok])):
+                results[j] = res
         out = [None] * len(rects)
         for b, rect, res in zip(lay.order, lay.rects, results):
-            out[b] = _on_rect(res, rect) if isinstance(res, IntervalDomainError) else res
+            out[b] = _on_rect(res, rect) if isinstance(res, Exception) else res
         return out
 
     def contributions(self, lay: _Layout, items: list, v_red: PowerSeries2D, w: PowerSeries2D, red: IArr) -> list:
@@ -612,8 +594,8 @@ class _Engine:
         ok = ~(sums.width() > np.array(budget) * area[:, None]).any(axis=1)
         # u = (class monomial) * eta_reduced over the rectangle, and the
         # constant coefficient of an interior rectangle's model; both are
-        # finite, as red is (eval_level): the monomial is at most 1/2 on the
-        # quadrant, and red contains the constant coefficient
+        # finite, as ps_root passed red as finite: the monomial is at most
+        # 1/2 on the quadrant, and red contains the constant coefficient
         u_rng, c0, center = red.copy(), v_red.const_coeff(), np.full(n, -math.inf)
         for at, r in groups:
             if not (r.van_x or r.van_y):
@@ -767,8 +749,11 @@ class _Engine:
         return _total(IArr.stack([leaf.sums for leaf in leaves])), ranges, stats
 
 
-def _on_rect(exc: IntervalDomainError, rect: Rect) -> IntervalDomainError:
-    err = IntervalDomainError(f"{exc} on {rect.describe()}")
+def _on_rect(exc: Exception, rect: Rect) -> Exception:
+    """exc, a PositivityError or an IntervalDomainError, as an error of its
+    kind that names the rectangle; a PositivityError keeps its range."""
+    msg = f"{exc} on {rect.describe()}"
+    err = PositivityError(msg, rng=exc.rng, rect=rect) if isinstance(exc, PositivityError) else IntervalDomainError(msg)
     err.__cause__ = exc
     return err
 

@@ -5,6 +5,7 @@ benchmark's files are only read: its modules are loaded from their paths.
 """
 
 import importlib.util
+import json
 import os
 from fractions import Fraction
 from types import SimpleNamespace
@@ -24,6 +25,7 @@ def load(name):
     return module
 
 
+micro = load("micro")
 tracing = load("tracing")
 workloads = load("workloads")
 
@@ -77,3 +79,12 @@ def test_traced_sweeps_complete():
         tracer.uninstall()
     assert stats["rects"] > 16  # the budget bisects
     assert tracer.counters["ivarray.flops"] > 0
+
+
+def test_micro_layer_runs():
+    # every name the microbenchmarks reach still resolves, and each figure
+    # they report is a per-layer metric the benchmark declares
+    with open(os.path.join(os.path.dirname(PERFBENCH), "BENCHMARK.json")) as f:
+        declared = {m["name"] for m in json.load(f)["per_layer"]}
+    figures = micro.run(PC)
+    assert figures and set(figures) <= declared, sorted(set(figures) - declared)

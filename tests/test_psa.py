@@ -478,11 +478,6 @@ class RefOperand:
         return ref_conv2d_items(U, self.V)
 
 
-def ref_ps_compose_batch(f, u, rng=None):
-    # the reference forms each model's range itself
-    return batch_of([ref_ps_compose(f, RefModel.item(u, b)) for b in range(u.batch)])
-
-
 # domains: a vanishing-edge box [0, w] (either zero), a centred box, or any
 DOMAINS = st.one_of(
     st.builds(lambda w, z: Interval(z, w), st.floats(2.0**-12, 0.5), st.sampled_from([0.0, -0.0])),
@@ -718,8 +713,6 @@ class TestSameBitsAsReference:
         monkeypatch.setitem(globals(), "iv_conv2d_full", ref_conv2d_full)  # RefModel.__mul__
         monkeypatch.setattr(PowerSeries2D, "reduce", ref_reduce_batch)
         monkeypatch.setattr(PowerSeries2D, "range", ref_range_batch)
-        monkeypatch.setattr(quad, "ps_compose", ref_ps_compose_batch)
-        monkeypatch.setattr(ElemFn, "deriv", ref_deriv)
         ref_res, ref_gram, ref_ranges, ref_stats = sweep()
         assert inside_no_wider(IArr.from_intervals([res]), IArr.from_intervals([ref_res]))
         assert inside_no_wider(gram, ref_gram)
@@ -795,6 +788,37 @@ class TestRoot:
         assert errors[1].rng.hi < 0.0
         assert re.fullmatch(r"float root range \[.*\] not strictly positive for t\^1/2", str(errors[1]))
         assert same_bits(w.coeffs[0], ref[0].coeffs[0]) and same_bits(w.coeffs[2], ref[1].coeffs[0])
+
+    def test_negative_constant_term(self):
+        # the model's range is tested before the float root, whose square
+        # root of a negative constant term is NaN: a PositivityError of the
+        # model's range, not an IntervalDomainError of the root
+        u = root_models(3, 6, seed=5)
+        c = u.coeffs.copy()
+        c.lo[1, 0, 0], c.hi[1, 0, 0] = -1.5, -1.5 + 1e-9
+        neg = PowerSeries2D(c, u.domain)
+        w, errors = psa.ps_root(neg, Fraction(1, 2))
+        assert errors[0] is None and errors[2] is None
+        assert isinstance(errors[1], PositivityError) and errors[1].rng.hi < 0.0
+        bad = neg.range()
+        assert (errors[1].rng.lo, errors[1].rng.hi) == (bad.lo[1], bad.hi[1])
+        assert str(errors[1]) == f"model range {errors[1].rng} not strictly positive for t^1/2"
+        for b in (0, 2):
+            assert same_bits(w.coeffs[b], psa.ps_root(u[b], Fraction(1, 2))[0].coeffs[0])
+
+    @pytest.mark.parametrize("lo, hi", [(math.nan, math.nan), (1.0, math.inf), (-math.inf, 1.0)])
+    def test_non_finite_range_fails_its_model(self, lo, hi):
+        # a range that is not finite fails its own model only, with an
+        # IntervalDomainError, whatever else holds of it
+        u = root_models(3, 6, seed=6)
+        rng = u.range()
+        rng.lo[1], rng.hi[1] = lo, hi
+        w, errors = psa.ps_root(u, Fraction(1, 2), rng)
+        assert errors[0] is None and errors[2] is None
+        assert isinstance(errors[1], IntervalDomainError)
+        assert str(errors[1]) == f"non-finite model range [{lo}, {hi}] for t^1/2"
+        for b in (0, 2):
+            assert same_bits(w.coeffs[b], psa.ps_root(u[b], Fraction(1, 2))[0].coeffs[0])
 
     def test_non_finite_root(self):
         # u = 1e-300 + x on [0, 1/4]^2: its Taylor coefficients of sqrt

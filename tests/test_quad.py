@@ -214,15 +214,26 @@ class TestIntegrateRect:
         v = integral_power(u, zero, Fraction(1, 2), QuadConfig(degree=4, grid_m=2))
         assert v.contains(0.0) and v.width < 1e-12
 
-    def test_positivity_signal_carries_rect(self):
-        u = fourier_from_dict(1, {(1, 1): 1.0})
-        cf = IArr.zeros((4, 4))
-        cf[0, 0] = Interval(-1.0)  # negative reduced model
-        model = PowerSeries2D(cf, (Interval(0, 1), Interval(0, 1)))
-        engine = with_reduced_model(one_rect_engine(u, 3, max_depth=0), model)
+    @pytest.mark.parametrize("failure", ["model", "float root"], ids=["model", "float_root"])
+    def test_positivity_signal_carries_rect(self, monkeypatch, failure):
+        # at the depth limit a failure of either positivity test of ps_root's
+        # verdict names its rectangle and keeps the range that failed: the
+        # reduced model of -sin(pi x) sin(pi y), or a negated float root
+        rect = Rect.make(0, Fraction(1, 2), 0, Fraction(1, 2))
+        u = fourier_from_dict(1, {(1, 1): -1.0 if failure == "model" else 1.0})
+        v = reduced_model(one_rect_engine(u, 4), rect)
+        if failure == "model":
+            expected = v.range()
+        else:
+            real = psa._float_root
+            monkeypatch.setattr(psa, "_float_root", lambda c, q: -real(c, q))
+            expected = v._like(IArr.exact(psa._float_root(v.coeffs.mid(), 0.5))).range()
         with pytest.raises(PositivityError) as exc:
-            engine.sweep([Rect.make(0, 1, 0, 1)])
-        assert exc.value.rect is not None
+            integral_power(u, None, Fraction(1, 2), QuadConfig(degree=4, grid_m=1, max_depth=0))
+        err = exc.value
+        assert err.rect == rect
+        assert (err.rng.lo, err.rng.hi) == (expected.lo[0], expected.hi[0]) and err.rng.hi < 0.0
+        assert str(err) == f"{failure} range {err.rng} not strictly positive for t^1/2 on S11 [0,1/2]x[0,1/2] depth=0"
 
 
 class TestIntegralPower:
