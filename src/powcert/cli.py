@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
 from dataclasses import dataclass, field, fields
@@ -34,7 +33,7 @@ from .certify import (
     positivity_check,
     sobolev_constant,
 )
-from .errors import PowcertError, UnsupportedError, UsageError
+from .errors import PowcertError, UnsupportedError, UsageError, check_count, check_positive, check_width
 from .galerkin import FourierApproximation, GalerkinConfig, newton_solve, odd_modes
 from .interval import Interval
 from .ivarray import single_blas_thread
@@ -70,23 +69,6 @@ def _rationals(name: str, value) -> tuple:
     return tuple(_rational(name, v) for v in value)
 
 
-def _count(name: str, value) -> int:
-    # bool is a subclass of int, so a JSON true would pass for 1
-    if not isinstance(value, int) or isinstance(value, bool):
-        raise UsageError(f"{name} must be an integer, got {value!r}")
-    return value
-
-
-def _positive(name: str, value) -> float:
-    if isinstance(value, bool) or not (isinstance(value, (int, float)) and 0 < value < math.inf):
-        raise UsageError(f"{name} must be finite and > 0, got {value!r}")
-    return value
-
-
-def _width(name: str, value) -> float | None:
-    return None if value is None else _positive(name, value)  # None: no width budget
-
-
 def _setting(default, check=None, local=False):
     """A verify setting: check(name, value) returns it normalized or raises a
     UsageError naming it.  The certificate echoes all but the local settings;
@@ -101,17 +83,17 @@ class RunConfig:
     from these fields."""
 
     p: Fraction = _setting(Fraction(3, 2), _rational)
-    n_modes: int = _setting(60, _count)          # N_u
-    eig_n: int = _setting(14, _count)            # eigenvalue subspace cutoff N
-    grid_m: int = _setting(16, _count)           # rectangles per quadrant edge
-    degree: int = _setting(10, _count)           # PSA degree for the pipeline models
+    n_modes: int = _setting(60, check_count)          # N_u
+    eig_n: int = _setting(14, check_count)            # eigenvalue subspace cutoff N
+    grid_m: int = _setting(16, check_count)           # rectangles per quadrant edge
+    degree: int = _setting(10, check_count)           # PSA degree for the pipeline models
     holder: tuple = _setting((4, 4, 2), _rationals)
-    workers: int = _setting(0, _count, local=True)  # 0 = one per CPU this process may use
-    max_depth: int = _setting(12, _count)
-    res_width: float | None = _setting(0.01, _width)   # budget for the residual-norm square
-    gram_width: float | None = _setting(1e-5, _width)  # budget per gram table entry
-    tail_threshold: float = _setting(2.0, _positive)
-    galerkin_tol: float = _setting(1e-11, _positive)
+    workers: int = _setting(0, check_count, local=True)  # 0 = one per CPU this process may use
+    max_depth: int = _setting(12, check_count)
+    res_width: float | None = _setting(0.01, check_width)   # budget for the residual-norm square
+    gram_width: float | None = _setting(1e-5, check_width)  # budget per gram table entry
+    tail_threshold: float = _setting(2.0, check_positive)
+    galerkin_tol: float = _setting(1e-11, check_positive)
     out: str | None = _setting(None, local=True)
     coeffs_in: str | None = _setting(None, local=True)
     coeffs_out: str | None = _setting(None, local=True)

@@ -1,6 +1,9 @@
-"""Semantic exception hierarchy for the verification pipeline."""
+"""Semantic exception hierarchy for the verification pipeline, and the
+checks of settings that raise its UsageError, naming the setting."""
 
 from __future__ import annotations
+
+import math
 
 
 class PowcertError(Exception):
@@ -60,3 +63,24 @@ class VerificationFailure(PowcertError):
     eigenvalue enclosure straddles the singular value mu = 0, or no
     alpha satisfies the existence test). The pipeline converts these
     into a failed certificate rather than a crash."""
+
+
+def check_count(name: str, value) -> int:
+    """value, an int; a UsageError naming it otherwise.  bool is a subclass
+    of int, so a JSON true would pass for 1."""
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise UsageError(f"{name} must be an integer, got {value!r}")
+    return value
+
+
+def check_positive(name: str, value) -> float:
+    """value, a finite int or float > 0; a UsageError naming it otherwise
+    (NaN fails every comparison)."""
+    if isinstance(value, bool) or not (isinstance(value, (int, float)) and 0 < value < math.inf):
+        raise UsageError(f"{name} must be finite and > 0, got {value!r}")
+    return value
+
+
+def check_width(name: str, value) -> float | None:
+    """A width budget: None (no budget) or check_positive's value."""
+    return None if value is None else check_positive(name, value)

@@ -38,7 +38,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import IntervalDomainError, PositivityError, UsageError
 from .interval import Interval, iv_log, iv_pow
-from .ivarray import ConvOperand, IArr, iv_conv1d_full, iv_conv2d_batch
+from .ivarray import ConvOperand, IArr, iv_conv1d_full, iv_conv2d_batch, step_down, step_up
 
 # the benchmark's tracer wraps psa.iv_conv2d_full, priced on 2-D operands,
 # and psa.iv_sin and psa.iv_cos, which psa does not call
@@ -54,9 +54,6 @@ __all__ = [
     "ps_root",
 ]
 
-_OUTWARD = (-math.inf, math.inf)
-
-
 def _horner(lo: np.ndarray, hi: np.ndarray, xlo: np.ndarray, xhi: np.ndarray):
     """Horner over axis 1 of raw endpoint arrays of shape (B, m + 1, ...),
     item b at the interval [xlo[b], xhi[b]]; returns the (lo, hi) of the
@@ -64,20 +61,25 @@ def _horner(lo: np.ndarray, hi: np.ndarray, xlo: np.ndarray, xhi: np.ndarray):
 
     Each step acc = acc * x + row rounds exactly as Interval * Interval
     followed by Interval + Interval: the four endpoint products, their
-    min/max nudged outward, then the nudged sum."""
+    min/max nudged outward, then the nudged sum.  acc holds the lower end
+    negated, so that one step_up nudges both ends outward: negation is
+    exact, fl(-a - b) = -fl(a + b), step_down(a) = -step_up(-a) (the bits
+    of np.nextafter), and the negated end meets -x, (-a)(-x) = ax."""
     tail = (1,) * (lo.ndim - 2)
-    rows = np.stack((lo, hi))  # rows[:, :, i] = (lo, hi) of row i
-    xs = np.stack((xlo, xhi)).reshape((1, 2, -1) + tail)  # acc[a] * x[b]
-    outward = np.reshape(_OUTWARD, (2, 1) + tail)
+    rows = np.stack((-lo, hi))  # rows[:, :, i] = (-lo, hi) of row i
+    x = np.stack((xlo, xhi)).reshape((1, 2, -1) + tail)
+    xs = np.concatenate((-x, x))  # acc[a] * xs[a, b]: the endpoint products
     acc = rows[:, :, -1].copy()
+    neg = acc[0]
     for i in range(rows.shape[2] - 2, -1, -1):
         prods = (acc[:, None] * xs).reshape((4,) + acc.shape[1:])
-        np.minimum.reduce(prods, axis=0, out=acc[0])
+        np.minimum.reduce(prods, axis=0, out=neg)
+        np.negative(neg, out=neg)
         np.maximum.reduce(prods, axis=0, out=acc[1])
-        np.nextafter(acc, outward, out=acc)
+        step_up(acc, out=acc)
         acc += rows[:, :, i]
-        np.nextafter(acc, outward, out=acc)
-    return acc[0], acc[1]
+        step_up(acc, out=acc)
+    return -neg, acc[1]
 
 
 def _per_item(c, batch: int) -> IArr:
@@ -442,16 +444,22 @@ def _pow_ranges(x: IArr, q: Fraction) -> IArr:
     if b & (b - 1):
         return IArr.from_intervals([iv_pow(Interval(lo, hi), q) for lo, hi in zip(x.lo.tolist(), x.hi.tolist())])
     for _ in range(b.bit_length() - 1):
-        x = IArr(np.nextafter(np.sqrt(x.lo), -math.inf), np.nextafter(np.sqrt(x.hi), math.inf))
+        lo, hi = np.sqrt(x.lo), np.sqrt(x.hi)
+        x = IArr(step_down(lo, out=lo), step_up(hi, out=hi))
     return _power(x, a)
 
 
-def ps_root(u: PowerSeries, q, rng: IArr | None = None) -> tuple:
-    """u^q, q = a/b in (0, 1], of every model of the 2-D batch u, and per
-    model None or the error it raises, the first of, in this order:
-    IntervalDomainError where rng (u.range() if None) is not finite,
-    PositivityError where rng is not > 0, IntervalDomainError where the
-    root is not finite, PositivityError where the range of P is not > 0.
+def _concat(a: IArr, b: IArr) -> IArr:
+    """The items of a, then those of b, along the first axis."""
+    return IArr(np.concatenate((a.lo, b.lo)), np.concatenate((a.hi, b.hi)))
+
+
+def ps_root(u: PowerSeries, q) -> tuple:
+    """u^q, q = a/b in (0, 1], of every model of the 2-D batch u, per model
+    None or the error it raises, and u.range(), an IArr (B,).  The error is
+    the first of, in this order: IntervalDomainError where u's range is not
+    finite, PositivityError where it is not > 0, IntervalDomainError where
+    the root is not finite, PositivityError where the range of P is not > 0.
     Each item has the bits of the item alone.
 
     Verified a posteriori (Rump, Acta Numerica 19, 2010): P, the float
@@ -459,18 +467,23 @@ def ps_root(u: PowerSeries, q, rng: IArr | None = None) -> tuple:
     rigor; the defect D = u^a - P^b comes from Type-II products by squaring
     with P exact, and the result is P + s D with the interval
     s = 1 / sum_(k<b) rng^(qk) range(P)^(b-1-k).  Pointwise,
-    u^q - P = D / sum_(k<b) (u^q)^k P^(b-1-k), a denominator in 1 / s > 0."""
+    u^q - P = D / sum_(k<b) (u^q)^k P^(b-1-k), a denominator in 1 / s > 0.
+    P is formed first, so that the ranges of u and of P come from one
+    Horner pass over the 2B models, each with the bits of its range alone;
+    every endpoint is stepped outward by step_up and step_down, which have
+    np.nextafter's bits."""
     q = Fraction(q)
-    rng = u.range() if rng is None else rng
+    batch = u.batch
     with np.errstate(all="ignore"):  # a non-finite value fails its model only
         p = u._like(IArr.exact(_float_root(u.coeffs.mid(), float(q))))
+        both = PowerSeries(_concat(u.coeffs, p.coeffs), tuple(_concat(d, d) for d in u.domain)).range()
+        rng, pr = both[:batch], both[batch:]
         d = _power(u, q.numerator) - _power(p, q.denominator)
-        pr = p.range()
         pos = (rng.lo > 0.0) & (pr.lo > 0.0)
         # a failing model takes ranges of 1, so that its s is finite
         y, pr1 = (IArr(np.where(pos, r.lo, 1.0), np.where(pos, r.hi, 1.0)) for r in (rng, pr))
         y = _pow_ranges(y, q)
-        den = yk = one = IArr.exact(np.ones(u.batch))
+        den = yk = one = IArr.exact(np.ones(batch))
         for _ in range(q.denominator - 1):  # sum_(k<j) y^k pr^(j-1-k), j = 1, 2, ...
             yk = yk * y
             den = yk + pr1 * den
@@ -478,7 +491,7 @@ def ps_root(u: PowerSeries, q, rng: IArr | None = None) -> tuple:
     finite = np.isfinite(w.coeffs.lo).all(axis=(1, 2)) & np.isfinite(w.coeffs.hi).all(axis=(1, 2))
     finite &= np.isfinite(pr.lo) & np.isfinite(pr.hi)
     rng_finite = np.isfinite(rng.lo) & np.isfinite(rng.hi)
-    errors = [None] * u.batch
+    errors = [None] * batch
     for b in np.flatnonzero(~(rng_finite & pos & finite)).tolist():
         if not rng_finite[b]:
             errors[b] = IntervalDomainError(f"non-finite model range [{rng.lo[b]}, {rng.hi[b]}] for t^{q}")
@@ -488,4 +501,4 @@ def ps_root(u: PowerSeries, q, rng: IArr | None = None) -> tuple:
             r, name = (pr, "float root") if rng.lo[b] > 0.0 else (rng, "model")
             bad = Interval(r.lo[b], r.hi[b])
             errors[b] = PositivityError(f"{name} range {bad} not strictly positive for t^{q}", rng=bad)
-    return w, errors
+    return w, errors, rng

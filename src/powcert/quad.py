@@ -74,7 +74,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from . import ivarray
-from .errors import IntervalDomainError, PositivityError, UsageError
+from .errors import IntervalDomainError, PositivityError, UsageError, check_count, check_width
 from .galerkin import FourierApproximation
 from .interval import PI, Interval, iv_pow
 from .ivarray import ConvOperand, IArr, iv_conv2d_batch, iv_matmul, iv_outer, sin_cos_pi
@@ -321,6 +321,13 @@ def _corner_table(v: Fraction, qoff: Fraction, count: int) -> IArr:
     return _read_only(IArr.from_intervals(vals))
 
 
+@lru_cache(maxsize=_TABLES)
+def _corner_outer(x: tuple, y: tuple) -> IArr:
+    """The outer product of the corner tables _corner_table(*x) and
+    _corner_table(*y): the table of x^(i+qx) y^(j+qy) at one corner."""
+    return _read_only(iv_outer(_corner_table(*x), _corner_table(*y)))
+
+
 # ----------------------------------------------------------------------
 # one refinement level as stacks
 # ----------------------------------------------------------------------
@@ -376,22 +383,19 @@ def _grid_layout(m: int) -> _Layout:
 
 
 def _corners(rect: Rect, e: Fraction, nx: int, ny: int) -> list:
-    """Signed corner tables of a tensor antiderivative over the rectangle's
-    local box: (X, Y, sign), the table of x^(i+qx) y^(j+qy) being X outer Y,
-    for the corner tables X of x^(i+qx) at each x end and Y of y^(j+qy) at
-    each y end, negative at the two mixed corners, where qx = e on a
-    vanishing x edge and 0 otherwise (qy alike).  A lower end at the
-    expansion point contributes zero and is skipped."""
+    """Signed corners of a tensor antiderivative over the rectangle's local
+    box: (x, y, sign), the table of x^(i+qx) y^(j+qy) being X outer Y
+    (_corner_outer) for the corner tables X = _corner_table(*x) of x^(i+qx)
+    at each x end and Y = _corner_table(*y) of y^(j+qy) at each y end,
+    negative at the two mixed corners, where qx = e on a vanishing x edge
+    and 0 otherwise (qy alike).  A lower end at the expansion point
+    contributes zero and is skipped."""
     qx = e if rect.van_x else Fraction(0)
     qy = e if rect.van_y else Fraction(0)
     (lx0, lx1), (ly0, ly1) = rect.local_x(), rect.local_y()
     xends = ((lx1, 1),) if lx0 == 0 else ((lx1, 1), (lx0, -1))
     yends = ((ly1, 1),) if ly0 == 0 else ((ly1, 1), (ly0, -1))
-    return [
-        (_corner_table(xe, qx, nx), _corner_table(ye, qy, ny), xs * ys)
-        for xe, xs in xends
-        for ye, ys in yends
-    ]
+    return [((xe, qx, nx), (ye, qy, ny), xs * ys) for xe, xs in xends for ye, ys in yends]
 
 
 def _integrals(coeffs: IArr, groups: list, e: Fraction) -> IArr:
@@ -406,8 +410,8 @@ def _integrals(coeffs: IArr, groups: list, e: Fraction) -> IArr:
         at = slice(items.start - base, items.stop - base)
         c = coeffs[at]
         acc = IArr.zeros(len(c))
-        for X, Y, sign in _corners(rect, e, *c.shape[1:]):
-            term = (c * iv_outer(X, Y)).sum(axis=(1, 2))
+        for x, y, sign in _corners(rect, e, *c.shape[1:]):
+            term = (c * _corner_outer(x, y)).sum(axis=(1, 2))
             acc = acc + (term if sign > 0 else -term)
         out[at] = acc
     return out
@@ -425,6 +429,8 @@ class QuadConfig:
     workers: int = 1
 
     def __post_init__(self):
+        for name in ("degree", "grid_m", "max_depth", "workers"):
+            check_count(name, getattr(self, name))
         if self.degree < 2:
             raise UsageError(f"PSA degree must be >= 2, got {self.degree}")
         if self.grid_m < 1:
@@ -540,8 +546,7 @@ class _Engine:
         evaluating it alone raises, naming the rectangle."""
         lay = self.layout(rects)
         v_red = self.reduced_models(lay)
-        red = v_red.range()
-        w, results = ps_root(v_red, self.q, red)  # in the layout's order
+        w, results, red = ps_root(v_red, self.q)  # in the layout's order
         ok = [j for j, exc in enumerate(results) if exc is None]
         if ok:
             for j, res in zip(ok, self.contributions(lay, ok, v_red[ok], w[ok], red[ok])):
@@ -635,7 +640,8 @@ class _Engine:
         out = IArr.zeros((len(cy),) + (cy.shape[2],) * 2)
         for at, rect in groups:
             t = None
-            for X, Y, sign in _corners(rect, self.q, 2 * n + 1, 2 * n + 1):
+            for x, y, sign in _corners(rect, self.q, 2 * n + 1, 2 * n + 1):
+                X, Y = _corner_table(*x), _corner_table(*y)
                 hx, hy = (IArr(*(sliding_window_view(a, n + 1) for a in (v.lo, v.hi))) for v in (X, Y))
                 corr = ivarray.iv_matmul(ivarray.iv_matmul(hx, w.coeffs[at]), hy)
                 f = ivarray.iv_matmul(ivarray.iv_matmul(cx_t[at], corr), cy[at])
@@ -832,7 +838,7 @@ def integral_power(
     q = Fraction(q)
     if not (0 < q <= 1):
         raise UsageError(f"exponent q must lie in (0, 1], got {q}")
-    req = _Request(powers=(_wrap_xi(xi),), power_width=width_target)
+    req = _Request(powers=(_wrap_xi(xi),), power_width=check_width("width_target", width_target))
     engine = _Engine(_EtaFourier(eta), q, cfg, req)
     return engine.run()[0][0].item()
 
@@ -895,8 +901,8 @@ def pipeline_sweep(
     req = _Request(
         residual_p=p,
         gram_freqs=tuple(freqs),
-        res_width=res_width,
-        gram_width=gram_width,
+        res_width=check_width("res_width", res_width),
+        gram_width=check_width("gram_width", gram_width),
     )
     engine = _Engine(_EtaFourier(u_hat), p - 1, cfg, req)
     sums, ranges, stats = engine.run()

@@ -10,6 +10,7 @@ def clear_tables():
     """Empty the process's factor and corner table caches."""
     quad._trig_cache.clear()
     quad._corner_table.cache_clear()
+    quad._corner_outer.cache_clear()
 
 
 @pytest.fixture(autouse=True)

@@ -26,6 +26,8 @@ from powcert.ivarray import (
     iv_outer,
     sin_cos_pi,
     single_blas_thread,
+    step_down,
+    step_up,
 )
 
 # the thread-count controls of the OpenBLAS numpy loaded, or None
@@ -189,6 +191,97 @@ class TestEntrywise:
         assert s.contains(mid_sum)
         exact_lo = float(np.sum(A.lo.astype(np.longdouble)))
         assert s.lo <= exact_lo
+
+
+DBL_MAX = np.finfo(np.float64).max
+# the outward step's special inputs: both zeros, the smallest subnormals,
+# the largest finite values, the infinities and NaNs with several payloads:
+# quiet, with the sign set, all ones (which a step on the bits alone turns
+# into -0.0 going up and +0.0 going down) and signalling
+STEP_SPECIALS = np.concatenate([
+    [0.0, -0.0, 5e-324, -5e-324, DBL_MAX, -DBL_MAX, np.inf, -np.inf],
+    np.array(
+        [0x7FF8000000000000, 0xFFF8000000000000, 0x7FFFFFFFFFFFFFFF, 0xFFFFFFFFFFFFFFFF, 0x7FF0000000000001],
+        dtype=np.uint64,
+    ).view(np.float64),
+])
+# sizes on both sides of the crossover from np.nextafter to the bit path
+STEP_SIZES = (1, len(STEP_SPECIALS), ivarray._STEP_BITS - 1, ivarray._STEP_BITS, 3 * ivarray._STEP_BITS + 5)
+STEPS = ((step_up, np.inf), (step_down, -np.inf))
+
+
+def assert_stepped(got, a, way):
+    """got has the bits of np.nextafter(a, way), NaN for NaN."""
+    with np.errstate(all="ignore"):
+        ref = np.nextafter(a, way)
+    nan = np.isnan(ref)
+    assert np.array_equal(np.isnan(got), nan)
+    assert np.array_equal(got[~nan].view(np.int64), ref[~nan].view(np.int64))
+
+
+class TestStep:
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.floats(), min_size=1, max_size=40), st.sampled_from(STEP_SIZES), st.integers(0, 12))
+    def test_same_bits_as_nextafter(self, values, size, shift):
+        # fresh output, and in place
+        a = np.resize(np.roll(np.concatenate([values, STEP_SPECIALS]), shift), size)
+        for step, way in STEPS:
+            with np.errstate(all="ignore"):
+                assert_stepped(step(a), a, way)
+                b = a.copy()
+                assert step(b, out=b) is b
+            assert_stepped(b, a, way)
+
+    @pytest.mark.parametrize("size", STEP_SIZES)
+    def test_specials(self, size):
+        for shift in range(len(STEP_SPECIALS)):
+            a = np.resize(np.roll(STEP_SPECIALS, shift), size)
+            for step, way in STEPS:
+                with np.errstate(all="ignore"):
+                    got = step(a)
+                assert_stepped(got, a, way)
+
+    @pytest.mark.parametrize("size", STEP_SIZES)
+    def test_strided_views(self, size):
+        # a row of a stack such as Horner's acc[0], every other entry, a
+        # column; the entries around the view are left alone
+        rng = np.random.default_rng(size)
+        values = np.concatenate([STEP_SPECIALS, rng.standard_normal(size)])[:size]
+        acc = np.stack((values, values[::-1]))
+        spaced = np.zeros(2 * size)
+        spaced[::2] = values
+        cols = np.zeros((size, 3))
+        cols[:, 1] = values
+        for step, way in STEPS:
+            for whole, view in ((acc.copy(), np.s_[0]), (spaced.copy(), np.s_[::2]), (cols.copy(), np.s_[:, 1])):
+                before = whole.copy()
+                with np.errstate(all="ignore"):
+                    assert_stepped(step(whole[view]), values, way)
+                    step(whole[view], out=whole[view])
+                assert_stepped(whole[view], values, way)
+                whole[view] = before[view]
+                assert np.array_equal(whole.view(np.int64), before.view(np.int64))
+
+    def test_ops_past_crossover_same_bits(self):
+        # IArr ops on arrays larger than the crossover against their
+        # np.nextafter forms, and stacked products against items alone,
+        # which stay below it
+        rng = np.random.default_rng(11)
+        A, B = random_items(rng, 30, (6, 8)), random_items(rng, 30, (6, 8))
+        assert A.lo.size >= ivarray._STEP_BITS
+        assert same_bits(A * B, ref_mul(A, B))
+        dn, up = (lambda x: np.nextafter(x, -np.inf)), (lambda x: np.nextafter(x, np.inf))
+        assert same_bits(A + B, IArr(dn(A.lo + B.lo), up(A.hi + B.hi)))
+        assert same_bits(A - B, IArr(dn(A.lo - B.hi), up(A.hi - B.lo)))
+        assert np.array_equal(A.width(), up(A.hi - A.lo))
+        m = A.mid()
+        raw = np.maximum(A.hi - m, m - A.lo)
+        assert np.array_equal(A.rad_of(m), np.where(raw == 0.0, 0.0, up(raw)))
+        Bt = IArr(np.swapaxes(B.lo, 1, 2), np.swapaxes(B.hi, 1, 2))
+        C = iv_matmul(A, Bt)
+        assert C.lo.size >= ivarray._STEP_BITS
+        for b in range(30):
+            assert same_bits(C[b], iv_matmul(A[b], Bt[b]))
 
 
 class TestMatmul:

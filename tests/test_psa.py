@@ -15,6 +15,7 @@ from test_ivarray import (
     iarrs,
     inside_no_wider,
     model_shapes,
+    random_items,
     ref_conv2d_full,
     ref_conv2d_items,
     ref_mul,
@@ -555,6 +556,22 @@ class TestSameBitsAsReference:
         for b, ref in enumerate(refs):
             assert same_bits(rows[b], ref_horner_rows(ref.coeffs, ref.domain[0]))
 
+    def test_range_and_reduce_past_step_crossover(self):
+        # batches whose Horner accumulators take the bit path of the outward
+        # step, item by item against the single-model references, whose
+        # accumulators stay below its crossover
+        rng = np.random.default_rng(12)
+        for shape, batch in (((7, 7), 400), ((13, 13), 40)):
+            c = random_items(rng, batch, shape)
+            lo = np.where(np.arange(batch) % 2, -0.125, 0.0)
+            model = PowerSeries2D(c, (IArr(lo, lo + 0.25), IArr(lo, lo + 0.25)))
+            got, reduced = model.range(), model.reduce(6)
+            for b in range(batch):
+                dom = (Interval(lo[b], lo[b] + 0.25),) * 2
+                r = ref_range(c[b], dom)
+                assert (got.lo[b], got.hi[b]) == (r.lo, r.hi)
+                assert same_bits(reduced.coeffs[b], ref_reduce(c[b], dom, 6))
+
     @settings(max_examples=30, deadline=None)
     @given(st.data(), st.sampled_from([2, 4, 6]), QS)
     def test_compose_batch(self, data, n, q):
@@ -746,7 +763,7 @@ class TestRoot:
         # lie in the root's pointwise enclosure everywhere on the box
         n = 6
         u = root_models(6, n, seed=q.denominator)
-        w, errors = psa.ps_root(u, q)
+        w, errors, _ = psa.ps_root(u, q)
         assert errors == [None] * u.batch
         mid = u.coeffs.mid()
         rng = np.random.default_rng(3)
@@ -763,9 +780,9 @@ class TestRoot:
         # across the product kernel's chunks of 16 models too
         for n in (6, 10):
             u = root_models(batch, n, seed=batch)
-            w, _ = psa.ps_root(u, q)
+            w, _, _ = psa.ps_root(u, q)
             for b in range(batch):
-                alone, _ = psa.ps_root(u[b], q)
+                alone, _, _ = psa.ps_root(u[b], q)
                 assert same_bits(w.coeffs[b], alone.coeffs[0]), (n, b)
 
     def test_float_root_not_positive(self, monkeypatch):
@@ -782,7 +799,7 @@ class TestRoot:
 
         ref = [psa.ps_root(u[b], Fraction(1, 2))[0] for b in (0, 2)]
         monkeypatch.setattr(psa, "_float_root", negated_middle)
-        w, errors = psa.ps_root(u, Fraction(1, 2))
+        w, errors, _ = psa.ps_root(u, Fraction(1, 2))
         assert errors[0] is None and errors[2] is None
         assert isinstance(errors[1], PositivityError)
         assert errors[1].rng.hi < 0.0
@@ -797,7 +814,7 @@ class TestRoot:
         c = u.coeffs.copy()
         c.lo[1, 0, 0], c.hi[1, 0, 0] = -1.5, -1.5 + 1e-9
         neg = PowerSeries2D(c, u.domain)
-        w, errors = psa.ps_root(neg, Fraction(1, 2))
+        w, errors, _ = psa.ps_root(neg, Fraction(1, 2))
         assert errors[0] is None and errors[2] is None
         assert isinstance(errors[1], PositivityError) and errors[1].rng.hi < 0.0
         bad = neg.range()
@@ -808,17 +825,47 @@ class TestRoot:
 
     @pytest.mark.parametrize("lo, hi", [(math.nan, math.nan), (1.0, math.inf), (-math.inf, 1.0)])
     def test_non_finite_range_fails_its_model(self, lo, hi):
-        # a range that is not finite fails its own model only, with an
-        # IntervalDomainError, whatever else holds of it
+        # a constant term [lo, hi] gives a range that is not finite, which
+        # fails its own model only, with an IntervalDomainError, whatever
+        # else holds of it
         u = root_models(3, 6, seed=6)
-        rng = u.range()
-        rng.lo[1], rng.hi[1] = lo, hi
-        w, errors = psa.ps_root(u, Fraction(1, 2), rng)
+        c = u.coeffs.copy()
+        c.lo[1, 0, 0], c.hi[1, 0, 0] = lo, hi
+        bad = PowerSeries2D(c, u.domain)
+        with np.errstate(invalid="ignore"):
+            rng = bad[1].range()
+        w, errors, _ = psa.ps_root(bad, Fraction(1, 2))
         assert errors[0] is None and errors[2] is None
         assert isinstance(errors[1], IntervalDomainError)
-        assert str(errors[1]) == f"non-finite model range [{lo}, {hi}] for t^1/2"
+        assert str(errors[1]) == f"non-finite model range [{rng.lo[0]}, {rng.hi[0]}] for t^1/2"
         for b in (0, 2):
             assert same_bits(w.coeffs[b], psa.ps_root(u[b], Fraction(1, 2))[0].coeffs[0])
+
+    @pytest.mark.parametrize("batch", [1, 5, 40])
+    def test_range_same_bits_as_model_range(self, batch):
+        # the range ps_root returns has, item by item, the bits of
+        # u.range(), also for models that fail: a constant term reaching 0,
+        # a NaN, an infinite end, and 1e-300 + x, whose root overflows
+        u = root_models(batch, 6, seed=batch)
+        c = u.coeffs.copy()
+        for b, (lo, hi) in zip(range(1, batch, 2), [(-1.5, -1.0), (math.nan, math.nan), (1.0, math.inf), (-math.inf, 1.0)]):
+            c.lo[b, 0, 0], c.hi[b, 0, 0] = lo, hi
+        if batch > 10:
+            c[10] = IArr.zeros((7, 7))
+            c.lo[10, 0, 0] = c.hi[10, 0, 0] = 1e-300
+            c.lo[10, 1, 0] = c.hi[10, 1, 0] = 1.0
+        u = PowerSeries2D(c, u.domain)
+        _, errors, rng = psa.ps_root(u, Fraction(1, 2))
+        assert rng.shape == (batch,)
+        if batch > 10:
+            assert str(errors[10]) == "non-finite t^1/2 root"
+
+        def bits(r):  # NaN included
+            return r.lo.view(np.int64).tolist(), r.hi.view(np.int64).tolist()
+
+        with np.errstate(invalid="ignore"):
+            assert bits(rng) == bits(u.range())
+            assert bits(rng) == bits(IArr.stack([u[b].range()[0] for b in range(batch)]))
 
     def test_non_finite_root(self):
         # u = 1e-300 + x on [0, 1/4]^2: its Taylor coefficients of sqrt
@@ -831,7 +878,7 @@ class TestRoot:
         c.lo[0, 1, 0] = c.hi[0, 1, 0] = 1.0
         tiny = PowerSeries2D(c, u.domain)
         assert tiny.range().lo[0] > 0.0
-        w, errors = psa.ps_root(tiny, Fraction(1, 2))
+        w, errors, _ = psa.ps_root(tiny, Fraction(1, 2))
         assert errors[1] is None and errors[2] is None
         assert isinstance(errors[0], IntervalDomainError) and str(errors[0]) == "non-finite t^1/2 root"
         assert same_bits(w.coeffs[2], psa.ps_root(u[2], Fraction(1, 2))[0].coeffs[0])

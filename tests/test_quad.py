@@ -128,6 +128,31 @@ class TestRectangles:
         with pytest.raises(UsageError, match="grid_m"):
             QuadConfig(grid_m=0)
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [("grid_m", 2.5), ("degree", 6.0), ("workers", 1.5), ("max_depth", 1.5), ("max_depth", True), ("grid_m", "4")],
+    )
+    def test_sizes_must_be_ints(self, field, value):
+        # a float size would end in a TypeError inside the sweep, and
+        # max_depth=1.5 would be taken
+        with pytest.raises(UsageError, match=f"^{field} must be an integer, got {re.escape(repr(value))}$"):
+            QuadConfig(**{field: value})
+
+    @pytest.mark.parametrize("width", [math.nan, 0.0, -1.0, math.inf, "x", True])
+    def test_width_target_checked(self, width):
+        # NaN would mean no budget, 0 and -1 would bisect every rectangle
+        # to max_depth, and "x" would end in numpy's UFuncTypeError
+        u = fourier_from_dict(1, {(1, 1): 1.0})
+        msg = f"width_target must be finite and > 0, got {width!r}"
+        with pytest.raises(UsageError, match=f"^{re.escape(msg)}$"):
+            integral_power(u, None, Fraction(1, 2), QuadConfig(degree=4, grid_m=1), width_target=width)
+
+    @pytest.mark.parametrize("field", ["res_width", "gram_width"])
+    def test_pipeline_widths_checked(self, field):
+        u = fourier_from_dict(1, {(1, 1): 1.0})
+        with pytest.raises(UsageError, match=f"^{field} must be finite and > 0, got nan$"):
+            pipeline_sweep(u, Fraction(3, 2), [(1, 1)], QuadConfig(degree=4, grid_m=1), **{field: math.nan})
+
 
 class TestMonomial:
     def test_interval_order_example(self):
@@ -318,9 +343,10 @@ def mp_sine_power(coeffs, e):
     return mpmath.quad(lambda x: sum(a * mpmath.sin(i * mpmath.pi * x) for i, a in coeffs.items()) ** e, [0, 1])
 
 
-def compose_root(v, q, rng=None):
+def compose_root(v, q):
     """t^q by the Taylor composition, with the root's signature."""
-    return psa.ps_compose(psa.ElemFn.pow_q(q), v, rng), [None] * v.batch
+    rng = v.range()
+    return psa.ps_compose(psa.ElemFn.pow_q(q), v, rng), [None] * v.batch, rng
 
 
 class TestPowerRoot:
@@ -384,11 +410,11 @@ class TestPowerRoot:
         # rectangle
         real = quad.ps_root
 
-        def tiny(v, q, rng):
+        def tiny(v, q):
             c = IArr.zeros(v.coeffs.shape)
             c.lo[:, 0, 0] = c.hi[:, 0, 0] = 1e-300
             c.lo[:, 1, 0] = c.hi[:, 1, 0] = 1.0
-            return real(PowerSeries2D(c, v.domain), q, rng)
+            return real(PowerSeries2D(c, v.domain), q)
 
         monkeypatch.setattr(quad, "ps_root", tiny)
         u = fourier_from_dict(1, {(1, 1): 1.0})
@@ -1400,8 +1426,8 @@ class TestLevelBatchedContributions:
             v = reduced_model(engine, rect)
             red = v.range()
             assert same_bits(v.coeffs[0], ref_tensor_model(engine, rect, engine.eta.coeffs, True, v.domain).coeffs[0])
-            w, (err,) = quad.ps_root(v, engine.q)
-            assert err is None
+            w, (err,), root_red = quad.ps_root(v, engine.q)
+            assert err is None and same_bits(root_red, red)
             lap = ref_tensor_model(engine, rect, engine.eta.lap, False, v.domain)
             xis = [None, req.powers[1], ref_tensor_model(engine, rect, req.powers[2].coeffs, False, v.domain)]
             ref = ref_rect_out(engine, rect, red[0].item(), v, w, lap, xis)
@@ -1513,9 +1539,12 @@ class TestTablesPerProcess:
         first = [integral_power(u, xi, Fraction(1, 2), cfg) for xi in (None, u)]
         assert builds
         built, corners = len(builds), quad._corner_table.cache_info().misses
+        outers = quad._corner_outer.cache_info().misses
+        assert outers
         again = [integral_power(u, xi, Fraction(1, 2), cfg) for xi in (None, u)]
         integral_power(u2, u2, Fraction(1, 2), cfg)  # other coefficients, the same modes
         assert len(builds) == built and quad._corner_table.cache_info().misses == corners
+        assert quad._corner_outer.cache_info().misses == outers and quad._corner_outer.cache_info().hits
         assert [(v.lo, v.hi) for v in again] == [(v.lo, v.hi) for v in first]
 
     def test_tables_read_only(self):
@@ -1524,6 +1553,7 @@ class TestTablesPerProcess:
             trig_table((1, 3), Fraction(0), h, 0, True, 6),
             trig_table((0, 2), h, 2 * h, 1, False, 6),
             quad._corner_table(h, Fraction(1, 2), 7),
+            quad._corner_outer((h, Fraction(1, 2), 7), (h / 2, Fraction(0), 7)),
         ):
             with pytest.raises(ValueError):
                 table.lo[0] = 0.0
